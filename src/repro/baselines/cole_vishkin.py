@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from repro.core.coloring import ColoringResult
 from repro.core.common import LocalView
 from repro.graphs.graph import Graph
@@ -48,6 +50,27 @@ def _cv_reduce(c_self: int, c_succ: int) -> int:
     return 2 * i + b
 
 
+def _check_successor(graph: Graph, successor: Sequence[int]) -> None:
+    """Raise unless every ``successor[v]`` is a neighbor of ``v``.
+
+    Checked against the CSR arrays, so a ``Graph.from_csr`` ring never
+    builds its Python adjacency just to be validated.
+    """
+    n = graph.n
+    succ = np.asarray(successor, dtype=np.int64).reshape(-1)
+    if succ.size != n:
+        raise ValueError(f"successor has {succ.size} entries for {n} vertices")
+    offsets, indices = graph.csr(dtype="auto")
+    deg = (offsets[1:] - offsets[:-1]).astype(np.int64)
+    src = np.repeat(np.arange(n, dtype=np.int64), deg)
+    ok = np.zeros(n, dtype=bool)
+    ok[src[indices == succ[src]]] = True
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        v = int(bad[0])
+        raise ValueError(f"successor[{v}] = {successor[v]} is not a neighbor")
+
+
 def run_ring_three_coloring(
     graph: Graph,
     successor: Sequence[int] | None = None,
@@ -63,9 +86,7 @@ def run_ring_three_coloring(
     n = graph.n
     if successor is None:
         successor = [(v + 1) % n for v in range(n)]
-    for v in range(n):
-        if not graph.has_edge(v, successor[v]):
-            raise ValueError(f"successor[{v}] = {successor[v]} is not a neighbor")
+    _check_successor(graph, successor)
     if current_engine() == "bulk":
         from repro.runtime.shard import current_shards
 

@@ -27,11 +27,11 @@ up front (see docs/fault_tolerance.md).
 
 from __future__ import annotations
 
-from random import Random
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from repro import rng
 from repro.graphs.graph import Graph
 from repro.runtime.bulk import (
     BULK_CHUNK,
@@ -199,22 +199,18 @@ def bulk_luby_mis(
 ):
     """Columnar Luby MIS in lockstep attempts.
 
-    Attempt k: every alive vertex draws its k-th ``Random(f"{seed}:{id}:
-    seed").random()`` value (the same per-vertex stream the generator
-    driver consumes) and broadcasts it at round 2k-1; round 2k the
-    vertices beating every alive neighbor join the MIS and terminate;
-    round 2k+1 their alive neighbors leave and terminate.
-
-    Memory note: each alive vertex holds one ``random.Random`` instance,
-    created lazily on its first draw and released when it decides --
-    worst case (attempt 1, everyone alive) that is n Mersenne states, so
-    prefer :func:`bulk_partition` as the n = 10^6 showcase.
+    Attempt k: every alive vertex draws ``u01(seed, VERTEX, id, k-1)``
+    (its k-th ``ctx.rng.random()``, the value the generator driver
+    consumes) for the whole array at once and broadcasts it at round
+    2k-1; round 2k the vertices beating every alive neighbor join the MIS
+    and terminate; round 2k+1 their alive neighbors leave and terminate.
     """
     if _faulted():
         from repro.core.shard import sharded_luby_mis
 
         return sharded_luby_mis(graph, ids=ids, seed=seed, max_rounds=max_rounds)
     from repro.core.extension import MISResult
+    from repro.core.shard import _luby_outputs
 
     n = graph.n
     ids_arr = resolve_ids(graph, ids)
@@ -223,11 +219,9 @@ def bulk_luby_mis(
     offsets, indices = graph.csr(dtype="auto")
     deg = (offsets[1:] - offsets[:-1]).astype(np.int64)
 
-    rngs: list[Random | None] = [None] * n
     rand = np.zeros(n, dtype=np.float64)
     alive = np.ones(n, dtype=bool)
     term = np.zeros(n, dtype=np.int64)
-    outputs: dict[int, Any] = {}
     sent: list[int] = []
     msgs: list[int] = []
     recv: list[int] = []
@@ -242,11 +236,7 @@ def bulk_luby_mis(
                 raise RoundLimitExceeded(
                     max_rounds, np.concatenate((act, prev_l)).tolist(), None
                 )
-            for v in act:
-                rng = rngs[v]
-                if rng is None:
-                    rng = rngs[v] = Random(f"{seed}:{int(ids_arr[v])}:seed")
-                rand[v] = rng.random()
+            rand[act] = rng.u01_many(seed, rng.VERTEX, ids_arr[act], k - 1)
             # round 2k-1: alive vertices broadcast priorities; last
             # attempt's losers broadcast their leave announcement and
             # terminate
@@ -269,9 +259,6 @@ def bulk_luby_mis(
             winners = np.flatnonzero(alive & ~beaten)
             term[winners] = r2
             alive[winners] = False
-            for v in winners:
-                outputs[int(v)] = (k, True)
-                rngs[v] = None
             nbw = gather_rows(offsets, indices, winners)
             lmask = np.zeros(n, dtype=bool)
             lmask[nbw[alive[nbw]]] = True
@@ -280,9 +267,6 @@ def bulk_luby_mis(
             losers = np.flatnonzero(lmask)
             term[losers] = r2 + 1
             alive[losers] = False
-            for v in losers:
-                outputs[int(v)] = (k, False)
-                rngs[v] = None
             prev_l = losers
         if prev_l.size:
             # the final losers announce + terminate one round after the
@@ -291,7 +275,7 @@ def bulk_luby_mis(
             nb = gather_rows(offsets, indices, prev_l)
             _account_round(term, nb, r, int(prev_l.size), sent, msgs, recv)
 
-    res = finalize_run(outputs, term, sent, msgs, recv)
+    res = finalize_run(_luby_outputs(term), term, sent, msgs, recv)
     return MISResult(
         in_mis={v: flag for v, (att, flag) in res.outputs.items()},
         h_index={v: att for v, (att, flag) in res.outputs.items()},

@@ -34,10 +34,10 @@ smaller than the worst case.  Under the asynchronous executor
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Sequence
 
+from repro import rng
 from repro.graphs.graph import Graph
 from repro.runtime.context import Context
 from repro.runtime.metrics import RoundMetrics, TimeMetrics
@@ -79,14 +79,13 @@ def run_consensus(
 ) -> ConsensusResult:
     """Binary consensus among crash-stop survivors of ``graph``.
 
-    ``values`` fixes the input bits explicitly; otherwise they are drawn
-    from ``random.Random(seed)`` (one fair bit per vertex), so a fuzz
+    ``values`` fixes the input bits explicitly; otherwise vertex ``v``'s
+    bit is the low bit of ``repro.rng.hash64(seed, INPUT, v)``, so a fuzz
     case's seed pins the instance completely.
     """
     n = graph.n
     if values is None:
-        rng = random.Random(seed)
-        values = tuple(rng.randrange(2) for _ in range(n))
+        values = tuple(rng.hash64(seed, rng.INPUT, v) & 1 for v in range(n))
     else:
         values = tuple(int(v) for v in values)
         if len(values) != n:

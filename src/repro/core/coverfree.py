@@ -155,6 +155,9 @@ def build_family(capacity: int, A: int, slack: int = 0) -> PolyFamily:
     """The cheapest polynomial family for ``capacity`` colors, neighbor
     bound ``A`` and coverage slack: minimises the new palette q^2 over the
     polynomial degree D."""
+    # numpy ID arrays hand in numpy integers (an ``id_space`` of
+    # ``max(ids) + 1``); the family arithmetic needs Python ints
+    capacity, A = int(capacity), int(A)
     if capacity < 1:
         raise ValueError("capacity must be positive")
     A = max(A, 1)

@@ -31,11 +31,12 @@ injected stream is invariant under the shard count.
 
 from __future__ import annotations
 
-from random import Random
+from functools import partial
 from typing import Any, Sequence
 
 import numpy as np
 
+from repro import rng
 from repro.graphs.graph import Graph
 from repro.runtime.bulk import (
     BulkUnsupported,
@@ -61,6 +62,44 @@ from repro.runtime.shard import (
 
 def _local_deg(offsets: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return (offsets[lo + 1 : hi + 1] - offsets[lo:hi]).astype(np.int64)
+
+
+def _expand(cnt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Slot layout of ``cnt[i]`` slots per item: each slot's item index
+    and its offset within the item."""
+    item = np.repeat(np.arange(cnt.size, dtype=np.int64), cnt)
+    return item, np.arange(item.size, dtype=np.int64) - (np.cumsum(cnt) - cnt)[item]
+
+
+def _own_edges(deg_loc, e_off, nb_own, lo, idx):
+    """(edge positions, neighbors, owners) of the CSR rows of own local
+    indices ``idx``; ``e_off``/``nb_own`` are the shard's row offsets and
+    concatenated neighbor list."""
+    item, off = _expand(deg_loc[idx])
+    ej = e_off[idx][item] + off
+    return ej, nb_own[ej], idx[item] + lo
+
+
+def _strike(crash_spec, fseed, srnd, rnd, running, lo, records) -> np.ndarray:
+    """Crash the own running vertices the plan strikes in session round
+    ``srnd``: clear them in ``running``, log ``(rnd, v)``, return them."""
+    cand = np.flatnonzero(running) + lo
+    newly = cand[crash_spec.strikes_many(fseed, srnd, cand)]
+    if newly.size:
+        running[newly - lo] = False
+        records.extend((rnd, v) for v in newly.tolist())
+    return newly
+
+
+def _kept(fseed, drop, srnd_send, us, ws) -> np.ndarray:
+    """Survival mask of the copies ``us[i] -> ws[i]`` broadcast in session
+    round ``srnd_send`` (every sender broadcasts at most once per round,
+    so each is copy 0)."""
+    from repro.faults.plan import drop_many
+
+    if not drop or us.size == 0:
+        return np.ones(us.size, dtype=bool)
+    return ~drop_many(fseed, srnd_send, us, ws, 0, drop)
 
 
 def _launch(
@@ -150,7 +189,7 @@ def _kernel_partition(task: ShardTask) -> dict[str, Any]:
     buckets; allreduce the round totals.  Crash and drop draws replicate
     the fast engine's adversary via the pure counter-based functions.
     """
-    from repro.faults.plan import CrashSpec, drop_fate
+    from repro.faults.plan import CrashSpec
 
     p = task.params
     offsets = task.views["offsets"]
@@ -219,16 +258,10 @@ def _kernel_partition(task: ShardTask) -> dict[str, Any]:
         srnd = round_offset + rnd
         chaos_kill_hook(p, task.idx, rnd)
         if crash_spec is not None:
-            newly = [
-                v
-                for v in (np.flatnonzero(alive) + lo).tolist()
-                if crash_spec.strikes(fseed, srnd, v)
-            ]
-            if newly:
-                alive[np.asarray(newly, dtype=np.int64) - lo] = False
-                dead = np.concatenate((dead, np.asarray(newly, dtype=np.int64)))
-                crash_records.extend((rnd, v) for v in newly)
-            (total_crashed,) = comm.allreduce(len(newly))
+            newly = _strike(crash_spec, fseed, srnd, rnd, alive, lo, crash_records)
+            if newly.size:
+                dead = np.concatenate((dead, newly))
+            (total_crashed,) = comm.allreduce(int(newly.size))
             total_active -= total_crashed
             if total_active == 0:
                 break
@@ -245,15 +278,7 @@ def _kernel_partition(task: ShardTask) -> dict[str, Any]:
             jm = term[nb] == rnd - 1
             us, vs = nb[jm], src[jm]
             if drop and us.size:
-                keep = np.fromiter(
-                    (
-                        not drop_fate(fseed, srnd - 1, int(u), int(v), 0, drop)
-                        for u, v in zip(us.tolist(), vs.tolist())
-                    ),
-                    dtype=bool,
-                    count=us.size,
-                )
-                vs = vs[keep]
+                vs = vs[_kept(fseed, drop, srnd - 1, us, vs)]
             heard += np.bincount(vs - lo, minlength=size)
         join = (deg_loc[act_idx] - heard[act_idx]) <= A
         joiners = act[join]
@@ -270,14 +295,7 @@ def _kernel_partition(task: ShardTask) -> dict[str, Any]:
             jm = term[nb] == rnd
             us, vs = nb[jm], src[jm]
             if drop and us.size:
-                keep = np.fromiter(
-                    (
-                        not drop_fate(fseed, srnd, int(u), int(v), 0, drop)
-                        for u, v in zip(us.tolist(), vs.tolist())
-                    ),
-                    dtype=bool,
-                    count=us.size,
-                )
+                keep = _kept(fseed, drop, srnd, us, vs)
                 if record_drops and not keep.all():
                     km = ~keep
                     drop_records.extend(
@@ -419,8 +437,9 @@ def _kernel_luby(task: ShardTask) -> dict[str, Any]:
     Per attempt: draw own priorities (write ``rand``); barrier; account
     round 2k-1 receiver-side; win-check against neighbor ``rand``/``ids``
     and write own winner terminations; barrier; account round 2k, retire
-    own winners and losers; allreduce the attempt's totals.  Per-vertex
-    ``random.Random`` streams live only for the shard's own slice.
+    own winners and losers; allreduce the attempt's totals.  Attempt k's
+    priorities are the counter-based draws ``u01(seed, VERTEX, id, k-1)``
+    of the shard's own alive slice.
     """
     p = task.params
     offsets = task.views["offsets"]
@@ -437,7 +456,6 @@ def _kernel_luby(task: ShardTask) -> dict[str, Any]:
 
     size = hi - lo
     deg_loc = _local_deg(offsets, lo, hi)
-    rngs: list[Random | None] = [None] * size
     per_round: list[tuple[int, int, int, int]] = []
     prev_l = np.zeros(0, dtype=np.int64)
     total_alive = n
@@ -452,11 +470,7 @@ def _kernel_luby(task: ShardTask) -> dict[str, Any]:
         if r1 > max_rounds:
             watchdog = ("r1", act.tolist(), prev_l.tolist())
             break
-        for i, v in zip(act_idx.tolist(), act.tolist()):
-            rng = rngs[i]
-            if rng is None:
-                rng = rngs[i] = Random(f"{seed}:{int(ids_arr[v])}:seed")
-            rand[v] = rng.random()
+        rand[act] = rng.u01_many(seed, rng.VERTEX, ids_arr[act], k - 1)
         comm.sync()
 
         # round 2k-1: priorities broadcast + previous losers' announce
@@ -514,10 +528,6 @@ def _kernel_luby(task: ShardTask) -> dict[str, Any]:
             losers = act[lm]
             term[losers] = r2 + 1
             alive[losers] = False
-        for i in (winners - lo).tolist():
-            rngs[i] = None
-        for i in (losers - lo).tolist():
-            rngs[i] = None
         prev_l = losers
 
         g = comm.allreduce(
@@ -567,8 +577,10 @@ def _kernel_luby_faulted(task: ShardTask) -> dict[str, Any]:
     round-limit error, the same legitimate non-termination the fast
     engine reports.  Crash-safe, NOT drop-safe: a dropped MIS
     announcement can leave two adjacent winners (see docs/faults.md).
+    A vertex running at round 2k-1 has drawn once per earlier attempt, so
+    its attempt-k priority is ``u01(seed, VERTEX, id, k-1)``.
     """
-    from repro.faults.plan import CrashSpec, drop_fate
+    from repro.faults.plan import CrashSpec
 
     p = task.params
     offsets = task.views["offsets"]
@@ -599,7 +611,6 @@ def _kernel_luby_faulted(task: ShardTask) -> dict[str, Any]:
     for v in p.get("pre_crashed", ()):
         if lo <= v < hi:
             running[v - lo] = False
-    rngs: list[Random | None] = [None] * size
     crash_records: list[tuple[int, int]] = []
     drop_records: list[tuple[int, int, int]] = []
     per_round: list[tuple[int, int, int, int]] = []
@@ -607,48 +618,16 @@ def _kernel_luby_faulted(task: ShardTask) -> dict[str, Any]:
     watchdog = None
     rnd = 0
 
-    def _kept(srnd_send: int, us: np.ndarray, ws: np.ndarray) -> np.ndarray:
-        """Per-copy survival mask for broadcasts sent in ``srnd_send``
-        (every sender broadcasts at most once per round, so copy 0)."""
-        if not drop or us.size == 0:
-            return np.ones(us.size, dtype=bool)
-        return np.fromiter(
-            (
-                not drop_fate(fseed, srnd_send, int(u), int(w), 0, drop)
-                for u, w in zip(us.tolist(), ws.tolist())
-            ),
-            dtype=bool,
-            count=us.size,
-        )
-
-    def _own_edges(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(edge positions, neighbors, owners) of the rows of own ``idx``."""
-        cnt = deg_loc[idx]
-        total = int(cnt.sum())
-        if total == 0:
-            z = np.zeros(0, dtype=np.int64)
-            return z, z, z
-        cum = np.cumsum(cnt)
-        ej = (
-            np.arange(total, dtype=np.int64)
-            - np.repeat(cum - cnt, cnt)
-            + np.repeat(e_off[idx], cnt)
-        )
-        return ej, nb_own[ej], np.repeat(idx + lo, cnt)
+    own_edges = partial(_own_edges, deg_loc, e_off, nb_own, lo)
 
     while total_running > 0:
         rnd += 1
         srnd = round_offset + rnd
         if crash_spec is not None:
-            newly = [
-                v
-                for v in (np.flatnonzero(running) + lo).tolist()
-                if crash_spec.strikes(fseed, srnd, v)
-            ]
-            if newly:
-                running[np.asarray(newly, dtype=np.int64) - lo] = False
-                crash_records.extend((rnd, v) for v in newly)
-            (total_crashed,) = comm.allreduce(len(newly))
+            newly = _strike(
+                crash_spec, fseed, srnd, rnd, running, lo, crash_records
+            )
+            (total_crashed,) = comm.allreduce(int(newly.size))
             total_running -= total_crashed
             if total_running == 0:
                 break
@@ -663,36 +642,33 @@ def _kernel_luby_faulted(task: ShardTask) -> dict[str, Any]:
             # the round-(2k-2) winners, then draw the attempt-k priority.
             k = (rnd + 1) // 2
             if rnd > 1 and run_idx.size:
-                _ej, nbs, owners = _own_edges(run_idx)
+                _ej, nbs, owners = own_edges(run_idx)
                 wm = term[nbs] == rnd - 1
                 if wm.any():
-                    keep = _kept(srnd - 1, nbs[wm], owners[wm])
+                    keep = _kept(fseed, drop, srnd - 1, nbs[wm], owners[wm])
                     leavers = np.unique(owners[wm][keep])
                     if leavers.size:
                         term[leavers] = rnd
                         running[leavers - lo] = False
                         halts_own = int(leavers.size)
                         run_idx = np.flatnonzero(running)
-            for i in run_idx.tolist():
-                rng = rngs[i]
-                if rng is None:
-                    rng = rngs[i] = Random(f"{seed}:{int(ids_arr[lo + i])}:seed")
-                rand[lo + i] = rng.random()
-                lastp[lo + i] = rnd
+            vg = run_idx + lo
+            rand[vg] = rng.u01_many(seed, rng.VERTEX, ids_arr[vg], k - 1)
+            lastp[vg] = rnd
         else:
             # Even round 2k: absorb attempt-k priorities and leave
             # announcements sent at 2k-1, then the win check over the
             # accumulated per-edge view.
             k = rnd // 2
             if run_idx.size:
-                ej, nbs, owners = _own_edges(run_idx)
+                ej, nbs, owners = own_edges(run_idx)
                 pm = lastp[nbs] == rnd - 1
                 if pm.any():
-                    keep = _kept(srnd - 1, nbs[pm], owners[pm])
+                    keep = _kept(fseed, drop, srnd - 1, nbs[pm], owners[pm])
                     e_att[ej[pm][keep]] = k
                 fm = term[nbs] == rnd - 1
                 if fm.any():
-                    keep = _kept(srnd - 1, nbs[fm], owners[fm])
+                    keep = _kept(fseed, drop, srnd - 1, nbs[fm], owners[fm])
                     disc[ej[fm][keep]] = True
                 ea = e_att[ej]
                 rv, iv = rand[owners], ids_arr[owners]
@@ -716,14 +692,14 @@ def _kernel_luby_faulted(task: ShardTask) -> dict[str, Any]:
         cand_i = np.flatnonzero((own_term == 0) | (own_term == rnd))
         counted = same = recv_loc = 0
         if cand_i.size:
-            _ej, nbs, owners = _own_edges(cand_i)
+            _ej, nbs, owners = own_edges(cand_i)
             if rnd % 2 == 1:
                 sm = (lastp[nbs] == rnd) | (term[nbs] == rnd)
             else:
                 sm = term[nbs] == rnd
             us, ws = nbs[sm], owners[sm]
             if drop and us.size:
-                keep = _kept(srnd, us, ws)
+                keep = _kept(fseed, drop, srnd, us, ws)
                 if record_drops and not keep.all():
                     km = ~keep
                     drop_records.extend(
@@ -975,7 +951,7 @@ def _kernel_cole_vishkin_faulted(task: ShardTask) -> dict[str, Any]:
     gate delivery on ``bstamp[u] >= r-1`` without racing the current
     round's stamps.
     """
-    from repro.faults.plan import CrashSpec, drop_fate
+    from repro.faults.plan import CrashSpec
 
     p = task.params
     offsets = task.views["offsets"]
@@ -1002,6 +978,7 @@ def _kernel_cole_vishkin_faulted(task: ShardTask) -> dict[str, Any]:
     nb_own = indices[e_lo : int(offsets[hi])].astype(np.int64)
     e_off = (offsets[lo : hi + 1] - e_lo).astype(np.int64)
     own_succ = succ[lo:hi].astype(np.int64)
+    own_edges = partial(_own_edges, deg_loc, e_off, nb_own, lo)
     running = np.ones(size, dtype=bool)
     for v in p.get("pre_crashed", ()):
         if lo <= v < hi:
@@ -1012,31 +989,14 @@ def _kernel_cole_vishkin_faulted(task: ShardTask) -> dict[str, Any]:
     total_running = n - len(p.get("pre_crashed", ()))
     rnd = 0
 
-    def _kept(srnd_send: int, us: np.ndarray, ws: np.ndarray) -> np.ndarray:
-        if not drop or us.size == 0:
-            return np.ones(us.size, dtype=bool)
-        return np.fromiter(
-            (
-                not drop_fate(fseed, srnd_send, int(u), int(w), 0, drop)
-                for u, w in zip(us.tolist(), ws.tolist())
-            ),
-            dtype=bool,
-            count=us.size,
-        )
-
     while total_running > 0 and rnd < steps + 4:
         rnd += 1
         srnd = round_offset + rnd
         if crash_spec is not None:
-            newly = [
-                v
-                for v in (np.flatnonzero(running) + lo).tolist()
-                if crash_spec.strikes(fseed, srnd, v)
-            ]
-            if newly:
-                running[np.asarray(newly, dtype=np.int64) - lo] = False
-                crash_records.extend((rnd, v) for v in newly)
-            (total_crashed,) = comm.allreduce(len(newly))
+            newly = _strike(
+                crash_spec, fseed, srnd, rnd, running, lo, crash_records
+            )
+            (total_crashed,) = comm.allreduce(int(newly.size))
             total_running -= total_crashed
             if total_running == 0:
                 break
@@ -1055,7 +1015,7 @@ def _kernel_cole_vishkin_faulted(task: ShardTask) -> dict[str, Any]:
                     su = own_succ[run_idx]
                     got = bstamp[su] >= rnd - 1
                     if got.any():
-                        got &= _kept(srnd - 1, su, vg)
+                        got &= _kept(fseed, drop, srnd - 1, su, vg)
                     # keep-color on missing *or equal* successor value
                     # (the latter is reachable once a step was skipped)
                     got &= buf[(rnd - 1) & 1][su] != c_new
@@ -1071,17 +1031,18 @@ def _kernel_cole_vishkin_faulted(task: ShardTask) -> dict[str, Any]:
                     # neighbor values from round r-1
                     cls = 5 - (rnd - steps - 2)
                     mine = np.flatnonzero(c_new == cls)
-                    for j in mine.tolist():
-                        i = run_idx[j]
-                        nbs = nb_own[e_off[i] : e_off[i + 1]]
-                        got_n = nbs[bstamp[nbs] >= rnd - 1]
-                        keep = _kept(
-                            srnd - 1, got_n, np.full(got_n.size, lo + i)
-                        )
-                        used = set(buf[(rnd - 1) & 1][got_n[keep]].tolist())
-                        c_new[j] = next(
-                            cc for cc in (0, 1, 2) if cc not in used
-                        )
+                    mi = run_idx[mine]
+                    _ej, nbs, owners = own_edges(mi)
+                    got = bstamp[nbs] >= rnd - 1
+                    got &= _kept(fseed, drop, srnd - 1, nbs, owners)
+                    val = buf[(rnd - 1) & 1][nbs]
+                    used0 = np.zeros(size, dtype=bool)
+                    used0[owners[got & (val == 0)] - lo] = True
+                    used1 = np.zeros(size, dtype=bool)
+                    used1[owners[got & (val == 1)] - lo] = True
+                    c_new[mine] = np.where(
+                        ~used0[mi], 0, np.where(~used1[mi], 1, 2)
+                    )
             if rnd <= steps + 3:
                 buf[rnd & 1][vg] = c_new
                 bstamp[vg] = rnd
@@ -1096,36 +1057,22 @@ def _kernel_cole_vishkin_faulted(task: ShardTask) -> dict[str, Any]:
         cand_i = np.flatnonzero((own_term == 0) | (own_term == rnd))
         counted = same = recv_loc = 0
         if cand_i.size:
-            cnt = deg_loc[cand_i]
-            total = int(cnt.sum())
-            if total:
-                cum = np.cumsum(cnt)
-                ej = (
-                    np.arange(total, dtype=np.int64)
-                    - np.repeat(cum - cnt, cnt)
-                    + np.repeat(e_off[cand_i], cnt)
-                )
-                nbs = nb_own[ej]
-                owners = np.repeat(cand_i + lo, cnt)
-                sm = bstamp[nbs] == rnd
-                us, ws = nbs[sm], owners[sm]
-                if drop and us.size:
-                    keep = _kept(srnd, us, ws)
-                    if record_drops and not keep.all():
-                        km = ~keep
-                        drop_records.extend(
-                            zip(
-                                [rnd] * int(km.sum()),
-                                us[km].tolist(),
-                                ws[km].tolist(),
-                            )
-                        )
-                    us, ws = us[keep], ws[keep]
-                tw = term[ws]
-                live = tw == 0
-                counted = int(live.sum())
-                same = int((tw == rnd).sum())
-                recv_loc = int(np.unique(ws[live]).size)
+            _ej, nbs, owners = own_edges(cand_i)
+            sm = bstamp[nbs] == rnd
+            us, ws = nbs[sm], owners[sm]
+            if drop and us.size:
+                keep = _kept(fseed, drop, srnd, us, ws)
+                if record_drops and not keep.all():
+                    km = ~keep
+                    drop_records.extend(
+                        zip([rnd] * int(km.sum()), us[km].tolist(), ws[km].tolist())
+                    )
+                us, ws = us[keep], ws[keep]
+            tw = term[ws]
+            live = tw == 0
+            counted = int(live.sum())
+            same = int((tw == rnd).sum())
+            recv_loc = int(np.unique(ws[live]).size)
         g = comm.allreduce(
             counted, same, recv_loc, halts_own, int(running.sum())
         )
@@ -1323,7 +1270,7 @@ def _kernel_defective_faulted(task: ShardTask) -> dict[str, Any]:
     -- a drop freezes it permanently).
     """
     from repro.core.defective import defective_schedule
-    from repro.faults.plan import CrashSpec, drop_fate
+    from repro.faults.plan import CrashSpec, drop_many
 
     p = task.params
     offsets = task.views["offsets"]
@@ -1347,11 +1294,17 @@ def _kernel_defective_faulted(task: ShardTask) -> dict[str, Any]:
     schedule = defective_schedule(p["space"], p["A"], p["d"])
     n_steps = len(schedule)
     size = hi - lo
+    deg_loc = _local_deg(offsets, lo, hi)
     e_lo = int(offsets[lo])
-    nb_own = indices[e_lo : int(offsets[hi])].astype(np.int64).tolist()
-    e_off = (offsets[lo : hi + 1] - e_lo).astype(np.int64).tolist()
-    e_seen = [0] * len(nb_own)
-    e_gap = [0] * len(nb_own)
+    nb_own = indices[e_lo : int(offsets[hi])].astype(np.int64)
+    e_off = (offsets[lo : hi + 1] - e_lo).astype(np.int64)
+    own_edges = partial(_own_edges, deg_loc, e_off, nb_own, lo)
+    # row starts of the non-isolated own vertices, for per-row minima
+    nz = deg_loc > 0
+    nz_starts = e_off[:-1][nz]
+    nb_list, off_list = nb_own.tolist(), e_off.tolist()
+    e_seen = np.zeros(nb_own.size, dtype=np.int64)
+    e_gap = np.zeros(nb_own.size, dtype=np.int64)
     running = np.ones(size, dtype=bool)
     for v in p.get("pre_crashed", ()):
         if lo <= v < hi:
@@ -1369,15 +1322,10 @@ def _kernel_defective_faulted(task: ShardTask) -> dict[str, Any]:
         rnd += 1
         srnd = round_offset + rnd
         if crash_spec is not None:
-            newly = [
-                v
-                for v in (np.flatnonzero(running) + lo).tolist()
-                if crash_spec.strikes(fseed, srnd, v)
-            ]
-            if newly:
-                running[np.asarray(newly, dtype=np.int64) - lo] = False
-                crash_records.extend((rnd, v) for v in newly)
-            (total_crashed,) = comm.allreduce(len(newly))
+            newly = _strike(
+                crash_spec, fseed, srnd, rnd, running, lo, crash_records
+            )
+            (total_crashed,) = comm.allreduce(int(newly.size))
             total_running -= total_crashed
             if total_running == 0:
                 break
@@ -1385,31 +1333,34 @@ def _kernel_defective_faulted(task: ShardTask) -> dict[str, Any]:
             watchdog = (np.flatnonzero(running) + lo).tolist()
             break
 
-        run_idx = np.flatnonzero(running).tolist()
+        run_idx = np.flatnonzero(running)
         halts_own = 0
         # Phase A1: fate-process the copies broadcast at round rnd-1
         # (delivery advances each edge's contiguous-prefix gap; a dropped
         # step freezes it -- there are no resends).
-        if rnd > 1:
-            for i in run_idx:
-                for j in range(e_off[i], e_off[i + 1]):
-                    u = nb_own[j]
-                    cnt = int(ustep[(rnd - 1) & 1][u])
-                    base = e_seen[j]
-                    if cnt <= base:
-                        continue
-                    for s in range(base, cnt):
-                        if drop and drop_fate(
-                            fseed, srnd - 1, u, lo + i, s - base, drop
-                        ):
-                            continue
-                        if s == e_gap[j]:
-                            e_gap[j] = s + 1
-                    e_seen[j] = cnt
+        if rnd > 1 and run_idx.size:
+            ej, us, owners = own_edges(run_idx)
+            cnt = ustep[(rnd - 1) & 1][us]
+            fresh = cnt > e_seen[ej]
+            ej, us, owners, cnt = ej[fresh], us[fresh], owners[fresh], cnt[fresh]
+            base = e_seen[ej]
+            # copies delivered before the first dropped one, per edge
+            adv = cnt - base
+            if drop and ej.size:
+                item, kidx = _expand(adv)
+                lost = drop_many(fseed, srnd - 1, us[item], owners[item], kidx, drop)
+                np.minimum.at(adv, item[lost], kidx[lost])
+            at_gap = e_gap[ej] == base
+            e_gap[ej[at_gap]] += adv[at_gap]
+            e_seen[ej] = cnt
         # Phase A2: make progress -- first activation broadcasts step 0,
         # then every satisfied wait picks and broadcasts the next step
         # (possibly several in one round), terminating after the last pick.
-        for i in run_idx:
+        gap_min = np.full(size, n_steps + 1, dtype=np.int64)
+        if nz_starts.size:
+            gap_min[nz] = np.minimum.reduceat(e_gap, nz_starts)
+        gap_min = gap_min.tolist()
+        for i in run_idx.tolist():
             v = lo + i
             b = bc[i]
             done = False
@@ -1420,15 +1371,13 @@ def _kernel_defective_faulted(task: ShardTask) -> dict[str, Any]:
                     ucol[0][v] = cols[i]
                     b = 1
             if not done:
-                while b >= 1 and all(
-                    e_gap[j] >= b for j in range(e_off[i], e_off[i + 1])
-                ):
+                while b >= 1 and gap_min[i] >= b:
                     fam = schedule[b - 1]
                     cols[i] = fam.pick(
                         cols[i],
                         [
-                            int(ucol[(b - 1) & 1][nb_own[j]])
-                            for j in range(e_off[i], e_off[i + 1])
+                            int(ucol[(b - 1) & 1][u])
+                            for u in nb_list[off_list[i] : off_list[i + 1]]
                         ],
                     )
                     if b == n_steps:
@@ -1449,29 +1398,25 @@ def _kernel_defective_faulted(task: ShardTask) -> dict[str, Any]:
         # Phase B: receiver-side accounting of this round's batched
         # broadcasts (ulast gates out parity-frozen dead senders).
         own_term = term[lo:hi]
-        cand_i = np.flatnonzero((own_term == 0) | (own_term == rnd)).tolist()
-        counted = same = 0
-        recv_set: set[int] = set()
-        for i in cand_i:
-            v = lo + i
-            t_own = int(own_term[i])
-            for j in range(e_off[i], e_off[i + 1]):
-                u = nb_own[j]
-                if int(ulast[u]) != rnd:
-                    continue
-                k_n = int(ustep[rnd & 1][u]) - int(ustep[(rnd - 1) & 1][u])
-                for kidx in range(k_n):
-                    if drop and drop_fate(fseed, srnd, u, v, kidx, drop):
-                        if record_drops:
-                            drop_records.append((rnd, u, v))
-                        continue
-                    if t_own == 0:
-                        counted += 1
-                        recv_set.add(v)
-                    else:
-                        same += 1
+        cand_i = np.flatnonzero((own_term == 0) | (own_term == rnd))
+        _ej, us, ws = own_edges(cand_i)
+        sm = ulast[us] == rnd
+        us, ws = us[sm], ws[sm]
+        item, kidx = _expand(ustep[rnd & 1][us] - ustep[(rnd - 1) & 1][us])
+        us, ws = us[item], ws[item]
+        if drop and us.size:
+            lost = drop_many(fseed, srnd, us, ws, kidx, drop)
+            if record_drops and lost.any():
+                drop_records.extend(
+                    zip([rnd] * int(lost.sum()), us[lost].tolist(), ws[lost].tolist())
+                )
+            ws = ws[~lost]
+        live = term[ws] == 0
+        counted = int(live.sum())
+        same = int(ws.size) - counted
+        recv_loc = int(np.unique(ws[live]).size)
         g = comm.allreduce(
-            counted, same, len(recv_set), halts_own, int(running.sum())
+            counted, same, recv_loc, halts_own, int(running.sum())
         )
         per_round.append((g[0] + g[1], g[0] + g[3], g[2], g[3]))
         total_running = g[4]

@@ -26,12 +26,17 @@ The model
 Determinism
 -----------
 Every fault decision is a pure function of ``(plan.seed, round, vertex)``
-or ``(plan.seed, round, src, dst, k)`` -- counter-based draws via
-dedicated ``random.Random`` instances, never shared-stream state -- so the
-same plan produces bit-identical injections regardless of the order in
-which the engine evaluates them.  That is what lets the fast and the
-reference engine replay the *same* faulted execution (enforced by
-``tests/runtime/test_fault_equivalence.py``).
+or ``(plan.seed, round, src, dst, k)``: a counter-based draw from
+:mod:`repro.rng`, never shared-stream state.  A crash hazard is
+``u01(seed, CRASH, round, v) < hazard``; the fates of message copy ``k``
+are successive counters of the key ``(seed, MESSAGE, round, src, dst,
+k)`` in a fixed order (drop, delay, delay length, duplicate).  The same
+plan therefore produces bit-identical injections regardless of the
+order, or the process, in which an engine evaluates them.  That is what
+lets every engine replay the *same* faulted execution (enforced by
+``tests/runtime/test_fault_equivalence.py``), and what lets the
+columnar kernels draw a whole round at once through the vectorised
+forms :meth:`CrashSpec.strikes_many` and :func:`drop_many`.
 
 The injector boundary
 ---------------------
@@ -57,17 +62,26 @@ pass the *plan* and let each run compile its own.
 
 from __future__ import annotations
 
-import random
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import Any, Iterator, Mapping
 
+import numpy as np
+
+from repro import rng
 from repro.obs.events import FaultCrash, FaultDelay, FaultDrop, FaultDup
 
 
-def _msg_key(seed: int, rnd: int, src: int, dst: int, k: int) -> str:
-    """The counter-based message-fate stream name (one RNG per copy)."""
-    return f"{seed}:msg:{rnd}:{src}:{dst}:{k}"
+#: fixed counter slots of one message-fate key, in the documented draw
+#: order: drop, then delay (and its length), then duplicate
+_DROP, _DELAY, _DELAY_LEN, _DUP = range(4)
+
+
+@lru_cache(maxsize=1024)
+def _msg_prefix(seed: int, rnd: int) -> int:
+    """The message stream's hash state for one (plan, round)."""
+    return rng.hash64(seed, rng.MESSAGE, rnd)
 
 
 def message_fates(
@@ -81,17 +95,18 @@ def message_fates(
     :meth:`FaultInjector.fate` makes, factored out so executors that
     evaluate fates outside an injector -- the sharded bulk workers and
     the asynchronous event-queue scheduler, where ``rnd`` is the sender's
-    *local* round -- replay the identical fault stream.  The draw order
-    (drop, then delay, then duplicate, all off one keyed RNG) is part of
-    the determinism contract; do not reorder.
+    *local* round -- replay the identical fault stream.  The draws are
+    successive counters of one key ``(seed, MESSAGE, rnd, src, dst, k)``
+    in a fixed order: drop, then delay, then its length, then duplicate.
+    This order is part of the determinism contract; do not reorder.
     """
-    rng = random.Random(_msg_key(seed, rnd, src, dst, k))
-    if mf.drop and rng.random() < mf.drop:
+    h = rng.fold(_msg_prefix(seed, rnd), src, dst, k)
+    if mf.drop and rng.to_u01(rng.fold(h, _DROP)) < mf.drop:
         return ()
     fates: tuple[int, ...] = (0,)
-    if mf.delay and rng.random() < mf.delay:
-        fates = (1 + rng.randrange(mf.max_delay),)
-    if mf.duplicate and rng.random() < mf.duplicate:
+    if mf.delay and rng.to_u01(rng.fold(h, _DELAY)) < mf.delay:
+        fates = (1 + int(rng.to_u01(rng.fold(h, _DELAY_LEN)) * mf.max_delay),)
+    if mf.duplicate and rng.to_u01(rng.fold(h, _DUP)) < mf.duplicate:
         fates = fates + (0,)
     return fates
 
@@ -100,13 +115,22 @@ def drop_fate(seed: int, rnd: int, src: int, dst: int, k: int, drop: float) -> b
     """The counter-based drop draw: is copy ``k`` of ``src -> dst`` in
     session round ``rnd`` dropped?
 
-    Pure function of its arguments — the same draw
-    :meth:`FaultInjector.fate` makes first, factored out so the sharded
-    pull-based executor (:mod:`repro.runtime.shard`), which evaluates
-    message fates receiver-side and possibly in a different order and
-    process, reproduces the identical drop stream under any shard count.
+    Pure function of its arguments -- the same draw
+    :meth:`FaultInjector.fate` makes first -- so the columnar kernels,
+    which evaluate message fates receiver-side and possibly in a
+    different order and process, reproduce the identical drop stream.
+    :func:`drop_many` is its vectorised form.
     """
-    return random.Random(_msg_key(seed, rnd, src, dst, k)).random() < drop
+    h = rng.fold(_msg_prefix(seed, rnd), src, dst, k, _DROP)
+    return rng.to_u01(h) < drop
+
+
+def drop_many(
+    seed: int, rnd: int, src: np.ndarray, dst: np.ndarray, k, drop: float
+) -> np.ndarray:
+    """Vectorised :func:`drop_fate`: the drop mask of copies ``k``
+    (an int or an array) of ``src[i] -> dst[i]`` sent in round ``rnd``."""
+    return rng.u01_many(seed, rng.MESSAGE, rnd, src, dst, k, _DROP) < drop
 
 
 @dataclass(frozen=True)
@@ -138,8 +162,26 @@ class CrashSpec:
         if at is not None and rnd >= at:
             return True
         if self.hazard:
-            return random.Random(f"{seed}:crash:{rnd}:{v}").random() < self.hazard
+            return rng.u01(seed, rng.CRASH, rnd, v) < self.hazard
         return False
+
+    @cached_property
+    def _at_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        vs = np.array(sorted(self.at), dtype=np.int64)
+        return vs, np.array([self.at[v] for v in vs.tolist()], dtype=np.int64)
+
+    def strikes_many(self, seed: int, rnd: int, vs: np.ndarray) -> np.ndarray:
+        """Vectorised :meth:`strikes`: the crash mask of the (still
+        active) vertices ``vs`` in round ``rnd``."""
+        vs = np.asarray(vs, dtype=np.int64)
+        hit = np.zeros(vs.size, dtype=bool)
+        if self.at and vs.size:
+            keys, rounds = self._at_arrays
+            pos = np.minimum(np.searchsorted(keys, vs), keys.size - 1)
+            hit = (keys[pos] == vs) & (rounds[pos] <= rnd)
+        if self.hazard:
+            hit |= rng.u01_many(seed, rng.CRASH, rnd, vs) < self.hazard
+        return hit
 
 
 @dataclass(frozen=True)

@@ -53,10 +53,11 @@ Fault semantics carry over unchanged:
 from __future__ import annotations
 
 import heapq
-import random
+import math
 from dataclasses import dataclass
 from typing import Any, Mapping
 
+from repro import rng
 from repro.faults.plan import message_fates
 from repro.obs.events import (
     Delivery,
@@ -83,14 +84,15 @@ class DelaySpec:
     """Seeded per-edge link-delay model.
 
     Each directed edge's round-``r`` token is delayed by an independent
-    draw keyed ``(seed, src, dst, r)`` -- a pure function, so the delay
-    assignment is reproducible and independent of execution order:
+    draw ``u = repro.rng.u01(seed, DELAY, src, dst, r)`` -- a pure
+    function, so the delay assignment is reproducible and independent of
+    execution order:
 
     * ``fixed`` -- every delay is exactly ``scale`` (the degenerate
       model; with ``scale = 1`` virtual time reproduces round counts on
       communication-driven chains);
     * ``uniform`` -- uniform on ``[scale/2, 3*scale/2)``;
-    * ``exp`` -- exponential with mean ``scale``.
+    * ``exp`` -- exponential with mean ``scale``: ``-log(1 - u) * scale``.
 
     All three have mean ``scale``, which :class:`~repro.runtime.metrics
     .TimeMetrics` uses to normalize virtual times into round-equivalents.
@@ -117,10 +119,10 @@ class DelaySpec:
         """The delay of the round-``rnd`` token on edge ``src -> dst``."""
         if self.dist == "fixed":
             return self.scale
-        rng = random.Random(f"{self.seed}:edge:{src}:{dst}:{rnd}")
+        u = rng.u01(self.seed, rng.DELAY, src, dst, rnd)
         if self.dist == "uniform":
-            return self.scale * (0.5 + rng.random())
-        return rng.expovariate(1.0 / self.scale)
+            return self.scale * (0.5 + u)
+        return -math.log(1.0 - u) * self.scale
 
     # -- serialisation (manifests) -------------------------------------
     def to_dict(self) -> dict[str, Any]:

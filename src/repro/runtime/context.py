@@ -36,12 +36,12 @@ programs ever did).
 
 from __future__ import annotations
 
-import random
 from typing import Any, Iterable, Mapping
 
 from repro.obs.events import Broadcast as _BroadcastEvent
 from repro.obs.events import Commit as _CommitEvent
 from repro.obs.events import Send as _SendEvent
+from repro.rng import VertexRng
 
 
 class RouterState:
@@ -101,7 +101,7 @@ class Context:
         neighbor_ids: Mapping[int, int],
         n: int,
         config: Mapping[str, Any],
-        rng: random.Random | str,
+        seed: int,
     ) -> None:
         self.v = v
         self.id = vid
@@ -114,9 +114,9 @@ class Context:
         )
         self.n = n
         self.config = config
-        #: a ``random.Random`` instance, or a seed string materialised
-        #: lazily on first use (most deterministic programs never touch it)
-        self._rng = rng
+        #: the network seed; ``ctx.rng`` keys a VertexRng with it lazily
+        #: on first use (most deterministic programs never touch it)
+        self._rng = seed
         #: final outputs of terminated neighbors (accumulated)
         self.halted: dict[int, Any] = {}
         #: neighbors whose termination notice arrived this round
@@ -141,11 +141,16 @@ class Context:
 
     # ------------------------------------------------------------------
     @property
-    def rng(self) -> random.Random:
-        """This vertex's private random generator (lazily seeded)."""
+    def rng(self) -> VertexRng:
+        """This vertex's private random source, keyed by ``(seed, id)``.
+
+        Its k-th ``random()`` (k from 0) is ``repro.rng.u01(seed,
+        VERTEX, id, k)`` and ``randrange(m)`` is ``int(random() * m)``;
+        programs use only these two methods.
+        """
         r = self._rng
-        if type(r) is str:
-            r = self._rng = random.Random(r)
+        if type(r) is not VertexRng:
+            r = self._rng = VertexRng(r, self.id)
         return r
 
     @property

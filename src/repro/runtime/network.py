@@ -311,8 +311,7 @@ class SyncNetwork:
                     neighbor_ids={u: ids[u] for u in nbrs},
                     n=n,
                     config=config,
-                    # materialised lazily by ctx.rng on first use
-                    rng=f"{seed}:{vid}:seed",
+                    seed=seed,
                 )
             )
         return contexts

@@ -29,8 +29,9 @@ across worker processes:
   ``tests/runtime/test_shard.py`` pins this).
 
 Fault injection under sharding reuses the fault layer's counter-based
-draws (:meth:`repro.faults.plan.CrashSpec.strikes`,
-:func:`repro.faults.plan.drop_fate`): every decision is a pure function
+draws in their vectorised forms
+(:meth:`repro.faults.plan.CrashSpec.strikes_many`,
+:func:`repro.faults.plan.drop_many`): every decision is a pure function
 of ``(seed, round, vertex)`` or ``(seed, round, src, dst, k)``, so the
 injected stream is invariant under the shard count by construction.
 

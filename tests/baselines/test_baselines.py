@@ -109,6 +109,23 @@ class TestColeVishkin:
         with pytest.raises(ValueError, match="not a neighbor"):
             run_ring_three_coloring(g, successor=[2, 3, 4, 0, 1])
 
+    def test_bad_successor_names_the_first_offender(self):
+        g = gen.ring(6)
+        with pytest.raises(ValueError, match=r"successor\[3\] = 5 "):
+            run_ring_three_coloring(g, successor=[1, 2, 3, 5, 5, 0])
+
+    def test_bulk_run_on_csr_ring_never_builds_the_object_layer(self):
+        from repro.graphs.graph import Graph
+        from repro.runtime.network import engine_session
+
+        n = 500
+        offsets, indices = gen.ring(n).csr()
+        g = Graph.from_csr(offsets.copy(), indices.copy())
+        with engine_session("bulk"):
+            res = run_ring_three_coloring(g, ids=gen.permutation_ids(n, seed=4))
+        assert g._adj is None
+        assert_proper_coloring(gen.ring(n), res.colors, max_colors=3)
+
 
 class TestArbWorstcase:
     def test_arb_linial_worstcase_valid(self):

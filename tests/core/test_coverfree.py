@@ -37,6 +37,11 @@ class TestPrimes:
 
 
 class TestFamilyStructure:
+    def test_numpy_capacity_builds_the_same_family(self):
+        import numpy as np
+
+        assert build_family(np.int64(1000), np.int64(3)) == build_family(1000, 3)
+
     def test_members_have_size_q(self):
         fam = build_family(100, 3)
         for c in (0, 5, 99):

@@ -26,6 +26,15 @@ class TestDefectiveColoring:
                 g, res.colors, max_defect=d, max_colors=res.palette_bound
             )
 
+    def test_fast_engine_accepts_numpy_ids(self):
+        # permutation_ids is an int64 array, so the ID space the schedule
+        # is built for arrives as a numpy integer
+        g = gen.union_of_forests(300, 3, seed=5)
+        ids = gen.permutation_ids(g.n, seed=6)
+        res = run_defective_coloring(g, d=2, ids=ids)
+        assert res.colors == run_defective_coloring(g, d=2, ids=ids.tolist()).colors
+        assert_defective_coloring(g, res.colors, max_defect=2)
+
     def test_palette_shrinks_with_defect_budget(self):
         g = gen.union_of_forests(1500, 4, seed=2)
         bounds = [run_defective_coloring(g, d=d).palette_bound for d in (0, 2, 8)]

@@ -3,6 +3,7 @@ counter-based determinism, and the session lifecycle."""
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.faults import (
@@ -14,6 +15,7 @@ from repro.faults import (
     install,
     session,
 )
+from repro.faults.plan import drop_fate, drop_many, message_fates
 
 
 class TestSpecs:
@@ -53,6 +55,47 @@ class TestSpecs:
         assert any(draws) and not all(draws)
         other = [spec.strikes(43, r, v) for r in range(1, 20) for v in range(20)]
         assert draws != other  # the seed matters
+
+    def test_strikes_many_is_the_vectorised_strikes(self):
+        spec = CrashSpec(at={4: 3, 9: 1, 150: 2}, hazard=0.3)
+        vs = np.arange(200)
+        for rnd in (1, 2, 3, 5):
+            assert spec.strikes_many(42, rnd, vs).tolist() == [
+                spec.strikes(42, rnd, v) for v in range(200)
+            ]
+        assert CrashSpec(at={3: 2}).strikes_many(0, 2, vs[:0]).size == 0
+
+
+class TestMessageDraws:
+    def test_drop_many_is_the_vectorised_drop_fate(self):
+        src = np.array([0, 5, 5, 17, 3, 2**40])
+        dst = np.array([1, 4, 6, 16, 3, 7])
+        for k in (0, 2):
+            assert drop_many(9, 4, src, dst, k, 0.5).tolist() == [
+                drop_fate(9, 4, int(u), int(w), k, 0.5) for u, w in zip(src, dst)
+            ]
+        ks = np.array([0, 1, 2, 0, 1, 2])
+        assert drop_many(9, 4, src, dst, ks, 0.5).tolist() == [
+            drop_fate(9, 4, int(u), int(w), int(k), 0.5)
+            for u, w, k in zip(src, dst, ks)
+        ]
+
+    def test_message_fates_draws_drop_first(self):
+        # the fate draw's first counter is exactly the drop draw
+        mf = MessageFaults(drop=0.4, delay=0.5, duplicate=0.5, max_delay=3)
+        for src in range(30):
+            for k in range(3):
+                dropped = message_fates(mf, 11, 2, src, src + 1, k) == ()
+                assert dropped == drop_fate(11, 2, src, src + 1, k, 0.4)
+
+    def test_fate_frequencies_match_the_probabilities(self):
+        mf = MessageFaults(drop=0.2, delay=0.3, duplicate=0.1, max_delay=3)
+        fates = [message_fates(mf, 5, 1, u, u + 1, 0) for u in range(20000)]
+        kept = [f for f in fates if f]
+        assert abs(1 - len(kept) / len(fates) - 0.2) < 0.02
+        assert abs(sum(1 for f in kept if f[0]) / len(kept) - 0.3) < 0.02
+        assert abs(sum(1 for f in kept if len(f) == 2) / len(kept) - 0.1) < 0.02
+        assert {f[0] for f in kept} == {0, 1, 2, 3}
 
 
 class TestSerialisation:

@@ -189,29 +189,29 @@ class TestSeededSchedule:
         assert sched_a != sched_b
 
 
-#: literal pin of DELAY_SOME's schedule (filled from the pre-refactor
-#: engine; regenerate deliberately, never to paper over a drift)
+#: literal pin of DELAY_SOME's schedule, recorded from the counter-based
+#: message stream of repro.rng (regenerate deliberately, never to paper
+#: over a drift)
 PINNED_SCHEDULE = [
-    (1, 0, 1, 1),
-    (1, 2, 1, 1),
-    (1, 5, 6, 3),
-    (1, 8, 9, 3),
-    (1, 11, 0, 1),
-    (2, 0, 11, 2),
-    (2, 1, 2, 2),
-    (2, 2, 1, 2),
+    (1, 4, 3, 2),
+    (1, 6, 7, 1),
+    (1, 7, 6, 3),
+    (1, 7, 8, 1),
+    (1, 8, 7, 3),
+    (1, 10, 9, 3),
+    (1, 11, 0, 3),
+    (2, 2, 1, 1),
+    (2, 4, 3, 2),
+    (2, 4, 5, 2),
     (2, 5, 4, 3),
-    (2, 5, 6, 3),
-    (2, 6, 5, 2),
     (2, 9, 8, 3),
-    (2, 10, 9, 1),
-    (2, 10, 11, 3),
-    (3, 1, 0, 2),
-    (3, 3, 4, 1),
-    (3, 6, 7, 1),
-    (3, 9, 8, 3),
-    (3, 9, 10, 1),
-    (3, 10, 11, 1),
-    (3, 11, 0, 2),
-    (3, 11, 10, 3),
+    (2, 9, 10, 2),
+    (2, 11, 0, 3),
+    (3, 3, 2, 1),
+    (3, 3, 4, 3),
+    (3, 5, 4, 3),
+    (3, 5, 6, 2),
+    (3, 7, 6, 1),
+    (3, 9, 10, 3),
+    (3, 10, 9, 1),
 ]
