@@ -35,6 +35,7 @@ from repro import rng
 from repro.graphs.graph import Graph
 from repro.runtime.bulk import (
     BULK_CHUNK,
+    column_dict,
     finalize_run,
     gather_rows,
     id_space,
@@ -181,9 +182,8 @@ def bulk_partition(
                 )
             active = active[~join]
 
-    outputs = {v: int(term[v]) for v in range(n)}
-    res = finalize_run(outputs, term, sent, msgs, recv)
-    return PartitionResult(h_index=dict(res.outputs), A=A, metrics=res.metrics)
+    res = finalize_run(column_dict(term), term, sent, msgs, recv)
+    return PartitionResult(h_index=res.outputs, A=A, metrics=res.metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -275,12 +275,9 @@ def bulk_luby_mis(
             nb = gather_rows(offsets, indices, prev_l)
             _account_round(term, nb, r, int(prev_l.size), sent, msgs, recv)
 
-    res = finalize_run(_luby_outputs(term), term, sent, msgs, recv)
-    return MISResult(
-        in_mis={v: flag for v, (att, flag) in res.outputs.items()},
-        h_index={v: att for v, (att, flag) in res.outputs.items()},
-        metrics=res.metrics,
-    )
+    outputs, in_mis, h_index = _luby_outputs(term)
+    res = finalize_run(outputs, term, sent, msgs, recv)
+    return MISResult(in_mis=in_mis, h_index=h_index, metrics=res.metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -348,11 +345,13 @@ def bulk_ring_three_coloring(
     else:
         term = np.zeros(0, dtype=np.int64)
         sent, msgs, recv = [], [], []
-    outputs = {v: (1, int(c[v])) for v in range(n)}
-    res = finalize_run(outputs, term, sent, msgs, recv)
+    colors = column_dict(c)
+    res = finalize_run(
+        {v: (1, col) for v, col in colors.items()}, term, sent, msgs, recv
+    )
     return ColoringResult(
-        colors={v: col for v, (h, col) in res.outputs.items()},
-        h_index={v: h for v, (h, col) in res.outputs.items()},
+        colors=colors,
+        h_index=dict.fromkeys(colors, 1),
         metrics=res.metrics,
         palette_bound=3,
     )
@@ -422,10 +421,9 @@ def bulk_defective_coloring(
     else:
         term = np.zeros(0, dtype=np.int64)
         sent, msgs, recv = [], [], []
-    outputs = {v: colors[v] for v in range(n)}
-    res = finalize_run(outputs, term, sent, msgs, recv)
+    res = finalize_run(dict(enumerate(colors)), term, sent, msgs, recv)
     return DefectiveColoringResult(
-        colors=dict(res.outputs),
+        colors=res.outputs,
         metrics=res.metrics,
         palette_bound=bound,
         defect_bound=d,

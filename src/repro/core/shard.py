@@ -40,6 +40,7 @@ from repro import rng
 from repro.graphs.graph import Graph
 from repro.runtime.bulk import (
     BulkUnsupported,
+    column_dict,
     finalize_run,
     gather_rows,
     id_space,
@@ -402,8 +403,7 @@ def sharded_partition(
     recv = [r[2] for r in rounds]
 
     if injector is None:
-        outputs = {v: int(term[v]) for v in range(n)}
-        res = finalize_run(outputs, term, sent, msgs, recv)
+        res = finalize_run(column_dict(term), term, sent, msgs, recv)
     else:
         crash_rounds = dict(
             sorted(((v, r) for p in payloads for (r, v) in p["crashes"]))
@@ -411,9 +411,8 @@ def sharded_partition(
         injector.absorb_rounds(
             payloads[0]["session_rounds"], list(crash_rounds)
         )
-        outputs = {v: int(term[v]) for v in range(n) if term[v] > 0}
         res = finalize_faulted_run(
-            outputs,
+            column_dict(term, term > 0),
             term,
             crash_rounds,
             pre_crashed,
@@ -423,7 +422,7 @@ def sharded_partition(
             crashed_all=[v for v in injector.crashed if v < n],
             drops=[d for p in payloads for d in p.get("drops", ())],
         )
-    return PartitionResult(h_index=dict(res.outputs), A=A, metrics=res.metrics)
+    return PartitionResult(h_index=res.outputs, A=A, metrics=res.metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -769,10 +768,7 @@ def sharded_luby_mis(
         raise RoundLimitExceeded(max_rounds, acts + prevs, None)
 
     rounds = payloads[0]["rounds"]
-    outputs: dict[int, Any] = {
-        v: (int(t) // 2, True) if t % 2 == 0 else ((int(t) - 1) // 2, False)
-        for v, t in enumerate(term.tolist())
-    }
+    outputs, in_mis, h_index = _luby_outputs(term)
     res = finalize_run(
         outputs,
         term,
@@ -780,21 +776,24 @@ def sharded_luby_mis(
         [r[1] for r in rounds],
         [r[2] for r in rounds],
     )
-    return MISResult(
-        in_mis={v: flag for v, (att, flag) in res.outputs.items()},
-        h_index={v: att for v, (att, flag) in res.outputs.items()},
-        metrics=res.metrics,
-    )
+    return MISResult(in_mis=in_mis, h_index=h_index, metrics=res.metrics)
 
 
-def _luby_outputs(term: np.ndarray) -> dict[int, Any]:
+def _luby_outputs(term: np.ndarray):
     """Decode (attempt, joined?) from Luby termination parity: winners
-    terminate at even round 2k, losers one round later at 2k+1."""
-    return {
-        v: ((int(t) // 2, True) if t % 2 == 0 else ((int(t) - 1) // 2, False))
-        for v, t in enumerate(term.tolist())
-        if t > 0
-    }
+    terminate at even round 2k, losers one round later at 2k+1.
+
+    Returns the ``(attempt, joined)`` outputs and the ``in_mis`` and
+    ``h_index`` dicts, over the vertices that terminated.
+    """
+    done = np.flatnonzero(term > 0)
+    t = term[done]
+    vs, att, joined = done.tolist(), (t // 2).tolist(), (t % 2 == 0).tolist()
+    return (
+        dict(zip(vs, zip(att, joined))),
+        dict(zip(vs, joined)),
+        dict(zip(vs, att)),
+    )
 
 
 def _fault_params(injector, n: int, name: str, bus) -> dict[str, Any]:
@@ -866,8 +865,9 @@ def _sharded_luby_faulted(graph, ids_arr, seed, max_rounds, injector):
         sorted(((v, r) for p in payloads for (r, v) in p["crashes"]))
     )
     injector.absorb_rounds(payloads[0]["session_rounds"], list(crash_rounds))
+    outputs, in_mis, h_index = _luby_outputs(term)
     res = finalize_faulted_run(
-        _luby_outputs(term),
+        outputs,
         term,
         crash_rounds,
         pre_crashed,
@@ -877,11 +877,7 @@ def _sharded_luby_faulted(graph, ids_arr, seed, max_rounds, injector):
         crashed_all=[v for v in injector.crashed if v < n],
         drops=[d for p in payloads for d in p.get("drops", ())],
     )
-    return MISResult(
-        in_mis={v: flag for v, (att, flag) in res.outputs.items()},
-        h_index={v: att for v, (att, flag) in res.outputs.items()},
-        metrics=res.metrics,
-    )
+    return MISResult(in_mis=in_mis, h_index=h_index, metrics=res.metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -1123,11 +1119,9 @@ def _sharded_cv_faulted(graph, successor, ids_arr, seed, injector):
         sorted(((v, r) for p in payloads for (r, v) in p["crashes"]))
     )
     injector.absorb_rounds(payloads[0]["session_rounds"], list(crash_rounds))
-    outputs = {
-        v: (1, int(col[v])) for v, t in enumerate(term.tolist()) if t > 0
-    }
+    colors = column_dict(col, term > 0)
     res = finalize_faulted_run(
-        outputs,
+        {v: (1, c) for v, c in colors.items()},
         term,
         crash_rounds,
         pre_crashed,
@@ -1138,8 +1132,8 @@ def _sharded_cv_faulted(graph, successor, ids_arr, seed, injector):
         drops=[d for p in payloads for d in p.get("drops", ())],
     )
     return ColoringResult(
-        colors={v: c for v, (h, c) in res.outputs.items()},
-        h_index={v: h for v, (h, c) in res.outputs.items()},
+        colors=colors,
+        h_index=dict.fromkeys(colors, 1),
         metrics=res.metrics,
         palette_bound=3,
     )
@@ -1195,11 +1189,13 @@ def sharded_ring_three_coloring(
     else:
         term = np.zeros(0, dtype=np.int64)
         sent, msgs, recv = [], [], []
-    outputs = {v: (1, int(c[v])) for v in range(n)}
-    res = finalize_run(outputs, term, sent, msgs, recv)
+    colors = column_dict(c)
+    res = finalize_run(
+        {v: (1, col) for v, col in colors.items()}, term, sent, msgs, recv
+    )
     return ColoringResult(
-        colors={v: col for v, (h, col) in res.outputs.items()},
-        h_index={v: h for v, (h, col) in res.outputs.items()},
+        colors=colors,
+        h_index=dict.fromkeys(colors, 1),
         metrics=res.metrics,
         palette_bound=3,
     )
@@ -1481,11 +1477,8 @@ def _sharded_defective_faulted(graph, d, degree_limit, ids_arr, seed, injector):
         sorted(((v, r) for p in payloads for (r, v) in p["crashes"]))
     )
     injector.absorb_rounds(payloads[0]["session_rounds"], list(crash_rounds))
-    outputs = {
-        v: int(col[v]) for v, t in enumerate(term.tolist()) if t > 0
-    }
     res = finalize_faulted_run(
-        outputs,
+        column_dict(col, term > 0),
         term,
         crash_rounds,
         pre_crashed,
@@ -1496,7 +1489,7 @@ def _sharded_defective_faulted(graph, d, degree_limit, ids_arr, seed, injector):
         drops=[dd for p in payloads for dd in p.get("drops", ())],
     )
     return DefectiveColoringResult(
-        colors=dict(res.outputs),
+        colors=res.outputs,
         metrics=res.metrics,
         palette_bound=bound,
         defect_bound=d,
@@ -1560,10 +1553,9 @@ def sharded_defective_coloring(
     else:
         term = np.zeros(0, dtype=np.int64)
         sent, msgs, recv = [], [], []
-    outputs = {v: colors[v] for v in range(n)}
-    res = finalize_run(outputs, term, sent, msgs, recv)
+    res = finalize_run(dict(enumerate(colors)), term, sent, msgs, recv)
     return DefectiveColoringResult(
-        colors=dict(res.outputs),
+        colors=res.outputs,
         metrics=res.metrics,
         palette_bound=bound,
         defect_bound=d,

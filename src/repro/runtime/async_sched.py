@@ -55,6 +55,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from time import perf_counter
 from typing import Any, Mapping
 
 from repro import rng
@@ -182,7 +183,7 @@ def run_async(
 
     contexts = net.make_contexts()
     gens = net._spawn(program, contexts)
-    emit, _prof = net._resolve_bus(bus, contexts)
+    emit, prof = net._resolve_bus(bus, contexts)
     injector = net._resolve_faults(faults)
 
     # The adversary is evaluated through its *pure* draw functions (the
@@ -348,7 +349,14 @@ def run_async(
         halted_now = False
         output = None
         try:
-            yielded = next(gens[v])
+            if prof is None:
+                yielded = next(gens[v])
+            else:
+                _t0 = perf_counter()
+                try:
+                    yielded = next(gens[v])
+                finally:
+                    prof.add("step", perf_counter() - _t0)
             if yielded is not None:
                 raise RuntimeError(
                     f"vertex {v} yielded {yielded!r}; programs must "

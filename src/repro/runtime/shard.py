@@ -848,24 +848,23 @@ def finalize_faulted_run(
     rounds_run = len(sent)
     assert len(msgs) == rounds_run and len(receivers) == rounds_run
 
+    crash_v = np.fromiter(crash_rounds, dtype=np.int64, count=len(crash_rounds))
+    crash_r = np.fromiter(
+        crash_rounds.values(), dtype=np.int64, count=len(crash_rounds)
+    )
     rounds_arr = term.copy()
-    for v, c in crash_rounds.items():
-        rounds_arr[v] = c - 1
-    for v in pre_crashed:
-        rounds_arr[v] = 0
+    rounds_arr[crash_v] = crash_r - 1
+    rounds_arr[np.asarray(pre_crashed, dtype=np.int64)] = 0
 
     halts = np.bincount(
         term[term > 0], minlength=rounds_run + 2
     ) if n else np.zeros(rounds_run + 2, dtype=np.int64)
     # n_i = live vertices entering round i: uncrashed with term >= i plus
     # crashed vertices that only crash at a later round's start.
-    active = np.zeros(rounds_run, dtype=np.int64)
-    if n:
-        for i in range(rounds_run):
-            rnd = i + 1
-            active[i] = int((term >= rnd).sum()) + sum(
-                1 for c in crash_rounds.values() if c > rnd
-            )
+    rnds = np.arange(1, rounds_run + 1)
+    active = (n - np.searchsorted(np.sort(term), rnds, side="left")) + (
+        crash_r.size - np.searchsorted(np.sort(crash_r), rnds, side="right")
+    )
 
     crashes_by_round: dict[int, list[int]] = {}
     for v, c in sorted(crash_rounds.items()):
@@ -893,11 +892,11 @@ def finalize_faulted_run(
         for v in crashes_by_round.get(rounds_run + 1, ()):
             bus.emit(FaultCrash(rounds_run + 1, v))
 
-    rounds_t = tuple(int(r) for r in rounds_arr)
+    rounds_t = tuple(rounds_arr.tolist())
     metrics = RoundMetrics(
         rounds=rounds_t,
-        active_trace=tuple(int(a) for a in active),
-        messages_per_round=tuple(int(m) for m in msgs),
+        active_trace=tuple(active.tolist()),
+        messages_per_round=tuple(map(int, msgs)),
     )
     return RunResult(
         outputs=outputs,

@@ -3,6 +3,16 @@
 Each validator raises :class:`VerificationError` with a precise witness on
 failure and returns silently on success; ``check_*`` variants return bools.
 Tests and benchmarks validate every produced solution.
+
+The validators behind ``Execution.validate`` for the bulk-capable problem
+kinds -- :func:`assert_proper_coloring`, :func:`assert_defective_coloring`,
+:func:`assert_maximal_independent_set` and :func:`assert_h_partition` --
+are columnar: they read the graph's CSR view and integer columns of the
+result (:mod:`repro.verify.columns`), never ``g.edges()`` or
+``g.neighbors()``, so validating a ``Graph.from_csr`` graph never builds
+its Python object layer.  Their witness is the lowest offending vertex or
+canonical edge.  The loop-form definitions they are tested against live
+in the test suite (``tests/verify/oracle.py``).
 """
 
 from repro.verify.colorings import (

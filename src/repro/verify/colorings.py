@@ -5,17 +5,25 @@ from __future__ import annotations
 
 from typing import Hashable, Mapping
 
+import numpy as np
+
 from repro.graphs.graph import Graph, canonical_edge
+from repro.verify.columns import arcs, factorize, first
 
 
 class VerificationError(AssertionError):
     """A solution violates its specification; the message carries a witness."""
 
 
-def _require_total(g: Graph, coloring: Mapping[int, Hashable], what: str) -> None:
-    missing = [v for v in g.vertices() if v not in coloring or coloring[v] is None]
+def _require_total(
+    g: Graph, coloring: Mapping[int, Hashable], what: str
+) -> list[Hashable]:
+    """The colors of ``0..n-1`` as a list, or raise naming the uncolored."""
+    colors = list(map(coloring.get, g.vertices()))
+    missing = [v for v, c in enumerate(colors) if c is None]
     if missing:
         raise VerificationError(f"{what}: vertices without a color: {missing[:10]}")
+    return colors
 
 
 def assert_proper_coloring(
@@ -25,18 +33,19 @@ def assert_proper_coloring(
 ) -> None:
     """Every vertex colored; no edge monochromatic; optionally at most
     ``max_colors`` distinct colors used."""
-    _require_total(g, coloring, "proper coloring")
-    for u, v in g.edges():
-        if coloring[u] == coloring[v]:
-            raise VerificationError(
-                f"edge ({u}, {v}) is monochromatic with color {coloring[u]!r}"
-            )
-    if max_colors is not None:
-        used = len(set(coloring[v] for v in g.vertices()))
-        if used > max_colors:
-            raise VerificationError(
-                f"coloring uses {used} colors, allowed at most {max_colors}"
-            )
+    colors = _require_total(g, coloring, "proper coloring")
+    codes, used = factorize(colors)
+    src, dst = arcs(g)
+    hit = first(codes[src] == codes[dst])
+    if hit is not None:
+        u, v = int(src[hit]), int(dst[hit])
+        raise VerificationError(
+            f"edge ({u}, {v}) is monochromatic with color {colors[u]!r}"
+        )
+    if max_colors is not None and used > max_colors:
+        raise VerificationError(
+            f"coloring uses {used} colors, allowed at most {max_colors}"
+        )
 
 
 def assert_list_coloring(
@@ -82,8 +91,10 @@ def assert_proper_edge_coloring(
 
 def defect_of(g: Graph, coloring: Mapping[int, Hashable], v: int) -> int:
     """The defect of v: number of neighbors sharing v's color."""
+    offsets, indices = g.csr(dtype="auto")
     c = coloring[v]
-    return sum(1 for u in g.neighbors(v) if coloring[u] == c)
+    row = indices[offsets[v] : offsets[v + 1]].tolist()
+    return sum(1 for u in row if coloring[u] == c)
 
 
 def assert_defective_coloring(
@@ -94,19 +105,19 @@ def assert_defective_coloring(
 ) -> None:
     """A d-defective coloring: every vertex has at most ``max_defect``
     same-colored neighbors (Section 7.8)."""
-    _require_total(g, coloring, "defective coloring")
-    for v in g.vertices():
-        d = defect_of(g, coloring, v)
-        if d > max_defect:
-            raise VerificationError(
-                f"vertex {v} has defect {d} > allowed {max_defect}"
-            )
-    if max_colors is not None:
-        used = len(set(coloring[v] for v in g.vertices()))
-        if used > max_colors:
-            raise VerificationError(
-                f"defective coloring uses {used} colors, allowed {max_colors}"
-            )
+    colors = _require_total(g, coloring, "defective coloring")
+    codes, used = factorize(colors)
+    src, dst = arcs(g)
+    defect = np.bincount(src[codes[src] == codes[dst]], minlength=g.n)
+    v = first(defect > max_defect)
+    if v is not None:
+        raise VerificationError(
+            f"vertex {v} has defect {int(defect[v])} > allowed {max_defect}"
+        )
+    if max_colors is not None and used > max_colors:
+        raise VerificationError(
+            f"defective coloring uses {used} colors, allowed {max_colors}"
+        )
 
 
 def color_count(coloring: Mapping[Hashable, Hashable]) -> int:

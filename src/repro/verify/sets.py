@@ -7,25 +7,31 @@ from typing import Collection
 
 from repro.graphs.graph import Graph, canonical_edge
 from repro.verify.colorings import VerificationError
+from repro.verify.columns import arcs, first, vertex_mask
 
 
 def assert_maximal_independent_set(g: Graph, mis: Collection[int]) -> None:
     """I is independent (no edge inside) and maximal (every outside vertex
     has a neighbor inside)."""
+    n = g.n
     s = set(mis)
-    for v in s:
-        if not 0 <= v < g.n:
-            raise VerificationError(f"MIS contains non-vertex {v}")
-    for u, v in g.edges():
-        if u in s and v in s:
-            raise VerificationError(f"MIS contains adjacent vertices {u}, {v}")
-    for v in g.vertices():
-        if v in s:
-            continue
-        if not any(u in s for u in g.neighbors(v)):
-            raise VerificationError(
-                f"vertex {v} is outside the MIS but has no MIS neighbor"
-            )
+    if s and not (0 <= min(s) and max(s) < n):
+        v = next(v for v in s if not 0 <= v < n)
+        raise VerificationError(f"MIS contains non-vertex {v}")
+    inside = vertex_mask(n, s)
+    src, dst = arcs(g)
+    hit = first(inside[src] & inside[dst])
+    if hit is not None:
+        raise VerificationError(
+            f"MIS contains adjacent vertices {int(src[hit])}, {int(dst[hit])}"
+        )
+    covered = inside.copy()
+    covered[src[inside[dst]]] = True
+    v = first(~covered)
+    if v is not None:
+        raise VerificationError(
+            f"vertex {v} is outside the MIS but has no MIS neighbor"
+        )
 
 
 def assert_maximal_matching(g: Graph, matching: Collection[tuple[int, int]]) -> None:

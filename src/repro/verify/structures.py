@@ -4,12 +4,16 @@ arbdefective colorings (Section 7.8)."""
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from repro.graphs.graph import Graph, canonical_edge
 from repro.graphs.arboricity import arboricity_exact
 from repro.graphs.orientation import Orientation
 from repro.verify.colorings import VerificationError
+from repro.verify.columns import arcs, first, vertex_mask
 
 
 def assert_h_partition(
@@ -22,24 +26,27 @@ def assert_h_partition(
     vertex belongs to exactly one H-set, and every vertex in H_i has at most
     ``degree_bound`` neighbors in H_i u H_{i+1} u ... (within ``subset`` if
     given, else the whole graph)."""
-    vertices = subset if subset is not None else set(g.vertices())
-    for v in vertices:
+    n = g.n
+    checked = np.ones(n, dtype=bool) if subset is None else vertex_mask(n, subset)
+    # an absent vertex reads as level 0, invalid like any level < 1
+    level = np.array(list(map(h_index.get, range(n), repeat(0))))
+    v = first(checked & (level < 1))
+    if v is not None:
         if v not in h_index:
             raise VerificationError(f"vertex {v} was never assigned an H-set")
-        if h_index[v] < 1:
-            raise VerificationError(f"vertex {v} has invalid H-index {h_index[v]}")
-    for v in vertices:
+        raise VerificationError(f"vertex {v} has invalid H-index {h_index[v]}")
+    src, dst = arcs(g)
+    counts = level[dst] >= level[src]
+    if subset is not None:
+        counts &= checked[src] & checked[dst]
+    later = np.bincount(src[counts], minlength=n)
+    v = first(checked & (later > degree_bound))
+    if v is not None:
         i = h_index[v]
-        later = sum(
-            1
-            for u in g.neighbors(v)
-            if u in vertices and h_index[u] >= i
+        raise VerificationError(
+            f"vertex {v} in H_{i} has {int(later[v])} neighbors in "
+            f"H_{i} u H_{i+1} u ... > bound {degree_bound}"
         )
-        if later > degree_bound:
-            raise VerificationError(
-                f"vertex {v} in H_{i} has {later} neighbors in "
-                f"H_{i} u H_{i+1} u ... > bound {degree_bound}"
-            )
 
 
 def assert_acyclic_orientation(

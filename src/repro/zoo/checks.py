@@ -11,16 +11,24 @@ than per-algorithm wiring:
   destroys completeness (an MIS cannot stay maximal around a dead
   vertex), so the fault harness checks proper coloring among survivors,
   independence, matching disjointness, and the H-partition degree bound.
-  These moved here verbatim from ``repro.faults.harness``; the harness
-  now imports them through the registry.
+  The harness imports them through the registry.
+
+The vertex-coloring, MIS and H-partition checks, full and survivor, are
+columnar (CSR view plus integer columns of the result, see
+:mod:`repro.verify.columns`): they never build a ``Graph.from_csr``
+graph's Python object layer, and report the lowest offending vertex or
+canonical edge.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
+import numpy as np
+
 from repro import verify
 from repro.verify import VerificationError
+from repro.verify.columns import arcs, factorize, first, vertex_mask
 
 # ---------------------------------------------------------------------------
 # full validators (fault-free runs): validate(g, res) -> summary line
@@ -32,8 +40,9 @@ def _validate_coloring(g, res) -> str:
 
 
 def _validate_mis(g, res) -> str:
-    verify.assert_maximal_independent_set(g, res.mis)
-    return f"maximal independent set, |I| = {len(res.mis)}"
+    mis = res.mis
+    verify.assert_maximal_independent_set(g, mis)
+    return f"maximal independent set, |I| = {len(mis)}"
 
 
 def _validate_matching(g, res) -> str:
@@ -113,41 +122,43 @@ FULL_VALIDATORS: dict[str, Callable] = {
 # survivor-subgraph safety checks: check(g, res, alive) -> None | raise
 # ---------------------------------------------------------------------------
 
+def _survivors(g, alive: set[int], decided, what: str) -> np.ndarray:
+    """The survivor mask; raises at the lowest survivor ``decided`` lacks."""
+    live = vertex_mask(g.n, alive)
+    v = first(live & ~vertex_mask(g.n, decided.keys()))
+    if v is not None:
+        raise VerificationError(f"surviving vertex {v} terminated without {what}")
+    return live
+
+
 def check_vertex_coloring(g, res, alive: set[int]) -> None:
     colors = res.colors
-    for v in alive:
-        if v not in colors:
-            raise VerificationError(
-                f"surviving vertex {v} terminated without a color"
-            )
-    for u, v in g.edges():
-        if u in alive and v in alive and colors[u] == colors[v]:
-            raise VerificationError(
-                f"surviving neighbors {u} and {v} share color {colors[u]!r}"
-            )
+    live = _survivors(g, alive, colors, "a color")
+    codes, _ = factorize(map(colors.get, g.vertices()))
+    src, dst = arcs(g)
+    hit = first(live[src] & live[dst] & (codes[src] == codes[dst]))
+    if hit is not None:
+        u, v = int(src[hit]), int(dst[hit])
+        raise VerificationError(
+            f"surviving neighbors {u} and {v} share color {colors[u]!r}"
+        )
 
 
 def check_partition(g, res, alive: set[int]) -> None:
-    for v in alive:
-        if v not in res.h_index:
-            raise VerificationError(
-                f"surviving vertex {v} terminated without an H-index"
-            )
+    _survivors(g, alive, res.h_index, "an H-index")
     verify.assert_h_partition(g, res.h_index, res.A, subset=alive)
 
 
 def check_mis(g, res, alive: set[int]) -> None:
-    mis = res.mis
-    for v in alive:
-        if v not in res.in_mis:
-            raise VerificationError(
-                f"surviving vertex {v} terminated without an MIS decision"
-            )
-    for u, v in g.edges():
-        if u in alive and v in alive and u in mis and v in mis:
-            raise VerificationError(
-                f"surviving MIS vertices {u} and {v} are adjacent"
-            )
+    live = _survivors(g, alive, res.in_mis, "an MIS decision")
+    both = live & vertex_mask(g.n, res.mis)
+    src, dst = arcs(g)
+    hit = first(both[src] & both[dst])
+    if hit is not None:
+        raise VerificationError(
+            f"surviving MIS vertices {int(src[hit])} and {int(dst[hit])} "
+            "are adjacent"
+        )
 
 
 def check_matching(g, res, alive: set[int]) -> None:

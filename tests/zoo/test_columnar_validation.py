@@ -1,0 +1,88 @@
+"""A bulk run plus its validation never builds the Python object layer.
+
+``Graph.from_csr`` graphs hold only CSR arrays; ``g.edges()`` or
+``g.neighbors()`` would materialise tuples and frozensets for every
+vertex (``g._adj``).  Executing a bulk-capable algorithm on the bulk
+engine and validating the result -- clean, or survivor-restricted under a
+fault plan -- must read the CSR view only.
+"""
+
+import pytest
+
+from repro import verify, zoo
+from repro.faults import CrashSpec, FaultPlan, MessageFaults
+from repro.graphs import generators as gen
+from repro.graphs.graph import Graph
+from repro.zoo.spec import AlgorithmSpec, DriverRef
+
+N = 3000
+DEFECT = 2
+
+COLE_VISHKIN = AlgorithmSpec(
+    name="cole-vishkin",
+    problem="coloring",
+    driver=DriverRef.make("run_ring_three_coloring", passes_a=False, passes_seed=True),
+    bulk_capable=True,
+)
+DEFECTIVE = AlgorithmSpec(
+    name="defective",
+    problem="coloring",
+    driver=DriverRef.make(
+        "run_defective_coloring", params={"d": DEFECT}, passes_a=False, passes_seed=True
+    ),
+    bulk_capable=True,
+)
+
+
+def _forest():
+    return gen.forest_union_csr(N, 3, seed=5)
+
+
+def _csr_ring():
+    offsets, indices = gen.ring(N).csr()
+    return Graph.from_csr(offsets.copy(), indices.copy())
+
+
+def _crashes():
+    return FaultPlan(seed=3, crashes=CrashSpec(at={v: 2 for v in range(0, N, 97)}))
+
+
+def _crash_drop():
+    return FaultPlan(
+        seed=4,
+        crashes=CrashSpec(at={0: 1}, hazard=0.01),
+        messages=MessageFaults(drop=0.02),
+    )
+
+
+@pytest.mark.parametrize(
+    "spec, make_graph, plan",
+    [
+        (zoo.get("partition"), _forest, None),
+        (zoo.get("luby-mis"), _forest, None),
+        (zoo.get("luby-mis"), _forest, _crashes),
+        (zoo.get("partition"), _forest, _crash_drop),
+        (COLE_VISHKIN, _csr_ring, None),
+    ],
+    ids=["partition", "luby-mis", "luby-mis@crash", "partition@crash-drop", "cole-vishkin"],
+)
+def test_bulk_run_and_validation_keep_graph_columnar(spec, make_graph, plan):
+    g = make_graph()
+    ids = gen.permutation_ids(g.n, seed=11)
+    ex = zoo.execute(
+        spec, g, 3, ids, 7, engine="bulk", faults=plan() if plan else None
+    )
+    assert ex.completed
+    if plan is not None:
+        assert ex.crashed, "the plan must crash someone to exercise survivors"
+    ex.validate(g)
+    assert g._adj is None
+
+
+def test_bulk_defective_coloring_validation_keeps_graph_columnar():
+    # a defective coloring is not proper, so it is checked against its own
+    # validator rather than the "coloring" kind's full validator
+    g = _forest()
+    ex = zoo.execute(DEFECTIVE, g, None, gen.permutation_ids(g.n, seed=11), 0, engine="bulk")
+    verify.assert_defective_coloring(g, ex.result.colors, DEFECT)
+    assert g._adj is None

@@ -297,6 +297,15 @@ class TestObs:
         report = ex.profiler.report()
         assert "step" in report
 
+    def test_async_profile_records_step_phase(self):
+        g, a, ids = _instance(n=40)
+        ex = zoo.execute("partition", g, a, ids, 0, mode="async", profile=True)
+        step = ex.profiler.as_dict()["step"]
+        assert step["seconds"] > 0
+        assert step["count"] >= g.n  # one resumption per vertex-round
+        plain = zoo.execute("partition", g, a, ids, 0, mode="async")
+        assert plain.result.h_index == ex.result.h_index
+
     def test_validation_failure_propagates(self):
         g, a, ids = _instance(n=40)
         ex = zoo.execute("a2", g, a, ids, 0)
