@@ -114,78 +114,6 @@ def test_null_sink_overhead(benchmark):
     time_once(benchmark, lambda: SyncNetwork(g).run(ping, bus=bus))
 
 
-def test_shard_scaling(benchmark):
-    """The sharded-executor scaling artifact: wall and msgs/s versus
-    shard count at n in {10^5, 10^6, 10^7}, rendered from the recorded
-    ``shard_scaling`` series in BENCH_kernel.json (the 10^7 cell is too
-    expensive to remeasure per run; ``--write-shards`` refreshes it).
-
-    The >= 2.5x 4-shard self-speedup gate only means anything on real
-    parallel hardware, so it is asserted only when the recording machine
-    had >= MIN_SHARD_CORES usable cores; otherwise the skip is noted in
-    the report instead of failing spuriously."""
-    data = baseline.load_baseline()
-    series = data["shard_scaling"]
-    points = baseline.shard_points(data)
-    gate = series["gate"]
-    cores = series["cores"]
-
-    rows = []
-    wall_by_cell = {(p["n"], p["shards"]) for p in points}
-    assert (baseline.SHARD_LARGE_N, gate["shards"]) in wall_by_cell
-    for point in points:
-        label = "unsharded" if point["shards"] == 0 else str(point["shards"])
-        rows.append(
-            [
-                f"{point['n']:,}",
-                label,
-                point["msgs"],
-                f"{point['wall_s']:.3f}s",
-                f"{point['msgs_per_s']:,.0f}",
-            ]
-        )
-    gated = cores >= gate["min_cores"]
-    if gated:
-        speedup = series["self_speedup"][str(gate["n"])][str(gate["shards"])]
-        note = (
-            f"gate: {gate['shards']}-shard self-speedup x{speedup:.2f} at "
-            f"n={gate['n']:,} (floor x{gate['floor']}, {cores} cores)"
-        )
-    else:
-        note = (
-            f"gate: SKIPPED -- recorded on {cores} usable core(s) < "
-            f"{gate['min_cores']}; self-speedup is meaningless without "
-            "parallel hardware"
-        )
-    emit(
-        "shard_scaling",
-        render_table(
-            f"Sharded executor scaling ({series['workload']})",
-            ["n", "shards", "messages", "wall", "msgs/s"],
-            rows,
-        )
-        + "\n" + note,
-    )
-    # sharding must be invisible in the message counts at every cell
-    by_n = {}
-    for p in points:
-        by_n.setdefault(p["n"], set()).add(p["msgs"])
-    assert all(len(msgs) == 1 for msgs in by_n.values()), by_n
-    if gated:
-        assert speedup >= gate["floor"], note
-
-    # one representative sharded run, small enough for the bench budget
-    g = gen.forest_union_csr(100_000, 3, seed=0)
-    g.csr(dtype="auto")
-    from repro.runtime import engine_session, shard_session
-
-    def sharded_run():
-        with engine_session("bulk"), shard_session(2):
-            repro.run_partition(g, a=3)
-
-    time_once(benchmark, sharded_run)
-
-
 def test_algorithm_wallclock_scaling(benchmark):
     """Wall-clock of the O(1)-averaged coloring is ~linear in n (work is
     proportional to RoundSum = O(n)): the Section 1.2 simulation story."""

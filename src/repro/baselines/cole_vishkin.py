@@ -88,12 +88,6 @@ def run_ring_three_coloring(
         successor = [(v + 1) % n for v in range(n)]
     _check_successor(graph, successor)
     if current_engine() == "bulk":
-        from repro.runtime.shard import current_shards
-
-        if current_shards() is not None:
-            from repro.core.shard import sharded_ring_three_coloring
-
-            return sharded_ring_three_coloring(graph, successor, ids=ids, seed=seed)
         from repro.core.bulk import bulk_ring_three_coloring
 
         return bulk_ring_three_coloring(graph, successor, ids=ids, seed=seed)

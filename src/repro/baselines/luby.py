@@ -33,12 +33,6 @@ def run_luby_mis(
     """Run Luby's randomized MIS; returns the MIS with round accounting
     (worst case O(log n) w.h.p. -- the Table 2 randomized reference)."""
     if current_engine() == "bulk":
-        from repro.runtime.shard import current_shards
-
-        if current_shards() is not None:
-            from repro.core.shard import sharded_luby_mis
-
-            return sharded_luby_mis(graph, ids=ids, seed=seed, max_rounds=max_rounds)
         from repro.core.bulk import bulk_luby_mis
 
         return bulk_luby_mis(graph, ids=ids, seed=seed, max_rounds=max_rounds)

@@ -21,9 +21,6 @@ The file also records the *null-sink instrumentation overhead*: the fast
 engine **and** the bulk engine run with an ``EventBus(NullSink())``
 attached must each stay within 5% of the uninstrumented path in CPU time
 (the ``repro.obs`` layer's cost contract; the gate fails otherwise).
-Sharded shard_scaling points additionally carry a compute / barrier-wait
-/ allreduce / publish breakdown summed over shards, from the
-cross-process phase profiler (:mod:`repro.obs.telemetry`).
 
 Usage::
 
@@ -72,30 +69,6 @@ BULK_OVERHEAD_N = 100_000
 #: the extra sweep point the bulk engine is measured at (cheap for the
 #: columnar path, prohibitive for the coroutine engines)
 BULK_N = 100_000
-
-#: shard-scaling series (the sharded bulk executor measured on bulk
-#: Procedure Partition): sweep points, shard counts, and the self-speedup
-#: gate.  ``shards=0`` in a recorded point means the unsharded bulk
-#: engine on the same workload.
-SHARD_NS: tuple[int, ...] = (100_000, 1_000_000)
-SHARD_COUNTS: tuple[int, ...] = (1, 2, 4)
-#: the n = 10^7 cell: only reachable through the int32/chunked CSR layout
-SHARD_LARGE_N = 10_000_000
-#: the gate point: 4-shard self-speedup over 1 shard at n = 10^6 ...
-SHARD_GATE_N = 1_000_000
-SHARD_GATE_SHARDS = 4
-SHARD_SPEEDUP_FLOOR = 2.5
-#: ... measured only on machines with enough usable cores; a 1-core
-#: runner cannot demonstrate parallel speedup, so the gate skips there
-MIN_SHARD_CORES = 4
-
-
-def usable_cores() -> int:
-    """CPU cores this process may actually run on (affinity-aware)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux fallback
-        return os.cpu_count() or 1
 
 ENGINES: dict[str, type[SyncNetwork]] = {
     "fast": SyncNetwork,
@@ -333,222 +306,14 @@ def measure_kernel(
     return result
 
 
-def _time_shard_partition(
-    graph, shards: int, repeats: int = 1, breakdown: bool = False
-) -> tuple[float, int, dict[str, float] | None]:
-    """Best-of wall time of bulk Procedure Partition on ``graph``;
-    ``shards=0`` runs the unsharded bulk engine, otherwise the sharded
-    executor with that many workers.
-
-    ``breakdown=True`` on a sharded run additionally attaches a
-    :class:`~repro.obs.PhaseProfiler` and returns the best run's
-    compute / barrier-wait / allreduce / publish seconds summed over
-    shards (the cross-process timing block; see
-    :data:`repro.runtime.shard.SHARD_PHASES`).
-    """
-    from contextlib import ExitStack
-
-    import repro.obs as obs
-    from repro.core.partition import run_partition
-    from repro.obs import PhaseProfiler
-    from repro.runtime import engine_session, shard_session
-
-    best = None
-    for _ in range(max(1, repeats)):
-        prof = PhaseProfiler() if (breakdown and shards) else None
-        t0 = time.perf_counter()
-        with ExitStack() as stack:
-            stack.enter_context(engine_session("bulk"))
-            if shards:
-                stack.enter_context(shard_session(shards))
-            if prof is not None:
-                stack.enter_context(obs.session(profiler=prof))
-            res = run_partition(graph, a=3, seed=0)
-        wall = time.perf_counter() - t0
-        if best is None or wall < best[0]:
-            best = (wall, res, prof)
-    wall, res, prof = best
-    phases: dict[str, float] | None = None
-    if prof is not None:
-        phases = {p: 0.0 for p in ("compute", "barrier", "allreduce", "publish")}
-        for per_shard in prof.shard_seconds.values():
-            for phase, secs in per_shard.items():
-                phases[phase] = phases.get(phase, 0.0) + secs
-        # the parent-side publish cost rides the flat phase store
-        phases["publish"] += prof.seconds.get("publish", 0.0)
-        phases = {k: round(v, 4) for k, v in phases.items()}
-    return wall, int(res.metrics.total_messages), phases
-
-
-def measure_shard_scaling(
-    ns: Sequence[int] = SHARD_NS,
-    shard_counts: Sequence[int] = SHARD_COUNTS,
-    large_n: int | None = SHARD_LARGE_N,
-    repeats: int = 1,
-) -> dict[str, Any]:
-    """Measure the sharded bulk executor against its own 1-shard run.
-
-    Workload: bulk Procedure Partition (a = 3) over
-    ``forest_union_csr(n, 3)`` -- the CSR-native generator that reaches
-    n = 10^7 (``union_of_forests`` builds a Python object layer first and
-    cannot).  Each sweep point records wall time and msgs/s; ``shards=0``
-    is the unsharded bulk engine on the same graph.  ``self_speedup``
-    maps n -> shard count -> (1-shard wall / s-shard wall); the recorded
-    ``cores`` makes a 1-core measurement honest rather than misleading.
-
-    ``large_n`` adds the n = 10^7 cell, measured unsharded and at the
-    gate shard count only (the full matrix there costs minutes per cell).
-
-    Sharded points (``shards > 0``) also record the cross-process phase
-    breakdown -- ``compute_s`` / ``barrier_s`` / ``allreduce_s`` /
-    ``publish_s`` summed over shards -- so the series answers not just
-    "how fast" but "where the time went" (barrier wait vs kernel work is
-    exactly the scaling diagnosis ROADMAP item 2 asks for).
-    """
-    points: list[dict[str, Any]] = []
-
-    def sweep(n: int, counts: Sequence[int]) -> None:
-        g = gen.forest_union_csr(n, 3, seed=0)
-        g.csr(dtype="auto")  # build the CSR cache outside the timed region
-        for s in counts:
-            wall, msgs, phases = _time_shard_partition(
-                g, s, repeats=repeats, breakdown=True
-            )
-            point = {
-                "n": n,
-                "shards": s,
-                "msgs": msgs,
-                "wall_s": round(wall, 4),
-                "msgs_per_s": round(msgs / wall, 1),
-            }
-            if phases is not None:
-                point.update(
-                    {f"{phase}_s": secs for phase, secs in phases.items()}
-                )
-            points.append(point)
-
-    for n in ns:
-        sweep(n, (0, *shard_counts))
-    if large_n:
-        sweep(large_n, (0, SHARD_GATE_SHARDS))
-
-    by_cell = {(p["n"], p["shards"]): p["wall_s"] for p in points}
-    self_speedup: dict[str, dict[str, float]] = {}
-    for n in ns:
-        base = by_cell.get((n, 1))
-        if not base:
-            continue
-        self_speedup[str(n)] = {
-            str(s): round(base / by_cell[(n, s)], 2)
-            for s in shard_counts
-            if s != 1 and by_cell.get((n, s))
-        }
-    return {
-        "workload": "bulk Procedure Partition (a=3) over forest_union_csr(n, 3)",
-        "cores": usable_cores(),
-        "points": points,
-        "self_speedup": self_speedup,
-        "gate": {
-            "n": SHARD_GATE_N,
-            "shards": SHARD_GATE_SHARDS,
-            "floor": SHARD_SPEEDUP_FLOOR,
-            "min_cores": MIN_SHARD_CORES,
-        },
-    }
-
-
-def shard_points(data: dict[str, Any]) -> list[dict[str, Any]]:
-    """The recorded shard-scaling sweep points in a baseline dict.
-
-    The sharded sibling of :func:`engine_points`: raises a clear
-    ``ValueError`` -- never a bare ``KeyError`` -- when the file predates
-    the sharded executor, naming the regeneration command.
-    """
-    series = data.get("shard_scaling") or {}
-    pts = series.get("points")
-    if not pts:
-        raise ValueError(
-            "baseline file has no 'shard_scaling' series (BENCH_kernel.json "
-            "predates the sharded executor); re-run "
-            "`python -m repro.bench.baseline --write-shards` to add it"
-        )
-    return pts
-
-
-def check_shard_scaling(
-    baseline: dict[str, Any], quick: bool = False
-) -> tuple[list[str], str | None]:
-    """The shard-scaling gate: ``(problems, skip_reason)``.
-
-    On a machine with >= :data:`MIN_SHARD_CORES` usable cores, measures
-    the current 4-shard self-speedup at the gate point and requires
-    >= :data:`SHARD_SPEEDUP_FLOOR`; the recorded file must carry the
-    series at all (clear :func:`shard_points` error otherwise).  With
-    fewer cores the live measurement is meaningless -- sharding cannot
-    beat itself without parallel hardware -- so the gate returns a skip
-    reason instead of a spurious failure.  ``quick`` restricts to the
-    structural check (series present) regardless of cores.
-    """
-    problems: list[str] = []
-    try:
-        shard_points(baseline)
-    except ValueError as exc:
-        return [str(exc)], None
-    if quick:
-        return problems, "quick mode: shard series present, live gate not run"
-    cores = usable_cores()
-    if cores < MIN_SHARD_CORES:
-        return problems, (
-            f"{cores} usable core(s) < {MIN_SHARD_CORES}: sharding cannot "
-            "demonstrate parallel self-speedup on this machine"
-        )
-    g = gen.forest_union_csr(SHARD_GATE_N, 3, seed=0)
-    g.csr(dtype="auto")
-    wall1, _, _ = _time_shard_partition(g, 1)
-    wall4, _, _ = _time_shard_partition(g, SHARD_GATE_SHARDS)
-    speedup = wall1 / wall4
-    if speedup < SHARD_SPEEDUP_FLOOR:
-        problems.append(
-            f"shard scaling: {SHARD_GATE_SHARDS}-shard self-speedup "
-            f"x{speedup:.2f} at n={SHARD_GATE_N} is below the "
-            f"x{SHARD_SPEEDUP_FLOOR} floor ({cores} cores; "
-            f"1-shard {wall1:.2f}s vs {SHARD_GATE_SHARDS}-shard {wall4:.2f}s)"
-        )
-    return problems, None
-
-
 def write_baseline(path: str | None = None, **kwargs) -> dict[str, Any]:
-    """Measure and persist the baseline; returns what was written.
-
-    An existing ``shard_scaling`` series in the file is carried over
-    (it is refreshed separately via :func:`write_shard_scaling` --
-    the n = 10^7 cell is too expensive to remeasure on every refresh).
-    """
+    """Measure and persist the baseline; returns what was written."""
     path = path or default_path()
     result = measure_kernel(**kwargs)
-    try:
-        previous = load_baseline(path)
-    except (FileNotFoundError, json.JSONDecodeError):
-        previous = {}
-    if "shard_scaling" in previous:
-        result["shard_scaling"] = previous["shard_scaling"]
     with open(path, "w") as fh:
         json.dump(result, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return result
-
-
-def write_shard_scaling(path: str | None = None, **kwargs) -> dict[str, Any]:
-    """Measure the shard-scaling series and merge it into the baseline
-    file (which must already exist); returns the series written."""
-    path = path or default_path()
-    data = load_baseline(path)
-    series = measure_shard_scaling(**kwargs)
-    data["shard_scaling"] = series
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return series
 
 
 def load_baseline(path: str | None = None) -> dict[str, Any]:
@@ -663,13 +428,6 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--write", action="store_true", help="refresh the baseline file")
-    ap.add_argument(
-        "--write-shards",
-        action="store_true",
-        help="measure the shard-scaling series (bulk partition, sharded "
-        f"executor, incl. the n={SHARD_LARGE_N} cell) and merge it into "
-        "the baseline file",
-    )
     ap.add_argument("--check", action="store_true", help="regression gate vs the file")
     ap.add_argument("--path", default=None, help="baseline JSON path")
     ap.add_argument(
@@ -690,10 +448,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.write:
         result = write_baseline(args.path, ns=ns, repeats=args.repeats)
         print(json.dumps(result, indent=2, sort_keys=True))
-        return 0
-    if args.write_shards:
-        series = write_shard_scaling(args.path, repeats=args.repeats)
-        print(json.dumps(series, indent=2, sort_keys=True))
         return 0
     if args.check:
         try:
@@ -732,15 +486,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                     f"{MAX_NULL_SINK_OVERHEAD_PCT:.0f}%)"
                 )
         problems = compare_to_baseline(current, baseline)
-        shard_problems, skip = check_shard_scaling(baseline, quick=args.quick)
-        problems += shard_problems
-        if skip is not None:
-            print(f"shard-scaling gate: skipped ({skip})")
-        elif not shard_problems:
-            print(
-                f"shard-scaling gate: {SHARD_GATE_SHARDS}-shard self-speedup "
-                f">= x{SHARD_SPEEDUP_FLOOR} at n={SHARD_GATE_N} OK"
-            )
         for p in problems:
             print(f"REGRESSION: {p}")
         print("kernel perf check:", "FAIL" if problems else "OK")

@@ -15,8 +15,8 @@ Commands
               ``--all`` emits every Table 1/2 row the registry declares.
 ``inspect``   load a JSONL event trace: round narrative, active-vertex
               decay table, trace-vs-trace diffs, and ``--timeline`` --
-              the per-shard x per-phase timing breakdown from the run's
-              manifest (``<trace>.manifest.jsonl``).
+              the per-phase timing breakdown from the run's manifest
+              (``<trace>.manifest.jsonl``).
 ``fuzz``      sample (algorithm x workload x fault plan) triples, run each
               under the seeded fault adversary, shrink violations to
               minimal replayable artifacts; ``--smoke`` is the CI gate.
@@ -100,22 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="seed of the per-edge delay draws (default 0)",
     )
     run.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="shard the bulk-engine run across N worker processes over "
-        "shared-memory CSR (requires --engine bulk; results are "
-        "bit-identical to the unsharded bulk engine)",
-    )
-    run.add_argument(
-        "--partitioner",
-        default="range",
-        choices=("range", "edge"),
-        help="vertex partitioner for --shards: equal vertex ranges "
-        "(default) or balanced adjacency mass",
-    )
-    run.add_argument(
         "--trace-out",
         default=None,
         metavar="PATH",
@@ -183,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     ins.add_argument(
         "--timeline",
         action="store_true",
-        help="render the per-shard x per-phase timing breakdown from "
+        help="render the per-phase timing breakdown from "
         "the run manifest next to the trace (requires the run to have "
         "used --profile)",
     )
@@ -341,8 +325,6 @@ def cmd_run(args, out=None) -> int:
         ids,
         args.seed,
         engine=getattr(args, "engine", "fast"),
-        shards=getattr(args, "shards", None),
-        partitioner=getattr(args, "partitioner", "range"),
         mode=mode,
         delays=delays,
         faults=plan,
@@ -450,7 +432,6 @@ def cmd_inspect(args, out=None) -> int:
             f"manifest : key {manifest.get('key', '?')[:12]} "
             f"engine={manifest.get('engine')} "
             f"mode={manifest.get('mode', 'sync')} "
-            f"shards={manifest.get('shards')} "
             f"status={manifest.get('status')}",
             file=out,
         )
@@ -503,12 +484,11 @@ def _cmd_timeline(trace_path: str, out) -> int:
         f"timeline : {manifest.get('algo')} n={manifest.get('n')} "
         f"engine={manifest.get('engine')} "
         f"mode={manifest.get('mode', 'sync')} "
-        f"shards={manifest.get('shards')} "
         f"(key {manifest.get('key', '?')[:12]})",
         file=out,
     )
     print(telemetry.render_timeline(timing), file=out)
-    if not (timing.get("phases") or timing.get("shards")):
+    if not timing.get("phases"):
         print(
             "inspect: the manifest records no phase timing -- re-run "
             "with --profile to fill it",

@@ -18,11 +18,10 @@ notice per vertex terminating this round.
 Only :data:`BULK_DRIVERS` entries run on the bulk engine; the zoo
 mirrors this registry through ``AlgorithmSpec.bulk_capable`` and
 ``zoo.check_registry`` fails on any drift.  Under an installed
-:func:`repro.faults.session`, every driver delegates to its sharded
-twin's fault-aware kernel (session-optional: without a shard session it
-runs in-process), which replays crash-stop and message-drop plans
-bit-identically to the fast engine; duplicate/delay plans are rejected
-up front (see docs/fault_tolerance.md).
+:func:`repro.faults.session`, every driver delegates to its fault-aware
+kernel in :mod:`repro.core.faulted`, which replays crash-stop and
+message-drop plans bit-identically to the fast engine; duplicate/delay
+plans are rejected up front (see docs/fault_tolerance.md).
 """
 
 from __future__ import annotations
@@ -46,8 +45,8 @@ from repro.runtime.network import RoundLimitExceeded
 
 
 def _faulted() -> bool:
-    """Whether a fault session is installed (-> delegate to the sharded
-    twin's fault-aware kernel instead of the closed-form bulk round)."""
+    """Whether a fault session is installed (-> delegate to the
+    fault-aware kernel instead of the closed-form bulk round)."""
     from repro.faults.plan import current
 
     return current() is not None
@@ -73,7 +72,11 @@ def _account_round(
     counted = int(live.sum())
     sent.append(counted + int((t == rnd).sum()))
     msgs.append(counted + halts)
-    recv.append(int(np.unique(nbrs[live]).size))
+    # distinct receivers by boolean scatter: numpy 2.4's hash-based
+    # np.unique costs ~50x a scatter at n = 10^6
+    mask = np.zeros(term.size, dtype=bool)
+    mask[nbrs[live]] = True
+    recv.append(int(mask.sum()))
 
 
 def _account_round_chunked(
@@ -89,10 +92,9 @@ def _account_round_chunked(
     """Chunked twin of :func:`_account_round` for oversized rounds.
 
     Processes ``joiners`` in :data:`BULK_CHUNK`-sender chunks, counting
-    distinct live receivers with a boolean scatter mask (equal to the
-    ``np.unique`` count) and accumulating the next round's JOIN-arrival
-    bincount, which is returned so the caller never materialises the full
-    concatenated neighbor multiset.
+    distinct live receivers with a boolean scatter mask and accumulating
+    the next round's JOIN-arrival bincount, which is returned so the
+    caller never materialises the full concatenated neighbor multiset.
     """
     n = term.size
     counted = 0
@@ -134,9 +136,9 @@ def bulk_partition(
     from repro.core.partition import PartitionResult
 
     if _faulted():
-        from repro.core.shard import sharded_partition
+        from repro.core.faulted import faulted_partition
 
-        return sharded_partition(
+        return faulted_partition(
             graph, a, eps=eps, ids=ids, seed=seed, max_rounds=max_rounds
         )
     n = graph.n
@@ -206,11 +208,10 @@ def bulk_luby_mis(
     and terminate; round 2k+1 their alive neighbors leave and terminate.
     """
     if _faulted():
-        from repro.core.shard import sharded_luby_mis
+        from repro.core.faulted import faulted_luby_mis
 
-        return sharded_luby_mis(graph, ids=ids, seed=seed, max_rounds=max_rounds)
+        return faulted_luby_mis(graph, ids=ids, seed=seed, max_rounds=max_rounds)
     from repro.core.extension import MISResult
-    from repro.core.shard import _luby_outputs
 
     n = graph.n
     ids_arr = resolve_ids(graph, ids)
@@ -275,9 +276,26 @@ def bulk_luby_mis(
             nb = gather_rows(offsets, indices, prev_l)
             _account_round(term, nb, r, int(prev_l.size), sent, msgs, recv)
 
-    outputs, in_mis, h_index = _luby_outputs(term)
+    outputs, in_mis, h_index = luby_outputs(term)
     res = finalize_run(outputs, term, sent, msgs, recv)
     return MISResult(in_mis=in_mis, h_index=h_index, metrics=res.metrics)
+
+
+def luby_outputs(term: np.ndarray):
+    """Decode (attempt, joined?) from Luby termination parity: winners
+    terminate at even round 2k, losers one round later at 2k+1.
+
+    Returns the ``(attempt, joined)`` outputs and the ``in_mis`` and
+    ``h_index`` dicts, over the vertices that terminated.
+    """
+    done = np.flatnonzero(term > 0)
+    t = term[done]
+    vs, att, joined = done.tolist(), (t // 2).tolist(), (t % 2 == 0).tolist()
+    return (
+        dict(zip(vs, zip(att, joined))),
+        dict(zip(vs, joined)),
+        dict(zip(vs, att)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -302,9 +320,9 @@ def bulk_ring_three_coloring(
     coloring`` wrapper dispatches here after its checks).
     """
     if _faulted():
-        from repro.core.shard import sharded_ring_three_coloring
+        from repro.core.faulted import faulted_ring_three_coloring
 
-        return sharded_ring_three_coloring(graph, successor, ids=ids, seed=seed)
+        return faulted_ring_three_coloring(graph, successor, ids=ids, seed=seed)
     from repro.baselines.cole_vishkin import _cv_steps
     from repro.core.coloring import ColoringResult
 
@@ -379,9 +397,9 @@ def bulk_defective_coloring(
     finish all their picks in round 1), then one terminating round.
     """
     if _faulted():
-        from repro.core.shard import sharded_defective_coloring
+        from repro.core.faulted import faulted_defective_coloring
 
-        return sharded_defective_coloring(
+        return faulted_defective_coloring(
             graph, d, degree_limit=degree_limit, ids=ids, seed=seed
         )
     from repro.core.defective import DefectiveColoringResult, defective_schedule

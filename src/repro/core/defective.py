@@ -193,14 +193,6 @@ def run_defective_coloring(
     ``degree_limit``, default Delta): the building block Procedure
     Partial-Orientation invokes on each H-set."""
     if current_engine() == "bulk":
-        from repro.runtime.shard import current_shards
-
-        if current_shards() is not None:
-            from repro.core.shard import sharded_defective_coloring
-
-            return sharded_defective_coloring(
-                graph, d, degree_limit=degree_limit, ids=ids, seed=seed
-            )
         from repro.core.bulk import bulk_defective_coloring
 
         return bulk_defective_coloring(

@@ -89,12 +89,6 @@ def run_partition(
     it joins its H-set (this is the O(1) vertex-averaged primitive that
     Theorem 6.3 analyses)."""
     if current_engine() == "bulk":
-        from repro.runtime.shard import current_shards
-
-        if current_shards() is not None:
-            from repro.core.shard import sharded_partition
-
-            return sharded_partition(graph, a, eps=eps, ids=ids, seed=seed)
         from repro.core.bulk import bulk_partition
 
         return bulk_partition(graph, a, eps=eps, ids=ids, seed=seed)

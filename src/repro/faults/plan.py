@@ -93,7 +93,7 @@ def message_fates(
     ``()`` is a drop, ``(0,)`` normal delivery, ``(d,)`` a delay by ``d``
     extra rounds, ``(0, 0)``/``(d, 0)`` a duplication.  This is the draw
     :meth:`FaultInjector.fate` makes, factored out so executors that
-    evaluate fates outside an injector -- the sharded bulk workers and
+    evaluate fates outside an injector -- the fault-aware bulk kernels and
     the asynchronous event-queue scheduler, where ``rnd`` is the sender's
     *local* round -- replay the identical fault stream.  The draws are
     successive counters of one key ``(seed, MESSAGE, rnd, src, dst, k)``
@@ -379,11 +379,11 @@ class FaultInjector:
         return crashes, due
 
     def absorb_rounds(self, rounds: int, crashed) -> None:
-        """Fold a sharded/bulk execution's outcome into the session state.
+        """Fold a bulk or async execution's outcome into the session state.
 
-        The sharded executor evaluates the adversary's pure draws inside
-        its workers instead of driving :meth:`on_round`/:meth:`fate`;
-        afterwards the parent advances the session round counter by the
+        The fault-aware bulk kernels evaluate the adversary's pure draws
+        themselves instead of driving :meth:`on_round`/:meth:`fate`;
+        afterwards the driver advances the session round counter by the
         rounds the run consumed and records who crashed, so a later run
         in the same fault session sees the identical adversary state a
         generator-engine run would have left behind.

@@ -402,51 +402,3 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self._n}, m={self._m})"
-
-
-# ----------------------------------------------------------------------
-# Shard partitioners
-# ----------------------------------------------------------------------
-# A partitioner maps (graph, shards) to a list of ``shards + 1``
-# ascending vertex bounds; shard ``i`` owns the contiguous CSR range
-# ``bounds[i]:bounds[i+1]``.  Contiguity is load-bearing for the sharded
-# executor: per-shard ``np.flatnonzero`` concatenated in shard order
-# equals the global one, which keeps watchdog summaries and outputs in
-# the exact order the unsharded bulk drivers produce.
-
-
-def range_partition(graph: "Graph", shards: int) -> list[int]:
-    """Vertex-balanced contiguous bounds: shard sizes differ by <= 1."""
-    if shards < 1:
-        raise ValueError(f"shard count must be >= 1, got {shards}")
-    n = graph.n
-    return [(i * n) // shards for i in range(shards + 1)]
-
-
-def edge_balanced_partition(graph: "Graph", shards: int) -> list[int]:
-    """Contiguous bounds balancing directed-edge (CSR row) mass.
-
-    Cuts the offsets array at even fractions of ``2m`` so each shard
-    scans roughly the same number of adjacency entries per round --
-    better than :func:`range_partition` on skewed degree sequences.
-    """
-    import numpy as np
-
-    if shards < 1:
-        raise ValueError(f"shard count must be >= 1, got {shards}")
-    offsets, _ = graph.csr()
-    n = graph.n
-    total = int(offsets[-1])
-    bounds = [0]
-    for i in range(1, shards):
-        target = (i * total) // shards
-        cut = int(np.searchsorted(offsets, target, side="left"))
-        bounds.append(min(max(cut, bounds[-1]), n))
-    bounds.append(n)
-    return bounds
-
-
-PARTITIONERS = {
-    "range": range_partition,
-    "edge": edge_balanced_partition,
-}

@@ -6,9 +6,8 @@ One substrate observes everything the engines do: typed events on an
 :class:`MetricsCollector`, near-zero-cost :class:`NullSink`), wall-clock
 phase profiling (:mod:`repro.obs.profile`), offline trace analysis
 backing the ``repro inspect`` CLI (:mod:`repro.obs.report`), and the
-structured telemetry layer (:mod:`repro.obs.telemetry`: typed metrics
-with JSON / Prometheus exporters, run manifests with a stable content
-address, and the ``--timeline`` renderer).
+structured telemetry layer (:mod:`repro.obs.telemetry`: run manifests
+with a stable content address, and the ``--timeline`` renderer).
 
 Attaching a bus
 ---------------
@@ -55,31 +54,19 @@ from repro.obs.events import (
 from repro.obs.profile import PhaseProfiler
 from repro.obs.report import RunReport
 from repro.obs.sinks import JsonlSink, MemorySink, NullSink, Sink
-from repro.obs.telemetry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    RunManifest,
-    registry_from_collector,
-    render_timeline,
-)
+from repro.obs.telemetry import RunManifest, render_timeline
 
 __all__ = [
     "SCHEMA_VERSION",
     "Broadcast",
     "Commit",
-    "Counter",
     "Drop",
     "Event",
     "EventBus",
-    "Gauge",
     "Halt",
-    "Histogram",
     "JsonlSink",
     "MemorySink",
     "MetricsCollector",
-    "MetricsRegistry",
     "NullSink",
     "PhaseProfiler",
     "RoundEnd",
@@ -94,7 +81,6 @@ __all__ = [
     "current",
     "from_record",
     "install",
-    "registry_from_collector",
     "render_timeline",
     "session",
 ]

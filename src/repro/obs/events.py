@@ -191,37 +191,6 @@ class Delivery(Event):
     t: float
 
 
-@dataclass(frozen=True, slots=True)
-class WorkerLost(Event):
-    """The sharded executor detected worker process ``shard`` dead
-    (SIGKILL, OOM-kill, ...); ``round`` is the newest consistent
-    checkpoint round at diagnosis time (0 when none).  Emitted only on
-    the anomaly path — routine runs carry no executor events, so traces
-    stay engine-identical."""
-
-    kind: ClassVar[str] = "worker_lost"
-    shard: int
-
-
-@dataclass(frozen=True, slots=True)
-class WorkerRestart(Event):
-    """The executor restarted the worker group from the checkpoint at
-    ``round``; this is restart ``attempt`` (1-based)."""
-
-    kind: ClassVar[str] = "worker_restart"
-    attempt: int
-
-
-@dataclass(frozen=True, slots=True)
-class Checkpoint(Event):
-    """The executor is resuming ``shards`` workers from the consistent
-    per-round checkpoint taken at ``round`` (anomaly path only; routine
-    checkpoints are not narrated)."""
-
-    kind: ClassVar[str] = "checkpoint"
-    shards: int
-
-
 #: kind string -> event class, for deserialisation
 EVENT_TYPES: dict[str, type[Event]] = {
     cls.kind: cls
@@ -239,9 +208,6 @@ EVENT_TYPES: dict[str, type[Event]] = {
         FaultDup,
         FaultDelay,
         Delivery,
-        WorkerLost,
-        WorkerRestart,
-        Checkpoint,
     )
 }
 

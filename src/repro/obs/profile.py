@@ -19,13 +19,6 @@ The columnar bulk engine times ``kernel`` (its vectorized round loop)
 and ``finalize`` (deriving events and metrics from the final arrays),
 via :func:`repro.runtime.bulk.profiled`.
 
-Sharded runs additionally fill **per-shard slots**: each worker of the
-sharded BSP executor reports its own (``compute``, ``barrier``,
-``allreduce``, ``publish``) seconds through a shared-memory timing
-block, and the parent merges them via :meth:`PhaseProfiler.record_shard`
-into a per-shard x per-phase breakdown -- rendered by
-:meth:`shard_report` / ``repro inspect --timeline``.
-
 Profiling is independent of event emission: a profiler on a bus whose
 only sink is a :class:`~repro.obs.sinks.NullSink` still collects timings
 while the event machinery stays disabled.  The per-round cost is six
@@ -38,27 +31,14 @@ from __future__ import annotations
 from contextlib import contextmanager
 from time import perf_counter
 
-#: preferred column order for the per-shard table (the sharded executor's
-#: phase names); phases outside this list render after it, alphabetically
-PREFERRED_SHARD_PHASES = ("compute", "barrier", "allreduce", "publish")
-
-
 class PhaseProfiler:
-    """Accumulate wall-clock seconds (and hit counts) per phase.
+    """Accumulate wall-clock seconds (and hit counts) per phase."""
 
-    Two independent stores: the flat per-phase totals the round engines
-    fill (``seconds`` / ``counts``), and the per-shard slots a sharded
-    run's workers fill (``shard_seconds`` / ``shard_counts``, keyed by
-    shard index then phase).
-    """
-
-    __slots__ = ("seconds", "counts", "shard_seconds", "shard_counts")
+    __slots__ = ("seconds", "counts")
 
     def __init__(self) -> None:
         self.seconds: dict[str, float] = {}
         self.counts: dict[str, int] = {}
-        self.shard_seconds: dict[int, dict[str, float]] = {}
-        self.shard_counts: dict[int, dict[str, int]] = {}
 
     def add(self, phase: str, dt: float) -> None:
         """Record ``dt`` seconds spent in ``phase`` (one hit)."""
@@ -73,32 +53,6 @@ class PhaseProfiler:
             yield
         finally:
             self.add(phase, perf_counter() - t0)
-
-    def record_shard(
-        self, shard: int, phase: str, seconds: float, count: int = 1
-    ) -> None:
-        """Merge ``seconds`` / ``count`` into shard ``shard``'s ``phase`` slot.
-
-        Called by the parent of a sharded run after collecting the
-        workers' shared-memory timing block; also usable directly in
-        tests.  Zero-count slots are skipped so phases a worker never
-        entered don't clutter the table.
-        """
-        if count <= 0 and seconds == 0.0:
-            return
-        secs = self.shard_seconds.setdefault(shard, {})
-        secs[phase] = secs.get(phase, 0.0) + seconds
-        cnts = self.shard_counts.setdefault(shard, {})
-        cnts[phase] = cnts.get(phase, 0) + count
-
-    def shard_phases(self) -> list[str]:
-        """Phase names across all shards, preferred-order first."""
-        present: set[str] = set()
-        for secs in self.shard_seconds.values():
-            present.update(secs)
-        ordered = [p for p in PREFERRED_SHARD_PHASES if p in present]
-        ordered += sorted(present.difference(PREFERRED_SHARD_PHASES))
-        return ordered
 
     def total(self) -> float:
         return sum(self.seconds.values())
@@ -116,85 +70,26 @@ class PhaseProfiler:
         }
 
     def full_dict(self) -> dict:
-        """Manifest-friendly snapshot: flat phases plus per-shard slots.
-
-        Unlike :meth:`as_dict` (whose shape is pinned by callers), this
-        nests both stores: ``{"total_s", "phases": as_dict(),
-        "shards": {"0": {phase: {"seconds", "count"}}, ...}}``.  Shard
-        keys are strings so the dict survives a JSON round-trip
-        unchanged.
-        """
-        out: dict = {"total_s": self.total(), "phases": self.as_dict()}
-        if self.shard_seconds:
-            out["shards"] = {
-                str(idx): {
-                    phase: {
-                        "seconds": secs,
-                        "count": self.shard_counts.get(idx, {}).get(phase, 0),
-                    }
-                    for phase, secs in sorted(per_shard.items())
-                }
-                for idx, per_shard in sorted(self.shard_seconds.items())
-            }
-        return out
+        """Manifest-friendly snapshot: ``{"total_s", "phases": as_dict()}``
+        (:meth:`as_dict`'s shape is pinned by callers, so the manifest
+        nests it)."""
+        return {"total_s": self.total(), "phases": self.as_dict()}
 
     def report(self) -> str:
         """A small aligned table of phase timings, largest first."""
-        if not self.seconds and not self.shard_seconds:
+        if not self.seconds:
             return "no phases recorded"
-        lines: list[str] = []
-        if self.seconds:
-            total = self.total()
+        total = self.total()
+        lines = [f"{'phase':<10} {'seconds':>10} {'rounds':>8} {'share':>7}"]
+        for phase, secs in sorted(self.seconds.items(), key=lambda kv: -kv[1]):
+            share = (secs / total * 100.0) if total else 0.0
             lines.append(
-                f"{'phase':<10} {'seconds':>10} {'rounds':>8} {'share':>7}"
+                f"{phase:<10} {secs:>10.4f} "
+                f"{self.counts.get(phase, 0):>8} {share:>6.1f}%"
             )
-            for phase, secs in sorted(
-                self.seconds.items(), key=lambda kv: -kv[1]
-            ):
-                share = (secs / total * 100.0) if total else 0.0
-                lines.append(
-                    f"{phase:<10} {secs:>10.4f} "
-                    f"{self.counts.get(phase, 0):>8} {share:>6.1f}%"
-                )
-            lines.append(f"{'total':<10} {total:>10.4f}")
-        if self.shard_seconds:
-            if lines:
-                lines.append("")
-            lines.append(self.shard_report())
-        return "\n".join(lines)
-
-    def shard_report(self) -> str:
-        """Per-shard x per-phase seconds table (one row per shard)."""
-        if not self.shard_seconds:
-            return "no shard phases recorded"
-        phases = self.shard_phases()
-        header = f"{'shard':>5}"
-        for phase in phases:
-            header += f" {phase:>10}"
-        header += f" {'total':>10}"
-        lines = [header]
-        col_sums = {p: 0.0 for p in phases}
-        for idx in sorted(self.shard_seconds):
-            secs = self.shard_seconds[idx]
-            row = f"{idx:>5}"
-            row_total = 0.0
-            for phase in phases:
-                v = secs.get(phase, 0.0)
-                col_sums[phase] += v
-                row_total += v
-                row += f" {v:>10.4f}"
-            row += f" {row_total:>10.4f}"
-            lines.append(row)
-        if len(self.shard_seconds) > 1:
-            row = f"{'sum':>5}"
-            for phase in phases:
-                row += f" {col_sums[phase]:>10.4f}"
-            row += f" {sum(col_sums.values()):>10.4f}"
-            lines.append(row)
+        lines.append(f"{'total':<10} {total:>10.4f}")
         return "\n".join(lines)
 
     def reset(self) -> None:
         self.seconds.clear()
         self.counts.clear()
-        self.shard_seconds.clear()
-        self.shard_counts.clear()

@@ -18,8 +18,8 @@ Python ints (:func:`hash64`, :func:`u01`) drives the generator engines,
 and the numpy one over ``uint64`` arrays (:func:`hash64_many`,
 :func:`u01_many`; words broadcast against each other) drives the
 columnar kernels.  Because every engine calls the same function, the
-fast, reference, async, bulk and sharded engines see the same draws by
-construction, in whatever order or process they evaluate them.
+fast, reference, async and bulk engines see the same draws by
+construction, in whatever order they evaluate them.
 
 The ``stream`` word separates the users: :data:`VERTEX` (per-vertex
 program draws, words ``(id, k)`` for the k-th draw, k from 0),

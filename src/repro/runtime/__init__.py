@@ -34,13 +34,6 @@ from repro.runtime.scheduler import (
     mode_session,
 )
 from repro.runtime.reference import ReferenceSyncNetwork
-from repro.runtime.shard import (
-    ShardError,
-    ShardSession,
-    ShardTimeout,
-    current_shards,
-    shard_session,
-)
 from repro.runtime.trace import Trace, TraceRecorder
 
 __all__ = [
@@ -56,9 +49,6 @@ __all__ = [
     "RoundMetrics",
     "RouterState",
     "RunResult",
-    "ShardError",
-    "ShardSession",
-    "ShardTimeout",
     "SyncBarrierScheduler",
     "SyncNetwork",
     "TimeMetrics",
@@ -67,12 +57,10 @@ __all__ = [
     "bulk_broadcast_kernel",
     "current_engine",
     "current_mode",
-    "current_shards",
     "default_max_rounds",
     "engine_session",
     "mode_session",
     "run_async",
-    "shard_session",
     "wait_rounds",
     "wait_until_round",
 ]

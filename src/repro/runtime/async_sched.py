@@ -186,8 +186,8 @@ def run_async(
     emit, prof = net._resolve_bus(bus, contexts)
     injector = net._resolve_faults(faults)
 
-    # The adversary is evaluated through its *pure* draw functions (the
-    # sharded-executor pattern): begin_run supplies the session state
+    # The adversary is evaluated through its *pure* draw functions (as
+    # the fault-aware bulk kernels do): begin_run supplies the session state
     # (crashes from earlier runs, the session round offset), and
     # absorb_rounds at the end folds this run's outcome back in.
     mf = None

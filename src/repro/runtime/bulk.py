@@ -39,9 +39,14 @@ computation).  :class:`repro.obs.collect.MetricsCollector` accepts this
 aggregate granularity; per-vertex ``halt``/``commit`` events are simply
 absent from bulk traces.
 
-Fault injection is not supported: the adversary's per-message hooks have
-no seam in a vectorized round.  Drivers call :func:`require_no_faults`
-so an installed fault session fails loudly rather than being ignored.
+Fault injection: the closed-form rounds have no seam for the
+adversary's per-message hooks, so under an installed fault session each
+algorithm driver delegates to its fault-aware kernel in
+:mod:`repro.core.faulted`, which replays crash-stop and message-drop
+plans and finishes through :func:`finalize_faulted_run`.  Only
+:func:`bulk_broadcast_kernel` has no such kernel; it calls
+:func:`require_no_faults` so an installed fault session fails loudly
+rather than being ignored.
 """
 
 from __future__ import annotations
@@ -53,7 +58,13 @@ import numpy as np
 
 import repro.obs as obs
 from repro.graphs.graph import Graph
-from repro.obs.events import RoundEnd, RoundSends, RoundStart
+from repro.obs.events import (
+    FaultCrash,
+    FaultDrop,
+    RoundEnd,
+    RoundSends,
+    RoundStart,
+)
 from repro.runtime.metrics import RoundMetrics
 from repro.runtime.network import RunResult
 
@@ -226,6 +237,96 @@ def _finalize_run(outputs, term, sent, msgs, receivers, bus) -> RunResult:
         contexts=(),
         output_rounds=term_t,
         crashed=(),
+    )
+
+
+def finalize_faulted_run(
+    outputs: dict[int, Any],
+    term: np.ndarray,
+    crash_rounds: dict[int, int],
+    pre_crashed: Sequence[int],
+    sent: Sequence[int],
+    msgs: Sequence[int],
+    receivers: Sequence[int],
+    crashed_all: Sequence[int],
+    bus=None,
+    drops: Sequence[tuple[int, int, int]] = (),
+) -> RunResult:
+    """Assemble a :class:`RunResult` for a crash-faulted bulk run.
+
+    ``term`` holds termination rounds (0 for crashed vertices);
+    ``crash_rounds`` maps each newly-crashed vertex to the round whose
+    start it crashed at (its metrics round is that minus one, exactly the
+    fast engine's accounting); ``pre_crashed`` are vertices already dead
+    from an earlier run in the fault session (metrics round 0, no event).
+    The recorded round count is ``len(sent)`` -- a final round in which
+    every remaining vertex crashed is *unrecorded*, mirroring the fast
+    engine's break-before-trace, but its ``fault_crash`` events are still
+    emitted after the last ``round_end``.  ``drops`` are the adversary's
+    dropped copies as ``(round, src, dst)`` triples (emitted per round,
+    sorted, right after ``round_start`` -- the fast engine drops copies
+    during routing, after the round has started).
+    """
+    n = int(term.size)
+    rounds_run = len(sent)
+    assert len(msgs) == rounds_run and len(receivers) == rounds_run
+
+    crash_v = np.fromiter(crash_rounds, dtype=np.int64, count=len(crash_rounds))
+    crash_r = np.fromiter(
+        crash_rounds.values(), dtype=np.int64, count=len(crash_rounds)
+    )
+    rounds_arr = term.copy()
+    rounds_arr[crash_v] = crash_r - 1
+    rounds_arr[np.asarray(pre_crashed, dtype=np.int64)] = 0
+
+    halts = np.bincount(
+        term[term > 0], minlength=rounds_run + 2
+    ) if n else np.zeros(rounds_run + 2, dtype=np.int64)
+    # n_i = live vertices entering round i: uncrashed with term >= i plus
+    # crashed vertices that only crash at a later round's start.
+    rnds = np.arange(1, rounds_run + 1)
+    active = (n - np.searchsorted(np.sort(term), rnds, side="left")) + (
+        crash_r.size - np.searchsorted(np.sort(crash_r), rnds, side="right")
+    )
+
+    crashes_by_round: dict[int, list[int]] = {}
+    for v, c in sorted(crash_rounds.items()):
+        crashes_by_round.setdefault(c, []).append(v)
+    drops_by_round: dict[int, list[tuple[int, int]]] = {}
+    for r, src, dst in drops:
+        drops_by_round.setdefault(r, []).append((src, dst))
+
+    if bus is None:
+        bus = obs.current()
+    if bus is not None and bus.active:
+        for i in range(rounds_run):
+            rnd = i + 1
+            for v in crashes_by_round.get(rnd, ()):
+                bus.emit(FaultCrash(rnd, v))
+            bus.emit(RoundStart(rnd, int(active[i])))
+            for src, dst in sorted(drops_by_round.get(rnd, ())):
+                bus.emit(FaultDrop(rnd, src, dst))
+            if sent[i]:
+                bus.emit(RoundSends(rnd, int(sent[i])))
+            bus.emit(
+                RoundEnd(rnd, int(msgs[i]), int(receivers[i]), int(halts[rnd]))
+            )
+        # crashes that emptied the network in the unrecorded final round
+        for v in crashes_by_round.get(rounds_run + 1, ()):
+            bus.emit(FaultCrash(rounds_run + 1, v))
+
+    rounds_t = tuple(rounds_arr.tolist())
+    metrics = RoundMetrics(
+        rounds=rounds_t,
+        active_trace=tuple(active.tolist()),
+        messages_per_round=tuple(map(int, msgs)),
+    )
+    return RunResult(
+        outputs=outputs,
+        metrics=metrics,
+        contexts=(),
+        output_rounds=rounds_t,
+        crashed=tuple(sorted(crashed_all)),
     )
 
 

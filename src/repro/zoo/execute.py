@@ -94,8 +94,6 @@ def execute(
     engine: str = "fast",
     mode: str = "sync",
     delays=None,
-    shards: int | None = None,
-    partitioner: str = "range",
     faults=None,
     trace: str | None = None,
     trace_meta: dict | None = None,
@@ -123,20 +121,11 @@ def execute(
         :mod:`repro.runtime.async_sched`: per-edge delivery times, no
         global round).  Outputs and round counts are mode-invariant;
         async runs additionally report virtual-time metrics on results
-        that carry a ``times`` field.  Requires the fast engine and no
-        shards.
+        that carry a ``times`` field.  Requires the fast engine.
     delays:
         A :class:`repro.runtime.async_sched.DelaySpec` selecting the
         link-delay distribution for ``mode="async"`` (``None`` = fixed
         unit delays).  Rejected in sync mode.
-    shards:
-        Run the bulk driver sharded across this many worker processes
-        (:func:`repro.runtime.shard_session`); requires
-        ``engine="bulk"``.  ``shards=1`` still exercises the full
-        sharded executor.
-    partitioner:
-        Vertex partitioner for sharded runs: ``"range"`` (equal vertex
-        counts, default) or ``"edge"`` (balanced adjacency mass).
     faults:
         A :class:`repro.faults.FaultPlan` to inject (``None`` or an
         empty plan = fault-free).
@@ -180,11 +169,6 @@ def execute(
     if plan is not None and plan.empty:
         plan = None
 
-    if shards is not None and engine != "bulk":
-        raise ValueError(
-            f"shards={shards} requires engine='bulk' (sharding is a bulk-"
-            f"engine execution mode), got engine={engine!r}"
-        )
     if engine == "bulk":
         if not spec.bulk_capable or baseline:
             from repro.zoo.registry import all_specs
@@ -196,10 +180,10 @@ def execute(
                 f"for: {capable}"
             )
         # Fault plans are fine on the bulk engine: every bulk driver
-        # delegates to its sharded twin's fault-aware kernel (with or
-        # without a shard session), which re-derives the adversary from
-        # the pure counter-based draws; only duplicate/delay plans are
-        # rejected (BulkUnsupported) for lack of a receiver-side replay.
+        # delegates to its fault-aware kernel (repro.core.faulted),
+        # which re-derives the adversary from the pure counter-based
+        # draws; only duplicate/delay plans are rejected
+        # (BulkUnsupported) for lack of a receiver-side replay.
 
     sinks = []
     if trace:
@@ -250,10 +234,6 @@ def execute(
             from repro.runtime import mode_session
 
             stack.enter_context(mode_session(mode, delays=delays))
-        if shards is not None:
-            from repro.runtime import shard_session
-
-            stack.enter_context(shard_session(shards, partitioner))
         if sinks or profiler is not None:
             stack.enter_context(obs.session(*sinks, profiler=profiler))
         _drive()
@@ -292,8 +272,6 @@ def execute(
         engine=engine,
         mode=mode,
         delays=delays,
-        shards=shards or 0,
-        partitioner=partitioner if shards is not None else "",
         baseline=baseline,
         plan=plan,
         graph=graph,

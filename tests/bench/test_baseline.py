@@ -138,11 +138,6 @@ def test_compare_flags_instrumentation_overhead():
 def test_cli_check_against_fresh_file(tmp_path, capsys):
     path = tmp_path / "BENCH_kernel.json"
     baseline.write_baseline(str(path), ns=(100,), rounds=2, bulk_ns=(100,))
-    # the engine sweep and the shard series are written separately
-    # (--write then --write-shards); --check requires both
-    baseline.write_shard_scaling(
-        str(path), ns=(200,), shard_counts=(1,), large_n=None, repeats=1
-    )
     # checking right after writing must pass (same machine, same code)
     rc = baseline.main(["--check", "--path", str(path), "--quick"])
     out = capsys.readouterr().out
@@ -166,66 +161,3 @@ def test_committed_baseline_is_valid():
     assert data["bulk_speedup"]["32000"] >= 10.0
     bulk_ns = [p["n"] for p in baseline.engine_points(data, "bulk")]
     assert baseline.BULK_N in bulk_ns
-
-
-def test_shard_points_guard_names_regeneration_command():
-    """A baseline file predating the sharded executor must produce a
-    clear, actionable error -- never a bare ``KeyError``."""
-    with pytest.raises(ValueError) as exc:
-        baseline.shard_points({"engines": {}})
-    msg = str(exc.value)
-    assert "shard_scaling" in msg
-    assert "--write-shards" in msg  # says how to regenerate
-    with pytest.raises(ValueError, match="--write-shards"):
-        baseline.shard_points({"shard_scaling": {"points": []}})
-
-
-def test_check_shard_scaling_quick_is_structural_only():
-    data = {"shard_scaling": {"points": [{"n": 1, "shards": 0, "wall_s": 1}]}}
-    problems, skip = baseline.check_shard_scaling(data, quick=True)
-    assert problems == []
-    assert skip and "quick" in skip
-
-
-def test_check_shard_scaling_skips_below_core_floor(monkeypatch):
-    """On < MIN_SHARD_CORES cores the live self-speedup gate must skip
-    with a reason, not fail spuriously."""
-    monkeypatch.setattr(baseline, "usable_cores", lambda: 1)
-    data = {"shard_scaling": {"points": [{"n": 1, "shards": 0, "wall_s": 1}]}}
-    problems, skip = baseline.check_shard_scaling(data, quick=False)
-    assert problems == []
-    assert skip and "1 usable core" in skip and "4" in skip
-
-
-def test_check_shard_scaling_missing_series_is_a_problem():
-    problems, skip = baseline.check_shard_scaling({}, quick=True)
-    assert len(problems) == 1 and "--write-shards" in problems[0]
-    assert skip is None
-
-
-def test_measure_shard_scaling_small_sweep():
-    """A tiny live sweep: the matrix covers (0, *shard_counts) x ns and
-    every sharded cell reproduces the unsharded message count."""
-    result = baseline.measure_shard_scaling(
-        ns=(400,), shard_counts=(1, 2), large_n=None, repeats=1
-    )
-    pts = baseline.shard_points({"shard_scaling": result})
-    assert [(p["n"], p["shards"]) for p in pts] == [(400, 0), (400, 1), (400, 2)]
-    msgs = {p["shards"]: p["msgs"] for p in pts}
-    assert msgs[1] == msgs[0] and msgs[2] == msgs[0]
-    assert all(p["wall_s"] > 0 and p["msgs_per_s"] > 0 for p in pts)
-    assert "400" in result["self_speedup"]
-    assert result["gate"]["floor"] == baseline.SHARD_SPEEDUP_FLOOR
-    assert result["cores"] == baseline.usable_cores()
-
-
-def test_committed_baseline_has_shard_series():
-    """The repo-root BENCH_kernel.json carries the shard-scaling series
-    with the n = 10^7 acceptance cell."""
-    data = baseline.load_baseline()
-    pts = baseline.shard_points(data)
-    large = [p for p in pts if p["n"] == baseline.SHARD_LARGE_N]
-    assert large, "n=10^7 cell missing from shard_scaling series"
-    assert {p["shards"] for p in large} == {0, baseline.SHARD_GATE_SHARDS}
-    gate_ns = {p["n"] for p in pts}
-    assert set(baseline.SHARD_NS) <= gate_ns

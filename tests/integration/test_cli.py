@@ -192,26 +192,33 @@ def test_inspect_headerless_trace_clear_error(tmp_path, capsys):
     assert "has no meta header" in capsys.readouterr().out
 
 
-def test_inspect_timeline_sharded_run(tmp_path, capsys):
-    """Acceptance: a profiled sharded run's manifest renders as the
-    per-shard x per-phase timing table."""
-    path = str(tmp_path / "sharded.jsonl")
+def test_inspect_timeline_bulk_run(tmp_path, capsys):
+    """Acceptance: a profiled bulk run's manifest renders as the
+    per-phase timing table."""
+    path = str(tmp_path / "bulk.jsonl")
     assert main(
         [
             "run", "partition", "-n", "400", "--engine", "bulk",
-            "--shards", "2", "--profile", "--trace-out", path,
+            "--profile", "--trace-out", path,
         ]
     ) == 0
-    out = capsys.readouterr().out
-    assert "shard" in out  # cmd_run --profile already shows the table
+    capsys.readouterr()
 
     assert main(["inspect", path, "--timeline"]) == 0
     out = capsys.readouterr().out
     assert "timeline : partition" in out
-    assert "engine=bulk mode=sync shards=2" in out
-    for phase in ("compute", "barrier", "allreduce", "publish"):
+    assert "engine=bulk mode=sync" in out
+    for phase in ("kernel", "finalize"):
         assert phase in out
     assert "wall" in out
+
+
+def test_run_rejects_removed_shards_option(capsys):
+    """``--shards`` is gone: argparse rejects it (exit 2)."""
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "partition", "-n", "200", "--engine", "bulk", "--shards", "2"])
+    assert exc.value.code == 2
+    assert "--shards" in capsys.readouterr().err
 
 
 def test_inspect_timeline_without_manifest_clear_error(tmp_path, capsys):

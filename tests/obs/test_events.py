@@ -9,7 +9,6 @@ from repro.graphs import generators as gen
 from repro.obs.events import (
     EVENT_TYPES,
     Broadcast,
-    Checkpoint,
     Commit,
     Delivery,
     Drop,
@@ -23,8 +22,6 @@ from repro.obs.events import (
     RoundSends,
     RoundStart,
     Send,
-    WorkerLost,
-    WorkerRestart,
     from_record,
 )
 from repro.obs.sinks import JsonlSink, MemorySink, NullSink
@@ -45,9 +42,6 @@ def _sample_events():
         FaultDrop(2, 0, 1),
         FaultDup(2, 0, 1),
         FaultDelay(2, 0, 1, 3),
-        WorkerLost(3, 1),
-        WorkerRestart(3, 2),
-        Checkpoint(3, 4),
         RoundEnd(1, 4, 3, 1),
     ]
 
@@ -82,9 +76,6 @@ def test_registry_covers_the_issue_event_vocabulary():
         "fault_dup",
         "fault_delay",
         "delivery",
-        "worker_lost",
-        "worker_restart",
-        "checkpoint",
     }
 
 

@@ -1,11 +1,7 @@
-"""The telemetry layer: metrics registry + exporters, run manifests,
-and the timeline renderer.
+"""The telemetry layer: run manifests and the timeline renderer.
 
-Three contracts are pinned here:
+Two contracts are pinned here:
 
-* the registry's exposition invariants -- kind safety, Prometheus text
-  grammar, cumulative histogram buckets whose ``_sum/_count`` recover
-  the vertex-averaged complexity T-bar;
 * the manifest content address -- stable across repeat runs of the same
   experiment, different the moment any identity field (spec, workload,
   n, seed, fault plan) changes, and *insensitive* to mechanics like the
@@ -18,144 +14,19 @@ import json
 
 import pytest
 
-import repro
-from repro import obs, zoo
+from repro import zoo
 from repro.graphs import generators as gen
 from repro.obs.telemetry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
     RunManifest,
     build_manifest,
     latest_manifest,
     manifest_path,
     plan_fingerprint,
     read_manifests,
-    registry_from_collector,
     render_timeline,
     spec_fingerprint,
     write_manifest,
 )
-
-
-# ---------------------------------------------------------------------------
-# typed metrics
-# ---------------------------------------------------------------------------
-
-
-def test_counter_only_goes_up():
-    c = Counter("repro_test_total")
-    c.inc()
-    c.inc(4)
-    assert c.value == 5
-    with pytest.raises(ValueError, match="only go up"):
-        c.inc(-1)
-
-
-def test_gauge_moves_both_ways():
-    g = Gauge("repro_rounds")
-    g.set(7)
-    g.inc(2)
-    g.dec(4)
-    assert g.value == 5
-
-
-def test_histogram_mean_quantile_and_bulk_observe():
-    h = Histogram("repro_termination_round")
-    h.observe(1, count=3)
-    h.observe(2, count=1)
-    h.observe(2)  # singleton observe merges into the same bucket
-    assert h.count == 5
-    assert h.sum == 7
-    assert h.mean() == 1.4
-    assert h.quantile(0.5) == 1
-    assert h.quantile(1.0) == 2
-    h.observe(9, count=0)  # a zero-count observation is a no-op
-    assert 9.0 not in h.buckets
-
-
-def test_metric_names_follow_prometheus_grammar():
-    with pytest.raises(ValueError, match="invalid metric name"):
-        Counter("bad-name")
-    with pytest.raises(ValueError, match="invalid metric name"):
-        Gauge("0starts_with_digit")
-
-
-# ---------------------------------------------------------------------------
-# the registry
-# ---------------------------------------------------------------------------
-
-
-def test_registry_get_or_create_is_keyed_by_name_and_labels():
-    reg = MetricsRegistry()
-    a = reg.counter("repro_msgs_total", labels={"engine": "fast"})
-    b = reg.counter("repro_msgs_total", labels={"engine": "fast"})
-    c = reg.counter("repro_msgs_total", labels={"engine": "bulk"})
-    assert a is b
-    assert a is not c
-    assert len(reg) == 2
-
-
-def test_registry_rejects_kind_conflicts():
-    reg = MetricsRegistry()
-    reg.counter("repro_x")
-    with pytest.raises(TypeError, match="already registered as counter"):
-        reg.gauge("repro_x")
-
-
-def test_json_export_round_trips():
-    reg = MetricsRegistry()
-    reg.counter("repro_msgs_total", labels={"engine": "fast"}).inc(10)
-    reg.histogram("repro_rounds_hist").observe(2, count=4)
-    data = json.loads(reg.to_json())
-    assert data["repro_msgs_total"][0]["value"] == 10
-    assert data["repro_rounds_hist"][0]["buckets"] == {"2": 4}
-    assert data["repro_rounds_hist"][0]["count"] == 4
-
-
-def test_prometheus_exposition_format():
-    reg = MetricsRegistry()
-    reg.counter("repro_msgs_total", "messages", {"engine": "fast"}).inc(3)
-    h = reg.histogram("repro_round", "termination rounds")
-    h.observe(1, count=2)
-    h.observe(3, count=1)
-    text = reg.to_prometheus()
-    lines = text.splitlines()
-    assert "# HELP repro_msgs_total messages" in lines
-    assert "# TYPE repro_msgs_total counter" in lines
-    assert 'repro_msgs_total{engine="fast"} 3' in lines
-    assert "# TYPE repro_round histogram" in lines
-    # cumulative buckets over the exact observed values, then +Inf
-    assert 'repro_round_bucket{le="1"} 2' in lines
-    assert 'repro_round_bucket{le="3"} 3' in lines
-    assert 'repro_round_bucket{le="+Inf"} 3' in lines
-    assert "repro_round_sum 5" in lines
-    assert "repro_round_count 3" in lines
-    assert text.endswith("\n")
-
-
-def test_registry_from_collector_carries_the_tbar_distribution():
-    """The exported termination-round histogram *is* Lemma 6.1's
-    distribution: count n, sum RoundSum, mean T-bar, max bucket T."""
-    g = gen.union_of_forests(200, 3, seed=1)
-    with obs.collecting() as col:
-        res = repro.run_partition(g, a=3)
-    m = res.metrics
-    reg = registry_from_collector(col, labels={"algo": "partition"})
-    hist = reg.histogram("repro_termination_round", labels={"algo": "partition"})
-    assert hist.count == g.n
-    assert hist.sum == m.round_sum
-    assert hist.mean() == m.vertex_averaged
-    assert max(hist.buckets) == m.worst_case
-    assert (
-        reg.counter(
-            "repro_messages_sent_total", labels={"algo": "partition"}
-        ).value
-        == col.total_sent()
-    )
-    text = reg.to_prometheus()
-    assert 'repro_termination_round_bucket{algo="partition",le=' in text
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +114,17 @@ def test_manifest_record_round_trip():
     assert back.key == man.key == rec["key"]
 
 
+def test_manifest_from_record_ignores_old_shard_keys():
+    """Records written before the sharded executor was removed still
+    carry ``shards``/``partitioner``; they load, and keep their key."""
+    man = _execute(engine="bulk").manifest
+    old = {**man.to_record(), "shards": 2, "partitioner": "range"}
+    back = RunManifest.from_record(json.loads(json.dumps(old)))
+    assert back == man
+    assert back.key == old["key"]
+    assert "shards" not in back.to_record()
+
+
 # ---------------------------------------------------------------------------
 # the manifest file next to the trace
 # ---------------------------------------------------------------------------
@@ -295,31 +177,22 @@ def test_read_manifests_rejects_mid_file_corruption(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_render_timeline_with_shard_breakdown():
+def test_render_timeline_phase_table():
     timing = {
         "wall_s": 1.25,
-        "phases": {"finalize": {"seconds": 0.2, "count": 1}},
-        "shards": {
-            "0": {
-                "compute": {"seconds": 0.5, "count": 1},
-                "barrier": {"seconds": 0.1, "count": 8},
-            },
-            "1": {
-                "compute": {"seconds": 0.4, "count": 1},
-                "barrier": {"seconds": 0.2, "count": 8},
-            },
+        "phases": {
+            "kernel": {"seconds": 0.6, "count": 1},
+            "finalize": {"seconds": 0.2, "count": 1},
         },
     }
     text = render_timeline(timing)
     assert "wall" in text and "1.2500" in text
-    assert "finalize" in text
-    assert "shard" in text and "compute" in text and "barrier" in text
     lines = text.splitlines()
-    assert any(line.lstrip().startswith("0 ") for line in lines)
-    assert any(line.lstrip().startswith("1 ") for line in lines)
-    assert any(line.lstrip().startswith("sum") for line in lines)
+    # largest phase first, with its share of the phase total
+    assert lines[2].split()[0] == "kernel" and "75.0%" in lines[2]
+    assert lines[3].split()[0] == "finalize" and "25.0%" in lines[3]
 
 
 def test_render_timeline_empty_points_at_profile_flag():
     assert "--profile" in render_timeline({})
-    assert "--profile" in render_timeline({"phases": {}, "shards": {}})
+    assert "--profile" in render_timeline({"phases": {}})

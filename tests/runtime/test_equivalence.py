@@ -353,7 +353,7 @@ def test_three_way_defective_coloring(family, d):
 @pytest.mark.parametrize("driver", ["run_partition", "run_luby_mis"])
 def test_bulk_fault_sessions_delegate_and_agree(driver):
     """A live crash/drop fault session routes the bulk twin through its
-    fault-aware sharded kernel (in-process), replaying the fast engine's
+    fault-aware kernel (repro.core.faulted), replaying the fast engine's
     counter-based adversary exactly; only duplicate/delay plans -- which
     have no receiver-side replay -- are refused loudly."""
     import repro

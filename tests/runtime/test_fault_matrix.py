@@ -1,34 +1,21 @@
-"""Fault-stream invariance matrix + executor-fault (chaos) pins.
+"""Fault-stream invariance matrix for the fault-aware bulk kernels.
 
-Two layers of the fault-tolerance contract live here:
-
-**Model faults** (the adversary *inside* the algorithm): for every
-algorithm with a fault-aware bulk kernel -- Luby MIS, Cole-Vishkin ring
-coloring, defective coloring (Partition's matrix lives in
-``test_shard.py``) -- the engines {fast, bulk in-process, sharded
-k in {1, 2, 4}} must produce
+For every algorithm with a fault-aware bulk kernel -- Procedure
+Partition, Luby MIS, Cole-Vishkin ring coloring, defective coloring --
+the bulk engine must reproduce the fast engine's faulted run:
 
 * the identical fault event stream (``FaultCrash`` / ``FaultDrop``
   interleaved with ``RoundStart`` / ``RoundEnd`` in the fast engine's
   order),
-* the identical metrics surface and outputs, and
+* the identical metrics surface, outputs and crashed set, and
 * on legitimate non-termination (a drop stalls a vertex that will never
   be re-sent to), the identical watchdog active set --
 
 because every crash/drop decision is a pure function of
-``(seed, session round, vertex)`` counters, never of engine internals or
-the shard count.  Completed runs additionally pass the
-survivor-restricted safety check for their problem kind.
-
-**Executor faults** (the worker process itself dies): a sharded run
-SIGKILLed mid-round restarts from per-round checkpoints and completes
-bit-identically to the unfaulted run; with retries exhausted it fails
-fast with :class:`ShardError` -- never a hang -- and never leaks a
-shared-memory segment.  Barrier waits carry a deadline and surface the
-lagging shard through :class:`ShardTimeout`.
+``(seed, session round, vertex)`` counters, never of engine internals.
+Completed runs additionally pass the survivor-restricted safety check
+for their problem kind.
 """
-
-import threading
 
 import numpy as np
 import pytest
@@ -38,6 +25,7 @@ import repro.obs as obs
 from repro.bench.workloads import WORKLOADS
 from repro.faults import CrashSpec, FaultPlan, MessageFaults, session
 from repro.graphs import generators as gen
+from repro.graphs.graph import Graph
 from repro.obs.events import (
     EventBus,
     FaultCrash,
@@ -46,16 +34,9 @@ from repro.obs.events import (
     RoundStart,
 )
 from repro.obs.sinks import MemorySink
-from repro.runtime import (
-    RoundLimitExceeded,
-    ShardError,
-    engine_session,
-    shard_session,
-)
-from repro.runtime import shard as rt_shard
+from repro.runtime import BulkUnsupported, RoundLimitExceeded, engine_session
 from repro.zoo.checks import survivor_check
 
-SHARD_COUNTS = (1, 2, 4)
 SEEDS = (0, 1)
 
 #: the matrix plans: strikes by (vertex -> round) and an 8% iid drop --
@@ -65,8 +46,6 @@ PLANS = {
     "crash": FaultPlan(seed=11, crashes=CrashSpec(at={3: 2, 17: 3})),
     "drop": FaultPlan(seed=7, messages=MessageFaults(drop=0.08)),
 }
-
-ENGINES = (("bulk", None), ("k1", 1), ("k2", 2), ("k4", 4))
 
 
 def _fingerprint(events):
@@ -78,17 +57,15 @@ def _fingerprint(events):
     ]
 
 
-def _run(thunk, plan, shards=None, bulk=False):
-    """Run ``thunk`` under ``plan`` (and optionally the bulk engine /
-    a shard session); return a comparable outcome tuple."""
+def _run(thunk, plan, bulk=False):
+    """Run ``thunk`` under ``plan`` (optionally on the bulk engine);
+    return a comparable outcome tuple."""
     from contextlib import ExitStack
 
     sink = MemorySink()
     with ExitStack() as stack:
         if bulk:
             stack.enter_context(engine_session("bulk"))
-        if shards is not None:
-            stack.enter_context(shard_session(shards))
         inj = stack.enter_context(session(plan))
         stack.enter_context(obs.session(EventBus(sink)))
         try:
@@ -107,27 +84,43 @@ def _run(thunk, plan, shards=None, bulk=False):
 
 
 def _assert_matrix(thunk, plan, extract, check=None):
-    """Fast-engine reference vs bulk + sharded {1,2,4}: identical
-    outcome, events, metrics, outputs; survivor-check completed runs."""
+    """Fast-engine reference vs bulk: identical outcome, events, metrics,
+    outputs; survivor-check completed runs."""
     ref = _run(thunk, plan)
     if ref[0] == "ok" and check is not None:
         check(ref[3], set(ref[4]))
-    for label, k in ENGINES:
-        got = _run(thunk, plan, shards=k, bulk=True)
-        if ref[0] == "watchdog":
-            assert got[0] == "watchdog", f"{label}: completed, fast watchdogged"
-            assert got[1] == ref[1], f"{label}: watchdog active sets differ"
-            continue
-        assert got[0] == "ok", f"{label}: watchdogged, fast completed"
-        assert got[4] == ref[4], f"{label}: crashed sets differ"
-        assert got[1] == ref[1], f"{label}: fault event streams differ"
-        assert got[2] == ref[2], f"{label}: metrics surfaces differ"
-        assert extract(got[3]) == extract(ref[3]), f"{label}: outputs differ"
+    got = _run(thunk, plan, bulk=True)
+    if ref[0] == "watchdog":
+        assert got[0] == "watchdog", "bulk completed, fast watchdogged"
+        assert got[1] == ref[1], "watchdog active sets differ"
+        return
+    assert got[0] == "ok", "bulk watchdogged, fast completed"
+    assert got[4] == ref[4], "crashed sets differ"
+    assert got[1] == ref[1], "fault event streams differ"
+    assert got[2] == ref[2], "metrics surfaces differ"
+    assert extract(got[3]) == extract(ref[3]), "outputs differ"
 
 
 # ---------------------------------------------------------------------------
-# the invariance matrix: (luby, cole-vishkin, defective) x engines x plans
+# the invariance matrix: (partition, luby, cole-vishkin, defective) x plans
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("plan_name", sorted(PLANS))
+@pytest.mark.parametrize("seed", SEEDS)
+def test_partition_fault_matrix(plan_name, seed):
+    g, a = WORKLOADS["forest_union_a3"](120, seed=seed)
+    ids = gen.random_ids(g.n, seed=1000 + seed)
+
+    def check(res, crashed):
+        survivor_check("partition")(g, res, set(range(g.n)) - crashed)
+
+    _assert_matrix(
+        lambda: repro.run_partition(g, a=a, ids=ids),
+        PLANS[plan_name],
+        lambda r: sorted(r.h_index.items()),
+        check,
+    )
 
 
 @pytest.mark.parametrize("plan_name", sorted(PLANS))
@@ -219,156 +212,153 @@ def test_defective_late_crash_completes_identically():
     ids = gen.random_ids(48, seed=5)
     clean = run_defective_coloring(g, 2, ids=ids, seed=0)
     plan = FaultPlan(seed=11, crashes=CrashSpec(at={3: 900, 17: 901}))
-    for label, k in ENGINES:
-        got = _run(
-            lambda: run_defective_coloring(g, 2, ids=ids, seed=0),
-            plan,
-            shards=k,
-            bulk=True,
-        )
-        assert got[0] == "ok", f"{label}: watchdogged"
-        assert got[4] == (), f"{label}: late strikes must never land"
-        assert sorted(got[3].colors.items()) == sorted(clean.colors.items())
+    got = _run(
+        lambda: run_defective_coloring(g, 2, ids=ids, seed=0), plan, bulk=True
+    )
+    assert got[0] == "ok", "watchdogged"
+    assert got[4] == (), "late strikes must never land"
+    assert sorted(got[3].colors.items()) == sorted(clean.colors.items())
 
 
 # ---------------------------------------------------------------------------
-# executor faults: SIGKILL chaos, fail-fast, leaks, timeouts, stats
+# Partition: hazard plans, session state, edge-case graphs, rejections
 # ---------------------------------------------------------------------------
 
 
-def _partition_instance():
-    g, a = WORKLOADS["gnp_sparse"](400, seed=0)
-    return g, a
+def _metrics_surface(m):
+    return (
+        m.rounds,
+        m.active_trace,
+        m.messages_per_round,
+        m.vertex_averaged,
+        m.worst_case,
+        m.round_sum,
+        m.total_messages,
+    )
 
 
-def test_chaos_sigkill_mid_run_restarts_bit_identical():
-    """A worker SIGKILLed at round 2 is detected, the group restarts
-    from the newest consistent checkpoint, and the completed run is
-    bit-identical to the unfaulted one -- with the loss/restart surfaced
-    in SHARD_STATS and as WorkerLost/WorkerRestart events."""
-    g, a = _partition_instance()
-    with engine_session("bulk"), shard_session(2):
-        ref = repro.run_partition(g, a=a)
-
-    rt_shard.reset_stats()
-    sink = MemorySink()
-    rt_shard.CHAOS.update({"die_at": (1, 2)})
-    try:
-        with engine_session("bulk"), shard_session(2), obs.session(
-            EventBus(sink)
-        ):
-            got = repro.run_partition(g, a=a)
-    finally:
-        rt_shard.CHAOS.clear()
-
+@pytest.mark.parametrize(
+    "workload", ["forest_union_a3", "planar_grid", "caterpillar", "deep_tree"]
+)
+def test_partition_crash_hazard_drop_plan_matches_fast(workload):
+    """Explicit strikes + a crash hazard + drops at once: the bulk run
+    reproduces the fast engine's outputs, full metrics surface and
+    crashed set."""
+    g, a = WORKLOADS[workload](120, seed=2)
+    ids = gen.random_ids(g.n, seed=1002)
+    plan = FaultPlan(
+        seed=11,
+        crashes=CrashSpec(at={3: 1, 17: 2}, hazard=0.02),
+        messages=MessageFaults(drop=0.08),
+    )
+    with session(plan) as inj:
+        ref = repro.run_partition(g, a=a, ids=ids)
+    assert inj.crashed  # the plan actually strikes on this instance
+    with engine_session("bulk"), session(plan) as inj2:
+        got = repro.run_partition(g, a=a, ids=ids)
     assert got.h_index == ref.h_index
-    assert got.metrics.active_trace == ref.metrics.active_trace
-    assert got.metrics.messages_per_round == ref.metrics.messages_per_round
-
-    stats = rt_shard.stats_snapshot()
-    assert stats["worker_lost"] >= 1
-    assert stats["worker_restart"] >= 1
-    assert stats["checkpoints"] >= 1
-    kinds = {type(e).__name__ for e in sink.events}
-    assert "WorkerLost" in kinds
-    assert "WorkerRestart" in kinds
-    assert rt_shard.active_segments() == []
+    assert _metrics_surface(got.metrics) == _metrics_surface(ref.metrics)
+    assert sorted(inj2.crashed) == sorted(inj.crashed)
 
 
-def test_chaos_sigkill_without_retries_fails_fast():
-    """Retries exhausted (or no consistent checkpoint) => ShardError
-    with the dead worker named -- never a hang -- and no leaked
-    segments."""
-    g, a = _partition_instance()
-    rt_shard.CHAOS.update({"die_at": (0, 1), "retries": 0})
-    try:
-        with engine_session("bulk"), shard_session(2):
-            with pytest.raises(ShardError, match=r"worker\(s\) \[0\] died"):
-                repro.run_partition(g, a=a)
-    finally:
-        rt_shard.CHAOS.clear()
-    assert rt_shard.active_segments() == []
+def test_session_state_persists_across_bulk_runs():
+    """Two runs in one fault session: the second must see the first's
+    crashed set and session round counter, exactly like the fast engine."""
+    g, a = WORKLOADS["forest_union_a3"](120, seed=0)
+    ids = gen.random_ids(g.n, seed=1000)
+    plan = FaultPlan(seed=5, crashes=CrashSpec(hazard=0.03))
 
-
-def test_chaos_sigkill_under_fault_plan_replays_adversary():
-    """Executor faults compose with model faults: the restarted run
-    replays the counter-based crash adversary bit-identically."""
-    g, a = _partition_instance()
-    plan = FaultPlan(seed=11, crashes=CrashSpec(at={3: 1, 17: 2}))
-    ref = _run(lambda: repro.run_partition(g, a=a), plan, shards=2, bulk=True)
-    assert ref[0] == "ok"
-
-    rt_shard.CHAOS.update({"die_at": (1, 2)})
-    try:
-        got = _run(
-            lambda: repro.run_partition(g, a=a), plan, shards=2, bulk=True
+    def two_runs(engine):
+        with engine_session(engine), session(plan) as inj:
+            r1 = repro.run_partition(g, a=a, ids=ids)
+            r2 = repro.run_partition(g, a=a - 1, ids=ids)
+        return (
+            r1.h_index,
+            r2.h_index,
+            _metrics_surface(r2.metrics),
+            sorted(inj.crashed),
+            inj._round,
         )
-    finally:
-        rt_shard.CHAOS.clear()
-    assert got[0] == "ok"
-    assert got[4] == ref[4]
-    assert got[1] == ref[1]
-    assert got[2] == ref[2]
-    assert got[3].h_index == ref[3].h_index
+
+    ref = two_runs("fast")
+    assert ref[3]  # some vertex crashed across the two runs
+    assert two_runs("bulk") == ref
 
 
-def test_shared_arrays_context_manager_releases_segments():
-    """SharedArrays is a context manager; exit (even on error) unlinks
-    every published segment -- the leak counter must read zero."""
-    from repro.runtime.shard import SharedArrays, active_segments
-
-    with SharedArrays() as shared:
-        arr = shared.publish("x", shape=(8,), dtype=np.int64)
-        arr[:] = 7
-        assert len(active_segments()) >= 1
-    assert active_segments() == []
-
-    with pytest.raises(RuntimeError, match="boom"):
-        with SharedArrays() as shared:
-            shared.publish("y", shape=(4,), dtype=np.int64)
-            raise RuntimeError("boom")
-    assert active_segments() == []
-
-
-def test_shard_timeout_names_lagging_shard():
-    """A barrier deadline miss raises ShardTimeout (a ShardError) whose
-    ``lagging`` names the shard with the fewest recorded waits."""
-    from repro.runtime.shard import ShardComm, ShardTimeout, _SCRATCH_LANES
-
-    rt_shard.reset_stats()
-    barrier = threading.Barrier(2)  # nobody else ever arrives
-    scratch = np.zeros((2, 2, _SCRATCH_LANES), dtype=np.int64)
-    hb = np.zeros((2, 2), dtype=np.float64)
-    comm = ShardComm(barrier, scratch, 0, 2, timeout=0.05, hb=hb)
-    with pytest.raises(ShardTimeout, match="lagging shard: 1") as err:
-        comm.sync()
-    assert isinstance(err.value, ShardError)
-    assert err.value.lagging == 1
-    assert rt_shard.stats_snapshot()["barrier_timeouts"] == 1
-
-    # allreduce rides the same guarded wait
-    barrier2 = threading.Barrier(2)
-    comm2 = ShardComm(barrier2, scratch, 1, 2, timeout=0.05, hb=hb)
-    with pytest.raises(ShardTimeout):
-        comm2.allreduce(1, 2, 3)
+@pytest.mark.parametrize(
+    "plan",
+    [
+        FaultPlan(seed=1, messages=MessageFaults(duplicate=0.1)),
+        FaultPlan(seed=1, messages=MessageFaults(delay=0.1, max_delay=2)),
+    ],
+    ids=["duplicate", "delay"],
+)
+def test_bulk_rejects_duplicate_and_delay_plans(plan):
+    """Duplicate/delay plans have no columnar replay: every fault-aware
+    kernel refuses them up front."""
+    g, a = WORKLOADS["forest_union_a3"](40, seed=0)
+    ids = gen.random_ids(g.n, seed=1000)
+    with engine_session("bulk"), session(plan):
+        with pytest.raises(BulkUnsupported, match="duplicate/delay"):
+            repro.run_partition(g, a=a, ids=ids)
+        with pytest.raises(BulkUnsupported, match="duplicate/delay"):
+            repro.run_luby_mis(g, ids=ids, seed=0)
 
 
-def test_stats_snapshot_and_reset():
-    rt_shard.reset_stats()
-    base = rt_shard.stats_snapshot()
-    assert base == {
-        "worker_lost": 0,
-        "worker_restart": 0,
-        "checkpoints": 0,
-        "barrier_timeouts": 0,
-    }
-    rt_shard.SHARD_STATS["worker_lost"] += 1
-    snap = rt_shard.stats_snapshot()
-    assert snap["worker_lost"] == 1
-    snap["worker_lost"] = 99  # snapshots are copies, not views
-    assert rt_shard.SHARD_STATS["worker_lost"] == 1
-    rt_shard.reset_stats()
-    assert rt_shard.stats_snapshot()["worker_lost"] == 0
+def test_faulted_watchdog_matches_bulk_partition():
+    """The fault-aware kernel's watchdog carries the same round budget
+    and active set as the closed-form ``bulk_partition``."""
+    from repro.core.bulk import bulk_partition
+    from repro.core.faulted import faulted_partition
+
+    # K_9 with a=1 gives A=3 < deg=8: nobody ever joins, watchdog fires
+    g = gen.complete(9)
+    with pytest.raises(RoundLimitExceeded) as clean_err:
+        bulk_partition(g, a=1, max_rounds=3)
+    with session(FaultPlan(seed=1, crashes=CrashSpec(at={0: 99}))):
+        with pytest.raises(RoundLimitExceeded) as fault_err:
+            faulted_partition(g, a=1, max_rounds=3)
+    assert fault_err.value.limit == clean_err.value.limit
+    assert sorted(fault_err.value.active) == sorted(clean_err.value.active)
+
+
+def test_isolated_vertices_under_faults():
+    """A path plus a block of isolated vertices: Partition and Luby on
+    the bulk engine match the fast engine under a crash + drop plan."""
+    g = Graph(20, [(v, v + 1) for v in range(9)])
+    plan = FaultPlan(
+        seed=3,
+        crashes=CrashSpec(at={4: 2, 15: 1}),
+        messages=MessageFaults(drop=0.1),
+    )
+    _assert_matrix(
+        lambda: repro.run_partition(g, a=1),
+        plan,
+        lambda r: sorted(r.h_index.items()),
+    )
+    _assert_matrix(
+        lambda: repro.run_luby_mis(g, seed=0),
+        plan,
+        lambda r: (sorted(r.in_mis.items()), sorted(r.h_index.items())),
+    )
+
+
+def test_int32_csr_graph_under_faults():
+    """A CSR-only graph with an int32 index view runs the fault-aware
+    kernel end to end and matches the fast engine."""
+    g = gen.forest_union_csr(3000, 3, seed=0)
+    _offsets, indices = g.csr(dtype="auto")
+    assert indices.dtype == np.int32
+    plan = FaultPlan(
+        seed=11,
+        crashes=CrashSpec(at={3: 1, 17: 2}, hazard=0.01),
+        messages=MessageFaults(drop=0.05),
+    )
+    _assert_matrix(
+        lambda: repro.run_partition(g, a=3),
+        plan,
+        lambda r: sorted(r.h_index.items()),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -118,8 +118,8 @@ class TestEngines:
             zoo.execute("partition", g, a, ids, 0, baseline=True, engine="bulk")
 
     def test_bulk_accepts_crash_plans_and_agrees_with_fast(self):
-        # bulk drivers delegate to their fault-aware sharded twins under
-        # an active plan; the counter-based adversary replays exactly
+        # bulk drivers delegate to their fault-aware kernels under an
+        # active plan; the counter-based adversary replays exactly
         g, a, ids = _instance(n=24)
         plan = FaultPlan(seed=1, crashes=CrashSpec(hazard=0.1))
         ref = zoo.execute("partition", g, a, ids, 0, faults=plan)
