@@ -8,111 +8,241 @@ array operations over the cached CSR view, so n = 10^6 runs complete in
 seconds where the generator engines would step a million coroutines per
 round.
 
-The accounting rule shared by all drivers (mirroring the fast engine):
-at round r, a terminating vertex's broadcast is routed to every neighbor
-not yet *known* halted -- i.e. with final termination round 0/unset,
-``== r`` (same-round, routed then dropped) or ``> r`` -- and the round's
-message total is the delivered copies (``term > r``) plus one halt
-notice per vertex terminating this round.
+One kernel per algorithm, one fault model
+-----------------------------------------
+Procedure Partition and Luby MIS each have exactly one kernel.  It steps
+one engine round per iteration and replays an installed
+:func:`repro.faults.session`'s crash-stop and message-drop plan
+bit-identically to the fast engine; **a clean run is the empty plan**
+(:class:`FaultParams` with no strikes, no drop draws, offset 0 and no
+pre-crashed vertices), not a separate code path.  Duplicate/delay plans
+are refused up front with :class:`~repro.runtime.bulk.BulkUnsupported`:
+they need multi-round message buffering, which the kernels do not keep.
+Cole-Vishkin and defective coloring still pair a closed form for clean
+runs with a fault-aware kernel, which cost up to 11x and 1.34x their
+closed forms on clean runs.
+
+Sender-side accounting
+----------------------
+Every kernel accounts its rounds through :func:`_broadcast`: gather the
+senders' CSR rows, route each copy to a neighbor not yet *known* halted
+(termination round 0/unset -- running or crashed -- or ``== r``,
+same-round: routed then dropped), apply the drop draw per copy when the
+plan drops, then bucket by the receiver's termination round.  The
+round's message total is the delivered copies plus one halt notice per
+vertex terminating this round.  Fault draws (crash hazard, message drop)
+are pure counter-based functions of ``(seed, session round, vertex)`` /
+``(..., src, dst, k)`` (:mod:`repro.faults.plan`), so a kernel may
+evaluate them in any order, a whole round at a time, and still inject
+the fast engine's stream.
 
 Only :data:`BULK_DRIVERS` entries run on the bulk engine; the zoo
 mirrors this registry through ``AlgorithmSpec.bulk_capable`` and
-``zoo.check_registry`` fails on any drift.  Under an installed
-:func:`repro.faults.session`, every driver delegates to its fault-aware
-kernel in :mod:`repro.core.faulted`, which replays crash-stop and
-message-drop plans bit-identically to the fast engine; duplicate/delay
-plans are rejected up front (see docs/fault_tolerance.md).
+``zoo.check_registry`` fails on any drift.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Any, Sequence
 
 import numpy as np
 
+import repro.obs as obs
 from repro import rng
+from repro.faults.plan import CrashSpec, current, drop_many
 from repro.graphs.graph import Graph
 from repro.runtime.bulk import (
     BULK_CHUNK,
+    BulkUnsupported,
     column_dict,
     finalize_run,
     gather_rows,
     id_space,
     profiled,
     resolve_ids,
+    row_positions,
 )
-from repro.runtime.network import RoundLimitExceeded
+from repro.runtime.network import RoundLimitExceeded, RunResult
 
 
-def _faulted() -> bool:
-    """Whether a fault session is installed (-> delegate to the
-    fault-aware kernel instead of the closed-form bulk round)."""
-    from repro.faults.plan import current
+@dataclass
+class FaultParams:
+    """An installed fault plan as the kernels consume it, plus the
+    crashes and drops a run logs against it.  The defaults are the empty
+    plan a clean run uses."""
 
-    return current() is not None
+    seed: int = 0
+    #: session rounds consumed by earlier runs in the same fault session
+    offset: int = 0
+    #: vertices crashed by an earlier run (never run, never counted)
+    pre_crashed: list[int] = field(default_factory=list)
+    crashes: CrashSpec | None = None
+    drop: float = 0.0
+    record_drops: bool = False
+    #: ``(round, v)`` per vertex crashed at the start of ``round``
+    crash_log: list[tuple[int, int]] = field(default_factory=list)
+    #: ``(round, src, dst)`` per dropped copy (only when recorded)
+    drop_log: list[tuple[int, int, int]] = field(default_factory=list)
+
+    def running(self, n: int) -> np.ndarray:
+        """The running mask at round 1: everyone but the session's
+        earlier crashes."""
+        running = np.ones(n, dtype=bool)
+        running[np.asarray(self.pre_crashed, dtype=np.int64)] = False
+        return running
+
+    def strike(self, rnd: int, cand: np.ndarray) -> np.ndarray:
+        """The crash mask over the running vertices ``cand`` at the start
+        of run round ``rnd``; the struck vertices are logged."""
+        if self.crashes is None:
+            return np.zeros(cand.size, dtype=bool)
+        hit = self.crashes.strikes_many(self.seed, self.offset + rnd, cand)
+        self.crash_log.extend((rnd, v) for v in cand[hit].tolist())
+        return hit
+
+    def kept(self, rnd: int, us: np.ndarray, ws: np.ndarray) -> np.ndarray:
+        """Survival mask of the copies ``us[i] -> ws[i]`` broadcast in run
+        round ``rnd`` (a sender broadcasts at most once per round, so each
+        is copy 0)."""
+        if not self.drop or us.size == 0:
+            return np.ones(us.size, dtype=bool)
+        return ~drop_many(self.seed, self.offset + rnd, us, ws, 0, self.drop)
+
+    def log_drops(self, rnd: int, us, ws, lost: np.ndarray) -> None:
+        """Log the copies ``us[i] -> ws[i]`` of run round ``rnd`` that
+        ``lost`` marks dropped, when a live event bus will emit them."""
+        if self.record_drops and lost.any():
+            self.drop_log.extend(
+                zip([rnd] * int(lost.sum()), us[lost].tolist(), ws[lost].tolist())
+            )
 
 
-def _account_round(
-    term: np.ndarray,
-    nbrs: np.ndarray,
+def _session(n: int, name: str):
+    """The installed fault injector (or ``None``) and the
+    :class:`FaultParams` a kernel replays: the empty plan on a clean run.
+    Duplicate/delay plans are refused: replaying them needs copies held
+    across rounds, which the kernels do not buffer."""
+    injector = current()
+    if injector is None:
+        return None, FaultParams()
+    plan = injector.plan
+    mf = plan.messages
+    if mf is not None and (mf.duplicate or mf.delay):
+        raise BulkUnsupported(
+            f"{name} supports crash-stop and message-drop faults only; "
+            "duplicate/delay plans need the 'fast' or 'reference' engine"
+        )
+    crashes = plan.crashes
+    drop = mf.drop if mf is not None else 0.0
+    bus = obs.current()
+    return injector, FaultParams(
+        seed=plan.seed,
+        offset=injector._round,
+        pre_crashed=sorted(v for v in injector.begin_run(None) if v < n),
+        crashes=crashes if crashes is not None and crashes.active else None,
+        drop=drop,
+        record_drops=bool(drop) and bus is not None and bus.active,
+    )
+
+
+def _broadcast(
+    fp: FaultParams,
     rnd: int,
-    halts: int,
-    sent: list[int],
-    msgs: list[int],
-    recv: list[int],
-) -> None:
-    """Append one round of the shared accounting rule.
-
-    ``nbrs`` is the concatenated neighbor multiset of this round's
-    senders (every sender broadcasts once), ``halts`` the number of
-    vertices terminating this round.
-    """
-    t = term[nbrs]
-    live = (t == 0) | (t > rnd)
-    counted = int(live.sum())
-    sent.append(counted + int((t == rnd).sum()))
-    msgs.append(counted + halts)
-    # distinct receivers by boolean scatter: numpy 2.4's hash-based
-    # np.unique costs ~50x a scatter at n = 10^6
-    mask = np.zeros(term.size, dtype=bool)
-    mask[nbrs[live]] = True
-    recv.append(int(mask.sum()))
-
-
-def _account_round_chunked(
-    term: np.ndarray,
     offsets: np.ndarray,
     indices: np.ndarray,
-    joiners: np.ndarray,
-    rnd: int,
-    sent: list[int],
-    msgs: list[int],
-    recv: list[int],
+    senders: np.ndarray,
+    term: np.ndarray,
+    halts: int,
+    acct: list[tuple[int, int, int]],
+    copy: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Chunked twin of :func:`_account_round` for oversized rounds.
+    """Account one round in which each vertex of ``senders`` broadcasts.
 
-    Processes ``joiners`` in :data:`BULK_CHUNK`-sender chunks, counting
-    distinct live receivers with a boolean scatter mask and accumulating
-    the next round's JOIN-arrival bincount, which is returned so the
-    caller never materialises the full concatenated neighbor multiset.
+    Appends the round's (sent, messages, distinct receivers) to ``acct``
+    (``halts`` vertices terminate this round) and returns the arrival
+    count of the delivered copies per receiver -- the next round's
+    inbox, so callers never gather the rows a second time.  ``senders``
+    is processed in :data:`BULK_CHUNK` pieces, bounding the scratch by
+    the chunk's degree mass instead of the round's.  A sender may repeat
+    when it broadcasts several times in one round; ``copy`` then holds
+    each entry's copy index for the drop draw (0 otherwise).
     """
     n = term.size
-    counted = 0
-    same = 0
-    recv_mask = np.zeros(n, dtype=bool)
-    inc = np.zeros(n, dtype=np.int64)
-    for lo in range(0, joiners.size, BULK_CHUNK):
-        nb = gather_rows(offsets, indices, joiners[lo : lo + BULK_CHUNK])
-        t = term[nb]
-        live = (t == 0) | (t > rnd)
-        counted += int(live.sum())
-        same += int((t == rnd).sum())
-        recv_mask[nb[live]] = True
-        inc += np.bincount(nb, minlength=n)
-    sent.append(counted + same)
-    msgs.append(counted + int(joiners.size))
-    recv.append(int(recv_mask.sum()))
-    return inc
+    counted = same = 0
+    inbox = np.zeros(n, dtype=np.int64)
+    for lo in range(0, senders.size, BULK_CHUNK):
+        chunk = senders[lo : lo + BULK_CHUNK]
+        ws = gather_rows(offsets, indices, chunk)
+        t = term[ws]
+        if fp.drop:
+            # copies to a receiver known halted are never routed, so they
+            # draw no fate
+            routed = (t == 0) | (t == rnd)
+            deg = offsets[chunk + 1] - offsets[chunk]
+            us = np.repeat(chunk, deg)[routed]
+            k = 0
+            if copy is not None:
+                k = np.repeat(copy[lo : lo + BULK_CHUNK], deg)[routed]
+            ws, t = ws[routed], t[routed]
+            lost = drop_many(fp.seed, fp.offset + rnd, us, ws, k, fp.drop)
+            fp.log_drops(rnd, us, ws, lost)
+            ws, t = ws[~lost], t[~lost]
+        live = t == 0
+        counted += int(np.count_nonzero(live))
+        same += int(np.count_nonzero(t == rnd))
+        inbox += np.bincount(ws[live], minlength=n)
+    # distinct receivers straight off the arrival counts: numpy 2.4's
+    # hash-based np.unique costs ~50x a scatter at n = 10^6
+    acct.append((counted + same, counted + halts, int(np.count_nonzero(inbox))))
+    return inbox
+
+
+def _edges(offsets: np.ndarray, indices: np.ndarray, verts: np.ndarray):
+    """(edge positions, neighbors, owners) of the CSR rows of ``verts``."""
+    pos = row_positions(offsets, verts)
+    owners = np.repeat(verts, offsets[verts + 1] - offsets[verts])
+    return pos, indices[pos], owners
+
+
+def _expand(cnt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Slot layout of ``cnt[i]`` slots per item: each slot's item index
+    and its offset within the item."""
+    item = np.repeat(np.arange(cnt.size, dtype=np.int64), cnt)
+    return item, np.arange(item.size, dtype=np.int64) - (np.cumsum(cnt) - cnt)[item]
+
+
+def _finish(
+    injector,
+    fp: FaultParams,
+    rounds_run: int,
+    watchdog: list[int] | None,
+    max_rounds: int,
+    acct: Sequence[tuple[int, int, int]],
+    term: np.ndarray,
+    outputs: dict[int, Any],
+) -> RunResult:
+    """Fold a kernel's outcome into the fault session (if any) and the
+    run result; a watchdog stop raises the fast engine's typed round-limit
+    error."""
+    crash_rounds = dict(sorted((v, r) for r, v in fp.crash_log))
+    if injector is not None:
+        injector.absorb_rounds(rounds_run, list(crash_rounds))
+    if watchdog is not None:
+        raise RoundLimitExceeded(max_rounds, watchdog, None)
+    n = term.size
+    sent, msgs, recv = (list(col) for col in zip(*acct)) if acct else ([], [], [])
+    return finalize_run(
+        outputs,
+        term,
+        sent,
+        msgs,
+        recv,
+        crash_rounds=crash_rounds,
+        pre_crashed=fp.pre_crashed,
+        crashed=[v for v in injector.crashed if v < n] if injector else (),
+        drops=fp.drop_log,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -129,62 +259,54 @@ def bulk_partition(
     max_rounds: int | None = None,
 ):
     """Columnar Procedure Partition: one vectorized degree-threshold test
-    per round.  ``heard[v]`` counts neighbors that joined in earlier
+    per round.  ``heard[v]`` counts the JOINs v received in earlier
     rounds; v joins at the first round with ``deg(v) - heard(v) <= A``.
+
+    Per round: strike, run the join test, terminate the joiners and
+    broadcast their JOINs; the delivered copies :func:`_broadcast` counts
+    (after the drop draw) are what the receivers hear next round.
     """
     from repro.core.common import degree_bound, partition_length_bound
     from repro.core.partition import PartitionResult
 
-    if _faulted():
-        from repro.core.faulted import faulted_partition
-
-        return faulted_partition(
-            graph, a, eps=eps, ids=ids, seed=seed, max_rounds=max_rounds
-        )
     n = graph.n
     resolve_ids(graph, ids)  # IDs only validate; Partition is ID-oblivious
     A = degree_bound(a, eps)
     if max_rounds is None:
         max_rounds = partition_length_bound(n, eps) + 4
+    injector, fp = _session(n, "partition")
     offsets, indices = graph.csr(dtype="auto")
     deg = (offsets[1:] - offsets[:-1]).astype(np.int64)
 
     term = np.zeros(n, dtype=np.int64)
     heard = np.zeros(n, dtype=np.int64)
-    sent: list[int] = []
-    msgs: list[int] = []
-    recv: list[int] = []
-    active = np.arange(n, dtype=np.int64)
-    inc = None
+    active = np.flatnonzero(fp.running(n))
+    acct: list[tuple[int, int, int]] = []
+    watchdog = None
     rnd = 0
     with profiled("kernel"):
         while active.size:
             rnd += 1
+            hit = fp.strike(rnd, active)
+            if hit.any():
+                active = active[~hit]
+                if not active.size:
+                    break
             if rnd > max_rounds:
-                raise RoundLimitExceeded(max_rounds, active.tolist(), None)
-            if inc is not None:
-                # JOIN broadcasts from last round's joiners arrive now
-                heard += inc
-                inc = None
+                watchdog = active.tolist()
+                break
             join = (deg[active] - heard[active]) <= A
             joiners = active[join]
             term[joiners] = rnd
-            if joiners.size <= BULK_CHUNK:
-                nbrs = gather_rows(offsets, indices, joiners)
-                _account_round(
-                    term, nbrs, rnd, int(joiners.size), sent, msgs, recv
-                )
-                if nbrs.size:
-                    inc = np.bincount(nbrs, minlength=n)
-            else:
-                # Chunked pass: identical accounting, scratch bounded by
-                # the chunk's degree mass instead of the round's.
-                inc = _account_round_chunked(
-                    term, offsets, indices, joiners, rnd, sent, msgs, recv
-                )
+            heard += _broadcast(
+                fp, rnd, offsets, indices, joiners, term, int(joiners.size), acct
+            )
             active = active[~join]
 
-    res = finalize_run(column_dict(term), term, sent, msgs, recv)
+    res = _finish(
+        injector, fp, rnd, watchdog, max_rounds, acct, term,
+        column_dict(term, term > 0),
+    )
     return PartitionResult(h_index=res.outputs, A=A, metrics=res.metrics)
 
 
@@ -199,86 +321,134 @@ def bulk_luby_mis(
     seed: int = 0,
     max_rounds: int | None = None,
 ):
-    """Columnar Luby MIS in lockstep attempts.
+    """Columnar Luby MIS, one engine round per iteration.
 
-    Attempt k: every alive vertex draws ``u01(seed, VERTEX, id, k-1)``
-    (its k-th ``ctx.rng.random()``, the value the generator driver
-    consumes) for the whole array at once and broadcasts it at round
-    2k-1; round 2k the vertices beating every alive neighbor join the MIS
-    and terminate; round 2k+1 their alive neighbors leave and terminate.
+    Crash draws happen per round over the still-running set -- the fast
+    engine's ``on_round`` cadence -- and the round parity encodes the
+    protocol: odd round 2k-1 delivers the previous attempt's MIS
+    announcements (their receivers leave and terminate) and broadcasts
+    the attempt-k priorities; even round 2k delivers priorities and
+    leave announcements and runs the win check; the winners join the MIS,
+    terminate and announce.  A vertex running at round 2k-1 has drawn
+    once per earlier attempt, so its attempt-k priority is
+    ``u01(seed, VERTEX, id, k-1)`` (its k-th ``ctx.rng.random()``).
+
+    Receiver-owned per-edge state replicates each vertex's accumulated
+    :class:`~repro.core.common.LocalView`: ``view[j]`` is the attempt of
+    the last priority heard over edge j (0 = never; a stale value counts
+    as *beaten*, matching the program's ``prios[u][0] < attempt`` test),
+    or -1 once the neighbor's leave announcement arrived.  A neighbor
+    that crashed before ever announcing a priority blocks its survivors
+    forever -- the watchdog converts that into the typed round-limit
+    error, the same legitimate non-termination the fast engine reports.
+    Crash-safe, NOT drop-safe: a dropped MIS announcement can leave two
+    adjacent winners (see docs/faults.md).
     """
-    if _faulted():
-        from repro.core.faulted import faulted_luby_mis
-
-        return faulted_luby_mis(graph, ids=ids, seed=seed, max_rounds=max_rounds)
     from repro.core.extension import MISResult
 
     n = graph.n
     ids_arr = resolve_ids(graph, ids)
     if max_rounds is None:
         max_rounds = 64 * (n.bit_length() + 4) + 64
+    injector, fp = _session(n, "luby MIS")
     offsets, indices = graph.csr(dtype="auto")
-    deg = (offsets[1:] - offsets[:-1]).astype(np.int64)
 
-    rand = np.zeros(n, dtype=np.float64)
-    alive = np.ones(n, dtype=bool)
+    running = fp.running(n)
     term = np.zeros(n, dtype=np.int64)
-    sent: list[int] = []
-    msgs: list[int] = []
-    recv: list[int] = []
-    prev_l = np.zeros(0, dtype=np.int64)  # losers announcing next round
-    k = 0
+    rand = np.zeros(n, dtype=np.float64)
+    # round of each vertex's last priority broadcast
+    lastp = np.zeros(n, dtype=np.int64)
+    view = np.zeros(indices.size, dtype=np.int32)
+    acct: list[tuple[int, int, int]] = []
+    # arrivals of the last even round's MIS announcements
+    inbox = np.zeros(n, dtype=np.int64)
+    watchdog = None
+    rnd = 0
     with profiled("kernel"):
-        while alive.any():
-            k += 1
-            r1 = 2 * k - 1
-            act = np.flatnonzero(alive)
-            if r1 > max_rounds:
-                raise RoundLimitExceeded(
-                    max_rounds, np.concatenate((act, prev_l)).tolist(), None
-                )
-            rand[act] = rng.u01_many(seed, rng.VERTEX, ids_arr[act], k - 1)
-            # round 2k-1: alive vertices broadcast priorities; last
-            # attempt's losers broadcast their leave announcement and
-            # terminate
-            nb = gather_rows(offsets, indices, np.concatenate((act, prev_l)))
-            _account_round(term, nb, r1, int(prev_l.size), sent, msgs, recv)
+        while True:
+            run_idx = np.flatnonzero(running)
+            if not run_idx.size:
+                break
+            rnd += 1
+            hit = fp.strike(rnd, run_idx)
+            if hit.any():
+                running[run_idx[hit]] = False
+                run_idx = run_idx[~hit]
+                if not run_idx.size:
+                    break
+            if rnd > max_rounds:
+                watchdog = run_idx.tolist()
+                break
 
-            # round 2k: win check -- beat every alive neighbor on
-            # (rand, id)
-            r2 = 2 * k
-            if r2 > max_rounds:
-                raise RoundLimitExceeded(max_rounds, act.tolist(), None)
-            sr = np.repeat(act, deg[act])
-            nb2 = gather_rows(offsets, indices, act)
-            am = alive[nb2]
-            sr_a, nb_a = sr[am], nb2[am]
-            beat = (rand[nb_a] > rand[sr_a]) | (
-                (rand[nb_a] == rand[sr_a]) & (ids_arr[nb_a] > ids_arr[sr_a])
-            )
-            beaten = np.bincount(sr_a[beat], minlength=n).astype(bool)
-            winners = np.flatnonzero(alive & ~beaten)
-            term[winners] = r2
-            alive[winners] = False
-            nbw = gather_rows(offsets, indices, winners)
-            lmask = np.zeros(n, dtype=bool)
-            lmask[nbw[alive[nbw]]] = True
-            _account_round(term, nbw, r2, int(winners.size), sent, msgs, recv)
+            if rnd % 2 == 1:
+                # odd round 2k-1: the receivers of round 2k-2's MIS
+                # announcements leave; everyone else draws and broadcasts
+                # the attempt-k priority
+                k = (rnd + 1) // 2
+                leave = inbox[run_idx] > 0
+                leavers = run_idx[leave]
+                term[leavers] = rnd
+                running[leavers] = False
+                run_idx = run_idx[~leave]
+                rand[run_idx] = rng.u01_many(seed, rng.VERTEX, ids_arr[run_idx], k - 1)
+                lastp[run_idx] = rnd
+                senders = np.concatenate((run_idx, leavers))
+                halts = int(leavers.size)
+            else:
+                # even round 2k: absorb the copies sent at 2k-1 into the
+                # per-edge view, then the win check over it, in
+                # BULK_CHUNK-vertex pieces
+                won = [
+                    _win_check(
+                        fp, rnd, offsets, indices, run_idx[lo : lo + BULK_CHUNK],
+                        term, lastp, view, rand, ids_arr,
+                    )
+                    for lo in range(0, run_idx.size, BULK_CHUNK)
+                ]
+                winners = np.concatenate(won) if won else run_idx[:0]
+                term[winners] = rnd
+                running[winners] = False
+                senders = winners
+                halts = int(winners.size)
+            inbox = _broadcast(fp, rnd, offsets, indices, senders, term, halts, acct)
 
-            losers = np.flatnonzero(lmask)
-            term[losers] = r2 + 1
-            alive[losers] = False
-            prev_l = losers
-        if prev_l.size:
-            # the final losers announce + terminate one round after the
-            # loop
-            r = 2 * k + 1
-            nb = gather_rows(offsets, indices, prev_l)
-            _account_round(term, nb, r, int(prev_l.size), sent, msgs, recv)
-
+    # release the per-vertex and per-edge state before the result dicts
+    del view, lastp, rand, inbox
     outputs, in_mis, h_index = luby_outputs(term)
-    res = finalize_run(outputs, term, sent, msgs, recv)
+    res = _finish(injector, fp, rnd, watchdog, max_rounds, acct, term, outputs)
     return MISResult(in_mis=in_mis, h_index=h_index, metrics=res.metrics)
+
+
+def _win_check(fp, rnd, offsets, indices, vs, term, lastp, view, rand, ids_arr):
+    """Luby's even round 2k over the running vertices ``vs``: absorb the
+    copies sent at round 2k-1 into their rows' ``view``, then return the
+    vertices no neighbor blocks."""
+    k = rnd // 2
+    cnt = offsets[vs + 1] - offsets[vs]
+    pos = row_positions(offsets, vs)
+    us = indices[pos]
+    left = term[us] == rnd - 1
+    got = (lastp[us] == rnd - 1) | left
+    if fp.drop:
+        owners = np.repeat(vs, cnt)
+        got[got] = fp.kept(rnd - 1, us[got], owners[got])
+    v = view[pos]
+    v[got] = k
+    v[got & left] = -1
+    view[pos] = v
+    # a neighbor blocks unless it left (-1), its priority is stale
+    # (0 < v < k), or it drew attempt k and loses on (rand, id)
+    ru = rand[us]
+    rv = np.repeat(rand[vs], cnt)
+    beats = ru > rv
+    tie = ru == rv
+    if tie.any():
+        beats |= tie & (ids_arr[us] > np.repeat(ids_arr[vs], cnt))
+    block = (v == 0) | ((v == k) & beats)
+    # blockers per row, from a running count over the concatenated rows
+    csum = np.concatenate(([0], np.cumsum(block)))
+    ends = np.cumsum(cnt)
+    return vs[csum[ends] == csum[ends - cnt]]
 
 
 def luby_outputs(term: np.ndarray):
@@ -314,18 +484,18 @@ def bulk_ring_three_coloring(
     Each halving step is ``diff = c ^ c[succ]``; the lowest set bit index
     comes from ``log2(diff & -diff)`` (exact in float64 for any index
     < 53, far beyond real ID spaces).  Three greedy recolor rounds
-    (classes 5, 4, 3) finish the {0..5} -> {0..2} reduction.
+    (classes 5, 4, 3) finish the {0..5} -> {0..2} reduction.  Under a
+    fault session the run goes to :func:`_ring_three_coloring_kernel`.
 
     ``successor`` must already be validated (the ``run_ring_three_
     coloring`` wrapper dispatches here after its checks).
     """
-    if _faulted():
-        from repro.core.faulted import faulted_ring_three_coloring
-
-        return faulted_ring_three_coloring(graph, successor, ids=ids, seed=seed)
     from repro.baselines.cole_vishkin import _cv_steps
     from repro.core.coloring import ColoringResult
 
+    injector, fp = _session(graph.n, "ring 3-coloring")
+    if injector is not None:
+        return _ring_three_coloring_kernel(graph, successor, ids, injector, fp)
     n = graph.n
     ids_arr = resolve_ids(graph, ids)
     offsets, indices = graph.csr(dtype="auto")
@@ -375,6 +545,113 @@ def bulk_ring_three_coloring(
     )
 
 
+def _ring_three_coloring_kernel(graph, successor, ids, injector, fp: FaultParams):
+    """Cole-Vishkin under the crash-stop / message-drop adversary.
+
+    Runs in round lockstep like the fast program: rounds ``1..steps+1``
+    broadcast the halving chain (round r reduces with the successor's
+    round-``r-1`` value), rounds ``steps+2..steps+4`` process the greedy
+    recolor classes 5, 4, 3; everyone still alive terminates at
+    ``steps+4``.  The program *never waits*: a missing successor value
+    (crashed sender or dropped copy) skips the reduce and keeps the
+    current color -- identical to the fast program's keep-color-on-missing
+    rule -- so Cole-Vishkin cannot non-terminate under this adversary,
+    only degrade (the validators flag the resulting defects).
+
+    ``buf[r & 1][v]`` is the value v broadcast at round r, read by
+    neighbors at round r+1 from the other slot, and the monotone
+    ``bstamp[v]`` is the last round v broadcast, so receivers gate
+    delivery on ``bstamp[u] >= r-1``.
+    """
+    from repro.baselines.cole_vishkin import _cv_steps
+    from repro.core.coloring import ColoringResult
+
+    n = graph.n
+    ids_arr = resolve_ids(graph, ids)
+    running = fp.running(n)
+    steps = _cv_steps(id_space(ids_arr))
+    offsets, indices = graph.csr(dtype="auto")
+    succ = np.asarray(list(successor), dtype=np.int64)
+
+    buf = np.zeros((2, n), dtype=np.int64)  # slot r & 1 = round-r broadcast
+    bstamp = np.zeros(n, dtype=np.int64)
+    term = np.zeros(n, dtype=np.int64)
+    col = np.zeros(n, dtype=np.int64)
+    acct: list[tuple[int, int, int]] = []
+    rnd = 0
+    with profiled("kernel"):
+        while rnd < steps + 4:
+            vg = np.flatnonzero(running)
+            if not vg.size:
+                break
+            rnd += 1
+            hit = fp.strike(rnd, vg)
+            if hit.any():
+                running[vg[hit]] = False
+                vg = vg[~hit]
+                if not vg.size:
+                    break
+
+            if rnd == 1:
+                c_new = ids_arr[vg].astype(np.int64)
+            else:
+                prev = buf[(rnd - 1) & 1]
+                c_new = prev[vg].copy()
+                if rnd <= steps + 1:
+                    # halving step: reduce with the successor's round-(r-1)
+                    # value when it arrived, keep the color otherwise
+                    su = succ[vg]
+                    got = bstamp[su] >= rnd - 1
+                    if got.any():
+                        got &= fp.kept(rnd - 1, su, vg)
+                    # keep-color on missing *or equal* successor value (the
+                    # latter is reachable once a step was skipped)
+                    got &= prev[su] != c_new
+                    if got.any():
+                        cs = prev[su[got]]
+                        c0 = c_new[got]
+                        diff = c0 ^ cs
+                        low = diff & -diff
+                        i = np.log2(low.astype(np.float64)).astype(np.int64)
+                        c_new[got] = 2 * i + ((c0 >> i) & 1)
+                else:
+                    # greedy recolor of class 5 / 4 / 3 over the delivered
+                    # neighbor values from round r-1
+                    cls = 5 - (rnd - steps - 2)
+                    mine = np.flatnonzero(c_new == cls)
+                    mi = vg[mine]
+                    _pos, nbs, owners = _edges(offsets, indices, mi)
+                    got = bstamp[nbs] >= rnd - 1
+                    got &= fp.kept(rnd - 1, nbs, owners)
+                    val = prev[nbs]
+                    used0 = np.zeros(n, dtype=bool)
+                    used0[owners[got & (val == 0)]] = True
+                    used1 = np.zeros(n, dtype=bool)
+                    used1[owners[got & (val == 1)]] = True
+                    c_new[mine] = np.where(~used0[mi], 0, np.where(~used1[mi], 1, 2))
+            if rnd <= steps + 3:
+                buf[rnd & 1][vg] = c_new
+                bstamp[vg] = rnd
+                _broadcast(fp, rnd, offsets, indices, vg, term, 0, acct)
+            else:
+                col[vg] = c_new
+                term[vg] = rnd
+                running[vg] = False
+                _broadcast(fp, rnd, offsets, indices, vg[:0], term, int(vg.size), acct)
+
+    colors = column_dict(col, term > 0)
+    res = _finish(
+        injector, fp, rnd, None, steps + 4, acct, term,
+        {v: (1, c) for v, c in colors.items()},
+    )
+    return ColoringResult(
+        colors=colors,
+        h_index=dict.fromkeys(colors, 1),
+        metrics=res.metrics,
+        palette_bound=3,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Defective coloring (Section 7.8.1 building block)
 # ---------------------------------------------------------------------------
@@ -395,15 +672,16 @@ def bulk_defective_coloring(
     -- the lockstep the generator's self-synchronizing loop converges to
     on a whole graph.  Accounting: K broadcast rounds (isolated vertices
     finish all their picks in round 1), then one terminating round.
+    Under a fault session the run goes to
+    :func:`_defective_coloring_kernel`.
     """
-    if _faulted():
-        from repro.core.faulted import faulted_defective_coloring
-
-        return faulted_defective_coloring(
-            graph, d, degree_limit=degree_limit, ids=ids, seed=seed
-        )
     from repro.core.defective import DefectiveColoringResult, defective_schedule
 
+    injector, fp = _session(graph.n, "defective coloring")
+    if injector is not None:
+        return _defective_coloring_kernel(
+            graph, d, degree_limit, ids, injector, fp
+        )
     n = graph.n
     ids_arr = resolve_ids(graph, ids)
     A = degree_limit if degree_limit is not None else graph.max_degree()
@@ -440,6 +718,165 @@ def bulk_defective_coloring(
         term = np.zeros(0, dtype=np.int64)
         sent, msgs, recv = [], [], []
     res = finalize_run(dict(enumerate(colors)), term, sent, msgs, recv)
+    return DefectiveColoringResult(
+        colors=res.outputs,
+        metrics=res.metrics,
+        palette_bound=bound,
+        defect_bound=d,
+    )
+
+
+def _defective_coloring_kernel(
+    graph, d, degree_limit, ids, injector, fp: FaultParams
+):
+    """The defective-coloring schedule under crash-stop / message-drop
+    faults.
+
+    The fast program is *self-synchronizing*: it broadcasts family step k
+    and then waits until every neighbor's step k arrived, with no resend.
+    Two consequences shape this kernel.  First, a vertex released from a
+    long wait catches up by broadcasting several steps in one round, so a
+    (src, dst) pair can carry multiple copies per round -- the adversary's
+    per-copy index is the step's offset within the sender's round batch.
+    Second, one dropped copy (or a crashed neighbor) stalls its receiver
+    at that step forever, which cascades; the watchdog reports the same
+    legitimate non-termination the fast engine does.
+
+    ``ustep[r & 1][v]`` is v's cumulative broadcast count as of round r
+    (written every round v is alive, so the previous-parity slot is
+    always fresh for delivery), ``ucol[s & 1][v]`` the color value of v's
+    step-s broadcast (neighbor step skew is at most one wait, so a slot is
+    consumed before it is overwritten), and the monotone ``ulast[v]``
+    stamps v's last live round, so only that round's live vertices
+    broadcast.  Receiver-owned per-edge state: ``e_seen[j]`` copies
+    fate-processed so far, ``e_gap[j]`` the first step not yet delivered
+    (the wait barrier -- a drop freezes it permanently).
+    """
+    from repro.core.defective import DefectiveColoringResult, defective_schedule
+
+    n = graph.n
+    ids_arr = resolve_ids(graph, ids)
+    running = fp.running(n)
+    A = degree_limit if degree_limit is not None else graph.max_degree()
+    A = max(A, 1)
+    space = id_space(ids_arr)
+    schedule = defective_schedule(space, A, d)
+    bound = schedule[-1].ground_size if schedule else space
+    max_rounds = 4 * len(schedule) + 64
+    n_steps = len(schedule)
+    offsets, indices = graph.csr(dtype="auto")
+    offsets = offsets.astype(np.int64)
+    deg = np.diff(offsets)
+
+    ustep = np.zeros((2, n), dtype=np.int64)
+    ucol = np.zeros((2, n), dtype=np.int64)
+    ulast = np.zeros(n, dtype=np.int64)
+    term = np.zeros(n, dtype=np.int64)
+    col = np.zeros(n, dtype=np.int64)
+    # row starts of the non-isolated vertices, for per-row minima
+    nz = deg > 0
+    nz_starts = offsets[:-1][nz]
+    nb_list, off_list = indices.tolist(), offsets.tolist()
+    e_seen = np.zeros(indices.size, dtype=np.int64)
+    e_gap = np.zeros(indices.size, dtype=np.int64)
+    bc = [0] * n  # steps broadcast so far; picks done = bc - 1 or bc
+    cols = ids_arr.tolist()
+    acct: list[tuple[int, int, int]] = []
+    watchdog = None
+    rnd = 0
+    with profiled("kernel"):
+        while True:
+            run_idx = np.flatnonzero(running)
+            if not run_idx.size:
+                break
+            rnd += 1
+            srnd = fp.offset + rnd
+            hit = fp.strike(rnd, run_idx)
+            if hit.any():
+                running[run_idx[hit]] = False
+                run_idx = run_idx[~hit]
+                if not run_idx.size:
+                    break
+            if rnd > max_rounds:
+                watchdog = run_idx.tolist()
+                break
+
+            halts = 0
+            # Fate-process the copies broadcast at round rnd-1 (delivery
+            # advances each edge's contiguous-prefix gap; a dropped step
+            # freezes it -- there are no resends).
+            if rnd > 1:
+                ej, us, owners = _edges(offsets, indices, run_idx)
+                cnt = ustep[(rnd - 1) & 1][us]
+                fresh = cnt > e_seen[ej]
+                ej, us, owners, cnt = ej[fresh], us[fresh], owners[fresh], cnt[fresh]
+                base = e_seen[ej]
+                # copies delivered before the first dropped one, per edge
+                adv = cnt - base
+                if fp.drop and ej.size:
+                    item, kidx = _expand(adv)
+                    lost = drop_many(
+                        fp.seed, srnd - 1, us[item], owners[item], kidx, fp.drop
+                    )
+                    np.minimum.at(adv, item[lost], kidx[lost])
+                at_gap = e_gap[ej] == base
+                e_gap[ej[at_gap]] += adv[at_gap]
+                e_seen[ej] = cnt
+            # Make progress: first activation broadcasts step 0, then every
+            # satisfied wait picks and broadcasts the next step (possibly
+            # several in one round), terminating after the last pick.
+            gap_min = np.full(n, n_steps + 1, dtype=np.int64)
+            if nz_starts.size:
+                gap_min[nz] = np.minimum.reduceat(e_gap, nz_starts)
+            gap_min = gap_min.tolist()
+            for v in run_idx.tolist():
+                b = bc[v]
+                done = False
+                if b == 0:
+                    if n_steps == 0:
+                        done = True
+                    else:
+                        ucol[0][v] = cols[v]
+                        b = 1
+                if not done:
+                    while b >= 1 and gap_min[v] >= b:
+                        fam = schedule[b - 1]
+                        cols[v] = fam.pick(
+                            cols[v],
+                            [
+                                int(ucol[(b - 1) & 1][u])
+                                for u in nb_list[off_list[v] : off_list[v + 1]]
+                            ],
+                        )
+                        if b == n_steps:
+                            done = True
+                            break
+                        ucol[b & 1][v] = cols[v]
+                        b += 1
+                bc[v] = b
+                ustep[rnd & 1][v] = b
+                ulast[v] = rnd
+                if done:
+                    term[v] = rnd
+                    col[v] = cols[v]
+                    running[v] = False
+                    halts += 1
+
+            # this round's batched broadcasts: one entry per copy, its
+            # index within the sender's batch
+            senders = np.flatnonzero(ulast == rnd)
+            item, kidx = _expand(
+                ustep[rnd & 1][senders] - ustep[(rnd - 1) & 1][senders]
+            )
+            _broadcast(
+                fp, rnd, offsets, indices, senders[item], term, halts, acct,
+                copy=kidx,
+            )
+
+    res = _finish(
+        injector, fp, rnd, watchdog, max_rounds, acct, term,
+        column_dict(col, term > 0),
+    )
     return DefectiveColoringResult(
         colors=res.outputs,
         metrics=res.metrics,

@@ -117,8 +117,8 @@ def drop_fate(seed: int, rnd: int, src: int, dst: int, k: int, drop: float) -> b
 
     Pure function of its arguments -- the same draw
     :meth:`FaultInjector.fate` makes first -- so the columnar kernels,
-    which evaluate message fates receiver-side and possibly in a
-    different order and process, reproduce the identical drop stream.
+    which evaluate a whole round's message fates at once and possibly
+    in a different order, reproduce the identical drop stream.
     :func:`drop_many` is its vectorised form.
     """
     h = rng.fold(_msg_prefix(seed, rnd), src, dst, k, _DROP)

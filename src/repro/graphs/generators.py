@@ -235,6 +235,7 @@ def forest_union_csr(n: int, a: int, seed: int = 0, dtype: str = "auto") -> Grap
         hi_parts.append(np.maximum(u, v))
     lo = np.concatenate(lo_parts)
     hi = np.concatenate(hi_parts)
+    # hash-based in numpy 2.4; a sort-based dedup is ROADMAP item 1
     codes = np.unique(lo.astype(np.int64) * n + hi)
     lo = codes // n
     hi = codes % n

@@ -39,12 +39,11 @@ computation).  :class:`repro.obs.collect.MetricsCollector` accepts this
 aggregate granularity; per-vertex ``halt``/``commit`` events are simply
 absent from bulk traces.
 
-Fault injection: the closed-form rounds have no seam for the
-adversary's per-message hooks, so under an installed fault session each
-algorithm driver delegates to its fault-aware kernel in
-:mod:`repro.core.faulted`, which replays crash-stop and message-drop
-plans and finishes through :func:`finalize_faulted_run`.  Only
-:func:`bulk_broadcast_kernel` has no such kernel; it calls
+Fault injection: the algorithm kernels in :mod:`repro.core.bulk` step
+one round per iteration and replay crash-stop and message-drop plans
+themselves; a clean run is the empty plan, and every run finishes
+through the one :func:`finalize_run` (its crash log empty on a clean
+run).  Only :func:`bulk_broadcast_kernel` has no fault model; it calls
 :func:`require_no_faults` so an installed fault session fails loudly
 rather than being ignored.
 """
@@ -123,7 +122,7 @@ def column_dict(col: np.ndarray, keep: np.ndarray | None = None) -> dict[int, An
     """``{v: col[v]}`` with plain Python values, over every vertex or only
     those where ``keep`` is set (one ``tolist`` per column, no per-element
     boxing)."""
-    if keep is None:
+    if keep is None or keep.all():
         return dict(enumerate(col.tolist()))
     vs = np.flatnonzero(keep)
     return dict(zip(vs.tolist(), col[vs].tolist()))
@@ -151,6 +150,23 @@ def require_no_faults(name: str) -> None:
         )
 
 
+def row_positions(offsets: np.ndarray, verts: np.ndarray) -> np.ndarray:
+    """The CSR edge positions of the rows of ``verts``, row after row.
+
+    ``indices[row_positions(offsets, verts)]`` is the concatenated
+    adjacency of ``verts``; the positions themselves address per-edge
+    state stored alongside ``indices``.
+    """
+    starts = offsets[verts].astype(np.int64)
+    counts = offsets[verts + 1] - starts
+    total = int(counts.sum())
+    if total == 0:
+        return np.zeros(0, dtype=np.int64)
+    pos = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    pos += np.arange(total, dtype=np.int64)
+    return pos
+
+
 def gather_rows(
     offsets: np.ndarray, indices: np.ndarray, verts: np.ndarray
 ) -> np.ndarray:
@@ -161,18 +177,7 @@ def gather_rows(
     """
     if verts.size == 0:
         return indices[:0]
-    starts = offsets[verts]
-    counts = offsets[verts + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        return indices[:0]
-    cum = np.cumsum(counts)
-    pos = (
-        np.arange(total, dtype=np.int64)
-        - np.repeat(cum - counts, counts)
-        + np.repeat(starts, counts)
-    )
-    return indices[pos]
+    return indices[row_positions(offsets, verts)]
 
 
 def finalize_run(
@@ -182,152 +187,103 @@ def finalize_run(
     msgs: Sequence[int],
     receivers: Sequence[int],
     bus=None,
+    *,
+    crash_rounds: dict[int, int] | None = None,
+    pre_crashed: Sequence[int] = (),
+    crashed: Sequence[int] = (),
+    drops: Sequence[tuple[int, int, int]] = (),
 ) -> RunResult:
     """Assemble a :class:`RunResult` from a bulk driver's final arrays.
 
-    ``term`` is the per-vertex termination round (int64, all >= 1 for a
-    completed run); ``sent`` / ``msgs`` / ``receivers`` are per-round
-    totals matching the generator engines' accounting (``msgs`` includes
-    the one halt notice per terminating vertex).  The active trace is
-    derived from ``term``: n_i = #{v : term(v) >= i}.
+    ``term`` is the per-vertex termination round (0 for a crashed
+    vertex); ``sent`` / ``msgs`` / ``receivers`` are per-round totals
+    matching the generator engines' accounting (``msgs`` includes the one
+    halt notice per terminating vertex), and their length is the recorded
+    round count.  The active trace is derived from ``term``: n_i is the
+    number of vertices that terminate at round >= i or crash only at a
+    later round's start.
+
+    A clean run leaves the fault arguments empty.  Under a fault plan,
+    ``crash_rounds`` maps each newly-crashed vertex to the round whose
+    start it crashed at (its metrics round is that minus one, exactly the
+    fast engine's accounting); ``pre_crashed`` are vertices already dead
+    from an earlier run in the fault session (metrics round 0, no
+    event); ``crashed`` is the session's whole crashed set for the
+    result.  A final round in which every remaining vertex crashed is
+    *unrecorded*, mirroring the fast engine's break-before-trace, but its
+    ``fault_crash`` events are still emitted after the last ``round_end``.
+    ``drops`` are the adversary's dropped copies as ``(round, src, dst)``
+    triples (emitted per round, sorted, right after ``round_start`` --
+    the fast engine drops copies during routing, after the round has
+    started).
 
     When an event bus is live (explicit ``bus`` or the process-wide
     default), one ``round_start`` / ``round_sends`` / ``round_end``
     triple per round is emitted -- the aggregate tracing granularity.
     """
     with profiled("finalize"):
-        return _finalize_run(outputs, term, sent, msgs, receivers, bus)
+        n = int(term.size)
+        rounds_run = len(sent)
+        assert len(msgs) == rounds_run and len(receivers) == rounds_run
 
+        crash_rounds = crash_rounds or {}
+        crash_v = np.fromiter(crash_rounds, dtype=np.int64, count=len(crash_rounds))
+        crash_r = np.fromiter(
+            crash_rounds.values(), dtype=np.int64, count=len(crash_rounds)
+        )
+        rounds_arr = term
+        if crash_v.size or len(pre_crashed):
+            rounds_arr = term.copy()
+            rounds_arr[crash_v] = crash_r - 1
+            rounds_arr[np.asarray(pre_crashed, dtype=np.int64)] = 0
 
-def _finalize_run(outputs, term, sent, msgs, receivers, bus) -> RunResult:
-    n = int(term.size)
-    rounds_run = int(term.max()) if n else 0
-    halts = (
-        np.bincount(term, minlength=rounds_run + 1)[1:]
-        if n
-        else np.zeros(0, dtype=np.int64)
-    )
-    active = n - np.concatenate(
-        ([0], np.cumsum(halts)[:-1])
-    ) if rounds_run else np.zeros(0, dtype=np.int64)
-    assert len(sent) == rounds_run and len(msgs) == rounds_run
-    assert len(receivers) == rounds_run
+        # halts[r] = vertices terminating at round r (halts[0]: never did)
+        halts = np.bincount(term, minlength=rounds_run + 2)
+        # n_i = n - #{term < i} + #{crashes at a round start after i}
+        crash_after = crash_r.size - np.cumsum(
+            np.bincount(crash_r, minlength=rounds_run + 2)
+        )
+        active = n - np.cumsum(halts)[:rounds_run] + crash_after[1 : rounds_run + 1]
 
-    if bus is None:
-        bus = obs.current()
-    if bus is not None and bus.active:
-        for i in range(rounds_run):
-            rnd = i + 1
-            bus.emit(RoundStart(rnd, int(active[i])))
-            if sent[i]:
-                bus.emit(RoundSends(rnd, int(sent[i])))
-            bus.emit(
-                RoundEnd(rnd, int(msgs[i]), int(receivers[i]), int(halts[i]))
-            )
+        crashes_by_round: dict[int, list[int]] = {}
+        for v, c in sorted(crash_rounds.items()):
+            crashes_by_round.setdefault(c, []).append(v)
+        drops_by_round: dict[int, list[tuple[int, int]]] = {}
+        for r, src, dst in drops:
+            drops_by_round.setdefault(r, []).append((src, dst))
 
-    term_t = tuple(term.tolist())
-    metrics = RoundMetrics(
-        rounds=term_t,
-        active_trace=tuple(active.tolist()),
-        messages_per_round=tuple(map(int, msgs)),
-    )
-    return RunResult(
-        outputs=outputs,
-        metrics=metrics,
-        contexts=(),
-        output_rounds=term_t,
-        crashed=(),
-    )
+        if bus is None:
+            bus = obs.current()
+        if bus is not None and bus.active:
+            for i in range(rounds_run):
+                rnd = i + 1
+                for v in crashes_by_round.get(rnd, ()):
+                    bus.emit(FaultCrash(rnd, v))
+                bus.emit(RoundStart(rnd, int(active[i])))
+                for src, dst in sorted(drops_by_round.get(rnd, ())):
+                    bus.emit(FaultDrop(rnd, src, dst))
+                if sent[i]:
+                    bus.emit(RoundSends(rnd, int(sent[i])))
+                bus.emit(
+                    RoundEnd(rnd, int(msgs[i]), int(receivers[i]), int(halts[rnd]))
+                )
+            # crashes that emptied the network in the unrecorded final round
+            for v in crashes_by_round.get(rounds_run + 1, ()):
+                bus.emit(FaultCrash(rounds_run + 1, v))
 
-
-def finalize_faulted_run(
-    outputs: dict[int, Any],
-    term: np.ndarray,
-    crash_rounds: dict[int, int],
-    pre_crashed: Sequence[int],
-    sent: Sequence[int],
-    msgs: Sequence[int],
-    receivers: Sequence[int],
-    crashed_all: Sequence[int],
-    bus=None,
-    drops: Sequence[tuple[int, int, int]] = (),
-) -> RunResult:
-    """Assemble a :class:`RunResult` for a crash-faulted bulk run.
-
-    ``term`` holds termination rounds (0 for crashed vertices);
-    ``crash_rounds`` maps each newly-crashed vertex to the round whose
-    start it crashed at (its metrics round is that minus one, exactly the
-    fast engine's accounting); ``pre_crashed`` are vertices already dead
-    from an earlier run in the fault session (metrics round 0, no event).
-    The recorded round count is ``len(sent)`` -- a final round in which
-    every remaining vertex crashed is *unrecorded*, mirroring the fast
-    engine's break-before-trace, but its ``fault_crash`` events are still
-    emitted after the last ``round_end``.  ``drops`` are the adversary's
-    dropped copies as ``(round, src, dst)`` triples (emitted per round,
-    sorted, right after ``round_start`` -- the fast engine drops copies
-    during routing, after the round has started).
-    """
-    n = int(term.size)
-    rounds_run = len(sent)
-    assert len(msgs) == rounds_run and len(receivers) == rounds_run
-
-    crash_v = np.fromiter(crash_rounds, dtype=np.int64, count=len(crash_rounds))
-    crash_r = np.fromiter(
-        crash_rounds.values(), dtype=np.int64, count=len(crash_rounds)
-    )
-    rounds_arr = term.copy()
-    rounds_arr[crash_v] = crash_r - 1
-    rounds_arr[np.asarray(pre_crashed, dtype=np.int64)] = 0
-
-    halts = np.bincount(
-        term[term > 0], minlength=rounds_run + 2
-    ) if n else np.zeros(rounds_run + 2, dtype=np.int64)
-    # n_i = live vertices entering round i: uncrashed with term >= i plus
-    # crashed vertices that only crash at a later round's start.
-    rnds = np.arange(1, rounds_run + 1)
-    active = (n - np.searchsorted(np.sort(term), rnds, side="left")) + (
-        crash_r.size - np.searchsorted(np.sort(crash_r), rnds, side="right")
-    )
-
-    crashes_by_round: dict[int, list[int]] = {}
-    for v, c in sorted(crash_rounds.items()):
-        crashes_by_round.setdefault(c, []).append(v)
-    drops_by_round: dict[int, list[tuple[int, int]]] = {}
-    for r, src, dst in drops:
-        drops_by_round.setdefault(r, []).append((src, dst))
-
-    if bus is None:
-        bus = obs.current()
-    if bus is not None and bus.active:
-        for i in range(rounds_run):
-            rnd = i + 1
-            for v in crashes_by_round.get(rnd, ()):
-                bus.emit(FaultCrash(rnd, v))
-            bus.emit(RoundStart(rnd, int(active[i])))
-            for src, dst in sorted(drops_by_round.get(rnd, ())):
-                bus.emit(FaultDrop(rnd, src, dst))
-            if sent[i]:
-                bus.emit(RoundSends(rnd, int(sent[i])))
-            bus.emit(
-                RoundEnd(rnd, int(msgs[i]), int(receivers[i]), int(halts[rnd]))
-            )
-        # crashes that emptied the network in the unrecorded final round
-        for v in crashes_by_round.get(rounds_run + 1, ()):
-            bus.emit(FaultCrash(rounds_run + 1, v))
-
-    rounds_t = tuple(rounds_arr.tolist())
-    metrics = RoundMetrics(
-        rounds=rounds_t,
-        active_trace=tuple(active.tolist()),
-        messages_per_round=tuple(map(int, msgs)),
-    )
-    return RunResult(
-        outputs=outputs,
-        metrics=metrics,
-        contexts=(),
-        output_rounds=rounds_t,
-        crashed=tuple(sorted(crashed_all)),
-    )
+        rounds_t = tuple(rounds_arr.tolist())
+        metrics = RoundMetrics(
+            rounds=rounds_t,
+            active_trace=tuple(active.tolist()),
+            messages_per_round=tuple(map(int, msgs)),
+        )
+        return RunResult(
+            outputs=outputs,
+            metrics=metrics,
+            contexts=(),
+            output_rounds=rounds_t,
+            crashed=tuple(sorted(crashed)),
+        )
 
 
 def bulk_broadcast_kernel(graph: Graph, rounds: int = 10) -> RunResult:

@@ -5,38 +5,30 @@ when" view that complements the aggregate
 :class:`repro.runtime.metrics.RoundMetrics`): which vertices terminated
 or committed each round, and how many messages the programs sent.
 
-Two ways to build one:
+:class:`TraceRecorder` builds one: a thin :class:`repro.obs.EventBus`
+sink.  Attach it to a run and the engines' event stream fills the
+trace::
 
-* :class:`TraceRecorder` -- a thin :class:`repro.obs.EventBus` sink; the
-  preferred path.  Attach it to a run and the engines' event stream
-  fills the trace::
+    rec = TraceRecorder()
+    SyncNetwork(g).run(program, bus=EventBus(rec))
+    print(rec.trace.narrative())
 
-      rec = TraceRecorder()
-      SyncNetwork(g).run(program, bus=EventBus(rec))
-      print(rec.trace.narrative())
-
-* :func:`traced` -- the legacy program-factory wrapper, kept for
-  backwards compatibility but **deprecated**: it intercepts every vertex
-  generator, costs a wrapper frame per vertex per round, and only sees
-  what the wrapper can observe.  The sink path costs nothing when not
-  attached and shares the engines' single instrumentation substrate.
+It costs nothing when not attached and shares the engines' single
+instrumentation substrate.
 
 Message counts: a trace counts what the *programs sent* (``ctx.send`` /
 ``ctx.broadcast`` payloads actually routed), which differs from
 ``RoundMetrics.messages_per_round`` -- the engine's delivered traffic --
-by same-round drops and halt notices.  Both builders agree on this
-definition, and the differential suite pins them to each other.
+by same-round drops and halt notices; the differential suite pins the
+traces of both engines to each other.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import Any, Callable, Generator
 
 from repro.obs.events import Event
 from repro.obs.sinks import Sink
-from repro.runtime.context import Context
 
 
 @dataclass
@@ -110,8 +102,7 @@ class TraceRecorder(Sink):
     Consumes the engines' typed events -- ``round_start`` creates the
     round's record, ``send``/``broadcast`` accumulate the per-round
     message count, ``commit`` and ``halt`` append the vertex in engine
-    order -- producing exactly the trace :func:`traced` used to build by
-    wrapping every program generator, without touching the programs.
+    order -- without touching the programs.
     """
 
     def __init__(self, trace: Trace | None = None) -> None:
@@ -130,46 +121,3 @@ class TraceRecorder(Sink):
         elif kind == "commit":
             self.trace.record(event.round).committed.append(event.v)
 
-
-def traced(
-    program: Callable[[Context], Generator[None, None, Any]], trace: Trace
-) -> Callable[[Context], Generator[None, None, Any]]:
-    """Wrap a program factory so each vertex reports into ``trace``.
-
-    .. deprecated::
-        Attach a :class:`TraceRecorder` sink to the run's
-        :class:`repro.obs.EventBus` instead; the wrapper path adds a
-        generator frame per vertex per round and exists only for
-        backwards compatibility.
-    """
-    warnings.warn(
-        "traced() is deprecated; attach a TraceRecorder sink to an "
-        "EventBus (SyncNetwork.run(bus=...)) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-
-    def wrapper(ctx: Context):
-        gen = program(ctx)
-        committed_seen = False
-        try:
-            while True:
-                next(gen)
-                rec = trace.record(ctx.round)
-                # messages this vertex sent during the round, counted the
-                # same way under the fast engine (which routes at send
-                # time) and the reference engine (which batches _outgoing)
-                rec.messages += ctx._sent_round
-                if not committed_seen and ctx.committed:
-                    rec.committed.append(ctx.v)
-                    committed_seen = True
-                yield
-        except StopIteration as stop:
-            rec = trace.record(ctx.round)
-            rec.messages += ctx._sent_round
-            if not committed_seen and ctx.committed:
-                rec.committed.append(ctx.v)
-            rec.terminated.append(ctx.v)
-            return stop.value
-
-    return wrapper

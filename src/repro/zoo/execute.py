@@ -179,11 +179,10 @@ def execute(
                 f"{what} has no bulk driver; engine='bulk' is available "
                 f"for: {capable}"
             )
-        # Fault plans are fine on the bulk engine: every bulk driver
-        # delegates to its fault-aware kernel (repro.core.faulted),
-        # which re-derives the adversary from the pure counter-based
-        # draws; only duplicate/delay plans are rejected
-        # (BulkUnsupported) for lack of a receiver-side replay.
+        # Fault plans are fine on the bulk engine: every bulk kernel
+        # (repro.core.bulk) re-derives the adversary from the pure
+        # counter-based draws; only duplicate/delay plans are rejected
+        # (BulkUnsupported), as they need multi-round buffering.
 
     sinks = []
     if trace:

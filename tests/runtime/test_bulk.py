@@ -201,6 +201,47 @@ class TestChunkedKernels:
         assert got.h_index == ref.h_index
         assert got.metrics == ref.metrics
 
+    @pytest.mark.parametrize("driver", ["partition", "luby"])
+    def test_chunked_matches_under_crash_and_drop(self, monkeypatch, driver):
+        """Fault-aware runs tile too: outputs, metrics, the crashed set
+        and the ``fault_drop`` stream survive a 7-vertex chunk."""
+        import repro
+        import repro.core.bulk as cb
+        import repro.obs as obs
+        from repro.faults import CrashSpec, FaultPlan, MessageFaults, session
+        from repro.obs.events import EventBus, FaultDrop
+        from repro.obs.sinks import MemorySink
+
+        g = gen.union_of_forests(600, 3, seed=2)
+        plan = FaultPlan(
+            seed=5,
+            crashes=CrashSpec(at={3: 2, 40: 3, 41: 4, 200: 5}, hazard=0.01),
+            messages=MessageFaults(drop=0.05),
+        )
+        run, extract = {
+            "partition": (lambda: repro.run_partition(g, a=3), lambda r: r.h_index),
+            "luby": (lambda: repro.run_luby_mis(g, seed=1), lambda r: r.in_mis),
+        }[driver]
+
+        def outcome():
+            sink = MemorySink()
+            with engine_session("bulk"), session(plan) as inj, obs.session(
+                EventBus(sink)
+            ):
+                try:
+                    res = run()
+                except RoundLimitExceeded as err:
+                    res = err
+            drops = [e.to_record() for e in sink.events if isinstance(e, FaultDrop)]
+            if isinstance(res, RoundLimitExceeded):
+                return ("watchdog", sorted(res.active), drops)
+            return (extract(res), res.metrics, sorted(inj.crashed), drops)
+
+        ref = outcome()
+        assert ref[0] != "watchdog" and ref[2] and ref[3]
+        monkeypatch.setattr(cb, "BULK_CHUNK", 7)
+        assert outcome() == ref
+
     def test_broadcast_kernel_chunked_matches(self, monkeypatch):
         import repro.runtime.bulk as rb
 
@@ -209,3 +250,21 @@ class TestChunkedKernels:
         monkeypatch.setattr(rb, "BULK_CHUNK", 3)
         got = bulk_broadcast_kernel(g, rounds=4)
         assert got.metrics == ref.metrics
+
+
+@pytest.mark.parametrize(
+    "faults",
+    [None, "crash"],
+    ids=["clean", "crash"],
+)
+def test_profiled_bulk_run_times_kernel_and_finalize(faults):
+    """The single finalizer times itself: a profiled bulk run reports
+    both the ``kernel`` and the ``finalize`` phase, clean or faulted."""
+    from repro import zoo
+    from repro.faults import CrashSpec, FaultPlan
+
+    plan = FaultPlan(seed=3, crashes=CrashSpec(hazard=0.01)) if faults else None
+    g = gen.forest_union_csr(2000, 3, seed=1)
+    ex = zoo.execute("partition", g, a=3, engine="bulk", profile=True, faults=plan)
+    assert ex.completed
+    assert {"kernel", "finalize"} <= set(ex.profiler.as_dict())

@@ -21,9 +21,10 @@ the adversary.
 import pytest
 
 from repro.bench.workloads import WORKLOADS
+from repro.obs.events import EventBus
 from repro.runtime.network import SyncNetwork
 from repro.runtime.reference import ReferenceSyncNetwork
-from repro.runtime.trace import Trace, traced
+from repro.runtime.trace import TraceRecorder
 
 # every family the benchmark tables quantify over (>= 5 required)
 FAMILIES = sorted(WORKLOADS)
@@ -150,9 +151,9 @@ def _run_both(family, seed, program, with_trace=False):
     traces = []
     for cls in (SyncNetwork, ReferenceSyncNetwork):
         if with_trace:
-            trace = Trace()
-            res = cls(g, ids=ids, seed=seed).run(traced(program, trace))
-            traces.append(trace)
+            rec = TraceRecorder()
+            res = cls(g, ids=ids, seed=seed).run(program, bus=EventBus(rec))
+            traces.append(rec.trace)
         else:
             res = cls(g, ids=ids, seed=seed).run(program)
         results.append(res)
@@ -352,10 +353,10 @@ def test_three_way_defective_coloring(family, d):
 
 @pytest.mark.parametrize("driver", ["run_partition", "run_luby_mis"])
 def test_bulk_fault_sessions_delegate_and_agree(driver):
-    """A live crash/drop fault session routes the bulk twin through its
-    fault-aware kernel (repro.core.faulted), replaying the fast engine's
+    """Under a live crash/drop fault session the bulk twin's single
+    kernel (repro.core.bulk) replays the fast engine's
     counter-based adversary exactly; only duplicate/delay plans -- which
-    have no receiver-side replay -- are refused loudly."""
+    need multi-round buffering -- are refused loudly."""
     import repro
     from repro import faults as flt
     from repro.faults import CrashSpec, FaultPlan, MessageFaults

@@ -305,21 +305,31 @@ def test_bulk_rejects_duplicate_and_delay_plans(plan):
             repro.run_luby_mis(g, ids=ids, seed=0)
 
 
-def test_faulted_watchdog_matches_bulk_partition():
-    """The fault-aware kernel's watchdog carries the same round budget
-    and active set as the closed-form ``bulk_partition``."""
-    from repro.core.bulk import bulk_partition
-    from repro.core.faulted import faulted_partition
+@pytest.mark.parametrize(
+    "plan",
+    [None, FaultPlan(seed=1, crashes=CrashSpec(at={0: 2, 5: 4}))],
+    ids=["clean", "crash"],
+)
+def test_bulk_watchdog_matches_fast_partition(plan):
+    """The bulk Partition kernel's watchdog carries the fast engine's
+    round budget and active set, on a clean run and under crashes."""
+    from contextlib import ExitStack
 
     # K_9 with a=1 gives A=3 < deg=8: nobody ever joins, watchdog fires
     g = gen.complete(9)
-    with pytest.raises(RoundLimitExceeded) as clean_err:
-        bulk_partition(g, a=1, max_rounds=3)
-    with session(FaultPlan(seed=1, crashes=CrashSpec(at={0: 99}))):
-        with pytest.raises(RoundLimitExceeded) as fault_err:
-            faulted_partition(g, a=1, max_rounds=3)
-    assert fault_err.value.limit == clean_err.value.limit
-    assert sorted(fault_err.value.active) == sorted(clean_err.value.active)
+    errs = []
+    for engine in ("fast", "bulk"):
+        with ExitStack() as stack:
+            stack.enter_context(engine_session(engine))
+            if plan is not None:
+                stack.enter_context(session(plan))
+            with pytest.raises(RoundLimitExceeded) as err:
+                repro.run_partition(g, a=1)
+        errs.append(err.value)
+    fast, bulk = errs
+    assert bulk.limit == fast.limit
+    assert sorted(bulk.active) == sorted(fast.active)
+    assert len(bulk.active) == 9 - (2 if plan is not None else 0)
 
 
 def test_isolated_vertices_under_faults():

@@ -1,7 +1,5 @@
 """Tests for the execution tracer."""
 
-import warnings
-
 import pytest
 
 from repro.core.common import LocalView
@@ -11,7 +9,7 @@ from repro.graphs.graph import Graph
 from repro.obs.events import EventBus
 from repro.runtime.network import SyncNetwork
 from repro.runtime.reference import ReferenceSyncNetwork
-from repro.runtime.trace import Trace, TraceRecorder, traced
+from repro.runtime.trace import Trace, TraceRecorder
 
 
 def test_trace_records_terminations_per_round():
@@ -22,8 +20,9 @@ def test_trace_records_terminations_per_round():
             yield
         return None
 
-    trace = Trace()
-    res = SyncNetwork(g).run(traced(program, trace))
+    rec = TraceRecorder()
+    res = SyncNetwork(g).run(program, bus=EventBus(rec))
+    trace = rec.trace
     assert trace.terminations_per_round() == [1, 1, 1, 1]
     assert trace.termination_rounds() == {0: 1, 1: 2, 2: 3, 3: 4}
     # the trace agrees with the metrics
@@ -40,9 +39,9 @@ def test_trace_counts_messages():
         yield
         return None
 
-    trace = Trace()
-    SyncNetwork(g).run(traced(program, trace))
-    assert trace.messages_per_round()[0] == 8
+    rec = TraceRecorder()
+    SyncNetwork(g).run(program, bus=EventBus(rec))
+    assert rec.trace.messages_per_round()[0] == 8
 
 
 def test_trace_records_commits():
@@ -54,16 +53,16 @@ def test_trace_records_commits():
         yield
         return None
 
-    trace = Trace()
-    SyncNetwork(g).run(traced(program, trace))
-    assert sorted(trace.records[1].committed) == [0, 1]
+    rec = TraceRecorder()
+    SyncNetwork(g).run(program, bus=EventBus(rec))
+    assert sorted(rec.trace.records[1].committed) == [0, 1]
 
 
 def test_trace_partition_matches_decay():
     """Per-round terminations of Partition mirror the active-trace decay
     the averaged analysis rests on."""
     g = gen.union_of_forests(300, 3, seed=1)
-    trace = Trace()
+    rec = TraceRecorder()
     from repro.core.common import degree_bound
 
     A = degree_bound(3, 1.0)
@@ -73,8 +72,8 @@ def test_trace_partition_matches_decay():
         h = yield from join_h_set(ctx, view, A)
         return h
 
-    res = SyncNetwork(g).run(traced(program, trace))
-    per_round = trace.terminations_per_round()
+    res = SyncNetwork(g).run(program, bus=EventBus(rec))
+    per_round = rec.trace.terminations_per_round()
     assert sum(per_round) == g.n
     # reconstruct n_i from the trace and compare with the engine's record
     actives = []
@@ -111,9 +110,10 @@ def test_record_rejects_non_positive_rounds():
     assert [rec.round for rec in trace.records] == [1, 2]
 
 
-def test_trace_recorder_matches_traced_wrapper():
-    """The sink path produces the exact trace the deprecated wrapper
-    builds, under both engines."""
+def test_trace_recorder_matches_across_engines():
+    """The sink path builds the same trace under both engines: one
+    termination per vertex at its metrics round, and the odd vertices'
+    commits in the round after their last broadcast."""
     g = gen.union_of_forests(60, 3, seed=4)
 
     def program(ctx):
@@ -126,19 +126,17 @@ def test_trace_recorder_matches_traced_wrapper():
             yield
         return None
 
+    traces = []
     for cls in (SyncNetwork, ReferenceSyncNetwork):
         rec = TraceRecorder()
-        cls(g).run(program, bus=EventBus(rec))
-        legacy = Trace()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            cls(g).run(traced(program, legacy))
-        assert rec.trace.records == legacy.records
-
-
-def test_traced_emits_deprecation_warning():
-    with pytest.warns(DeprecationWarning, match="TraceRecorder"):
-        traced(lambda ctx: iter(()), Trace())
+        res = cls(g).run(program, bus=EventBus(rec))
+        trace = rec.trace
+        assert trace.termination_rounds() == dict(enumerate(res.metrics.rounds))
+        committed = {v: r.round for r in trace.records for v in r.committed}
+        assert committed == {v: 2 + v % 4 for v in range(g.n) if v % 2}
+        assert sum(trace.messages_per_round()) > 0
+        traces.append(trace.records)
+    assert traces[0] == traces[1]
 
 
 def test_narrative_renders():
@@ -148,7 +146,7 @@ def test_narrative_renders():
         yield
         return None
 
-    trace = Trace()
-    SyncNetwork(g).run(traced(program, trace))
-    text = trace.narrative()
+    rec = TraceRecorder()
+    SyncNetwork(g).run(program, bus=EventBus(rec))
+    text = rec.trace.narrative()
     assert "round" in text and "terminated" in text
