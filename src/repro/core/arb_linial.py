@@ -29,7 +29,7 @@ from typing import Any, Callable, Generator, Iterable, Sequence
 
 from repro.core.common import LocalView
 from repro.core.coverfree import PolyFamily
-from repro.runtime.context import Context
+from repro.runtime.context import WAIT, Context
 
 
 def _step_tag(tag: str, k: int) -> str:
@@ -63,7 +63,7 @@ def arb_linial_steps(
         want = _step_tag(tag, k)
         missing = [u for u in parents if not view.heard(want, u)]
         while missing:
-            yield
+            yield WAIT
             view.absorb(ctx)
             missing = [u for u in missing if not view.heard(want, u)]
         bucket = view.get(want)
@@ -90,7 +90,7 @@ def priority_wave(
     preds = list(predecessors)
     missing = [u for u in preds if not view.heard(tag, u)]
     while missing:
-        yield
+        yield WAIT
         view.absorb(ctx)
         missing = [u for u in missing if not view.heard(tag, u)]
     bucket = view.get(tag)
@@ -144,7 +144,7 @@ def list_coloring_steps(
     member_list = list(members)
     missing = [u for u in member_list if not view.heard(last, u)]
     while missing:
-        yield
+        yield WAIT
         view.absorb(ctx)
         missing = [u for u in missing if not view.heard(last, u)]
     temps = view.get(last)

@@ -35,7 +35,7 @@ from repro.core.coverfree import build_family, palette_schedule
 from repro.core.forests import forest_info_step
 from repro.core.partition import join_h_set
 from repro.graphs.graph import Graph
-from repro.runtime.context import Context
+from repro.runtime.context import WAIT, Context
 from repro.runtime.metrics import RoundMetrics
 from repro.runtime.network import SyncNetwork
 
@@ -268,7 +268,7 @@ def run_oa_coloring(
         psi_tag = f"psi{phase}"
         missing = [u for u in same_set if not view.heard(psi_tag, u)]
         while missing:
-            yield
+            yield WAIT
             view.absorb(ctx)
             missing = [u for u in missing if not view.heard(psi_tag, u)]
         parents = same_phase_later + [

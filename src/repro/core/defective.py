@@ -47,7 +47,7 @@ from typing import Generator, Iterable, Sequence
 from repro.core.common import LocalView, degree_bound
 from repro.core.coverfree import PolyFamily, build_family, palette_schedule
 from repro.graphs.graph import Graph
-from repro.runtime.context import Context
+from repro.runtime.context import WAIT, Context
 from repro.runtime.metrics import RoundMetrics
 from repro.runtime.network import SyncNetwork, current_engine
 
@@ -162,7 +162,7 @@ def defective_coloring_steps(
         ctx.broadcast((step_tag, c))
         missing = [u for u in members if not view.heard(step_tag, u)]
         while missing:
-            yield
+            yield WAIT
             view.absorb(ctx)
             missing = [u for u in missing if not view.heard(step_tag, u)]
         bucket = view.get(step_tag)
@@ -294,7 +294,7 @@ def run_arbdefective_coloring(
         ctx.broadcast((last, psi))
         missing = [u for u in same if not view.heard(last, u)]
         while missing:
-            yield
+            yield WAIT
             view.absorb(ctx)
             missing = [u for u in missing if not view.heard(last, u)]
         psis = view.get(last)

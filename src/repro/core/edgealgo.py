@@ -41,7 +41,7 @@ from repro.core.common import JOIN, LocalView, degree_bound, partition_length_bo
 from repro.core.coverfree import palette_schedule
 from repro.core.partition import join_h_set
 from repro.graphs.graph import Graph, canonical_edge
-from repro.runtime.context import Context
+from repro.runtime.context import WAIT, Context
 from repro.runtime.metrics import RoundMetrics
 from repro.runtime.network import SyncNetwork
 
@@ -58,19 +58,6 @@ def _key_lt(k1, k2) -> bool:
 
 def _key_ge(k1, k2) -> bool:
     return not _key_lt(k1, k2)
-
-
-@dataclass
-class _EdgeState:
-    """One vertex's ledger of its incident edges during the wave."""
-
-    keys: dict[int, tuple]          # neighbor -> key of the shared edge
-    heads_here: set[int]            # neighbors whose shared edge we decide
-    decided: dict[int, Hashable]    # neighbor -> decision value
-
-    def cursor(self) -> tuple | None:
-        undecided = [k for u, k in self.keys.items() if u not in self.decided]
-        return min(undecided) if undecided else None
 
 
 def _edge_wave_program_factory(
@@ -114,7 +101,7 @@ def _edge_wave_program_factory(
                 view.heard(last, u) for u in same
             ):
                 break
-            yield
+            yield WAIT
             view.absorb(ctx)
         my_id = ctx.id
         heads: list[int] = []   # my out-neighbors (I am the tail)
@@ -140,7 +127,7 @@ def _edge_wave_program_factory(
         # Keys of in-edges need the tails' labels.
         missing = set(tails)
         while missing:
-            yield
+            yield WAIT
             view.absorb(ctx)
             for u in list(missing):
                 if view.heard(LABEL, u):
@@ -151,12 +138,25 @@ def _edge_wave_program_factory(
                 keys[u] = (h, 0, psi, lab)
             else:
                 keys[u] = (h, 1, 0, lab)
-        st = _EdgeState(keys=keys, heads_here=set(tails), decided={})
+        # The cursor (the smallest undecided incident key) only grows, so
+        # it is a pointer into the once-sorted key list.  The batches this
+        # vertex decides as head are grouped by key up front, tails in ID
+        # order; a decided batch is removed.
+        order = sorted((k, u) for u, k in keys.items())
+        nid = ctx.neighbor_ids
+        batches: dict[tuple, list[tuple[int, tuple]]] = {}
+        for u in sorted(tails, key=nid.__getitem__):
+            batches.setdefault(keys[u], []).append((u, keys[u]))
+        in_edges = set(tails)
+        decided: dict[int, Hashable] = {}
         my_state = init_state(ctx)
         announced: tuple | None = ("invalid",)  # force first broadcast
+        pos = 0
 
         while True:
-            cur = st.cursor()
+            while pos < len(order) and order[pos][1] in decided:
+                pos += 1
+            cur = order[pos][0] if pos < len(order) else None
             snapshot = (cur, my_state)
             if snapshot != announced:
                 ctx.broadcast((PROG, snapshot))
@@ -166,47 +166,40 @@ def _edge_wave_program_factory(
                     "h": h,
                     "decided": {
                         canonical_edge(ctx.v, u): val
-                        for u, val in st.decided.items()
-                        if u in st.heads_here
+                        for u, val in decided.items()
+                        if u in in_edges
                     },
                     "state": my_state,
                 }
-            # Try to decide the batch at the cursor if we are its head.
-            batch = sorted(
-                (
-                    (u, k)
-                    for u, k in st.keys.items()
-                    if k == cur and u in st.heads_here and u not in st.decided
-                ),
-                key=lambda t: ctx.neighbor_ids[t[0]],
-            )
-            progressed = False
-            if batch:
+            # Decide the batch at the cursor if we are its head and every
+            # tail's announced cursor has reached it.
+            batch = batches.get(cur)
+            if batch is not None:
                 prog = view.get(PROG)
-                ready = True
                 tail_states: dict[int, object] = {}
-                for u, k in batch:
+                for u, _k in batch:
                     p = prog.get(u)
                     if p is None or not _key_ge(p[0], cur):
-                        ready = False
                         break
                     tail_states[u] = p[1]
-                if ready:
+                else:
+                    del batches[cur]
                     values = decide_batch(ctx, my_state, batch, tail_states)
                     for u, _k in batch:
                         val = values[u]
-                        st.decided[u] = val
+                        decided[u] = val
                         my_state = update_state(my_state, u, val, True)
                         ctx.send(u, (DECIDE, val))
-                    progressed = True
-            if not progressed:
-                yield
-                view.absorb(ctx)
-                for u, payloads in ctx.inbox.items():
-                    for tag, payload in payloads:
-                        if tag == DECIDE and u not in st.decided:
-                            st.decided[u] = payload
-                            my_state = update_state(my_state, u, payload, False)
+                    continue
+            # Only mail (tail cursors, our heads' decisions) moves this
+            # vertex on.
+            yield WAIT
+            view.absorb(ctx)
+            for u, payloads in ctx.inbox.items():
+                for tag, payload in payloads:
+                    if tag == DECIDE and u not in decided:
+                        decided[u] = payload
+                        my_state = update_state(my_state, u, payload, False)
 
     return program
 

@@ -35,7 +35,7 @@ from repro.core.common import JOIN, LocalView, degree_bound, partition_length_bo
 from repro.core.coverfree import palette_schedule
 from repro.core.partition import join_h_set
 from repro.graphs.graph import Graph
-from repro.runtime.context import Context
+from repro.runtime.context import WAIT, Context
 from repro.runtime.metrics import RoundMetrics, TimeMetrics
 from repro.runtime.network import SyncNetwork
 
@@ -72,7 +72,7 @@ def _preamble(
     ctx.broadcast((last, temp))
     missing = [u for u in same if not view.heard(last, u)]
     while missing:
-        yield
+        yield WAIT
         view.absorb(ctx)
         missing = [u for u in missing if not view.heard(last, u)]
     temps = view.get(last)
@@ -91,7 +91,7 @@ def _preamble(
 def _await_tag(ctx: Context, view: LocalView, tag: str, senders):
     missing = [u for u in senders if not view.heard(tag, u)]
     while missing:
-        yield
+        yield WAIT
         view.absorb(ctx)
         missing = [u for u in missing if not view.heard(tag, u)]
 

@@ -44,7 +44,7 @@ from repro.core.common import LocalView, degree_bound, partition_length_bound
 from repro.core.coverfree import palette_schedule
 from repro.core.defective import arbdefective_choose, async_h_partition
 from repro.graphs.graph import Graph
-from repro.runtime.context import Context
+from repro.runtime.context import WAIT, Context
 from repro.runtime.network import SyncNetwork
 
 DEC = "opx:dec"  # broadcast: tuple of this vertex's branch decisions so far
@@ -101,7 +101,7 @@ def _await_exacts(
 ) -> Generator[None, None, dict[int, int]]:
     missing = [u for u in members if not view.heard(tag_x, u)]
     while missing:
-        yield
+        yield WAIT
         view.absorb(ctx)
         missing = [u for u in missing if not view.heard(tag_x, u)]
     bucket = view.get(tag_x)
@@ -111,7 +111,7 @@ def _await_exacts(
 def _await_tag(ctx: Context, view: LocalView, tag: str, senders):
     missing = [u for u in senders if not view.heard(tag, u)]
     while missing:
-        yield
+        yield WAIT
         view.absorb(ctx)
         missing = [u for u in missing if not view.heard(tag, u)]
 

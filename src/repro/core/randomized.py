@@ -33,7 +33,7 @@ from repro.core.coloring import ColoringResult
 from repro.core.common import JOIN, LocalView, degree_bound, partition_length_bound
 from repro.core.partition import join_h_set
 from repro.graphs.graph import Graph
-from repro.runtime.context import Context
+from repro.runtime.context import WAIT, Context
 from repro.runtime.network import SyncNetwork
 
 
@@ -176,7 +176,7 @@ def run_aloglogn_coloring(
         tag_f = "p2:f"
         missing = [u for u in higher if not view.heard(tag_f, u)]
         while missing:
-            yield
+            yield WAIT
             view.absorb(ctx)
             missing = [u for u in missing if not view.heard(tag_f, u)]
         forbidden = {view.value(tag_f, u) for u in higher}

@@ -35,7 +35,7 @@ from repro.core.common import JOIN, LocalView, degree_bound, partition_length_bo
 from repro.core.coverfree import palette_schedule
 from repro.core.partition import join_h_set
 from repro.graphs.graph import Graph
-from repro.runtime.context import Context
+from repro.runtime.context import WAIT, Context
 from repro.runtime.network import SyncNetwork
 
 
@@ -230,7 +230,7 @@ def run_ka_coloring(
         ctx.broadcast((psi_tag, psi))
         missing = [u for u in same if not view.heard(psi_tag, u)]
         while missing:
-            yield
+            yield WAIT
             view.absorb(ctx)
             missing = [u for u in missing if not view.heard(psi_tag, u)]
         wave_parents = [u for u in parents if joined.get(u, ell + 1) > h] + [

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.graphs.graph import Graph
-from repro.runtime.context import Context
+from repro.runtime.context import WAIT, Context
 from repro.runtime.metrics import RoundMetrics, TimeMetrics
 from repro.runtime.network import SyncNetwork
 
@@ -91,7 +91,9 @@ def run_leader_election(
         launch(0)
         leader_seen: int | None = None
         while True:
-            yield
+            # Everything below reacts to mail only: sleep through quiet
+            # rounds (most of the Theta(n) rounds after committing).
+            yield WAIT
             for sender, payloads in ctx.inbox.items():
                 for tag, payload in payloads:
                     if tag == PROBE:

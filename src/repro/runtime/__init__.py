@@ -9,12 +9,13 @@ output once to all neighbors and then performs no further computation or
 communication.
 
 Vertex programs are written as generator coroutines: one ``yield`` per
-communication round (see :mod:`repro.runtime.program`).
+communication round (see :mod:`repro.runtime.program`); ``yield WAIT``
+additionally lets the fast engine skip the vertex until mail arrives.
 """
 
 from repro.runtime.async_sched import DELAY_DISTS, DelaySpec, run_async
 from repro.runtime.bulk import BulkUnsupported, bulk_broadcast_kernel
-from repro.runtime.context import Context, RouterState
+from repro.runtime.context import WAIT, Context, RouterState
 from repro.runtime.network import (
     ENGINES,
     MaxRoundsExceeded,
@@ -54,6 +55,7 @@ __all__ = [
     "TimeMetrics",
     "Trace",
     "TraceRecorder",
+    "WAIT",
     "bulk_broadcast_kernel",
     "current_engine",
     "current_mode",

@@ -170,7 +170,7 @@ def run_async(
         RunResult,
         default_max_rounds,
     )
-    from repro.runtime.scheduler import current_delays
+    from repro.runtime.scheduler import SyncBarrierScheduler, current_delays
 
     if delays is None:
         delays = current_delays()
@@ -343,7 +343,6 @@ def run_async(
         )
         ctx.inbox = inbox
         ctx._round = rnd
-        ctx._sent_round = 0
         norm_recv.pop((v, rnd - 1), None)  # delivered; no longer droppable
 
         halted_now = False
@@ -358,21 +357,12 @@ def run_async(
                 finally:
                     prof.add("step", perf_counter() - _t0)
             if yielded is not None:
-                raise RuntimeError(
-                    f"vertex {v} yielded {yielded!r}; programs must "
-                    "use bare `yield` (send via ctx.send/broadcast)"
-                )
+                # WAIT is accepted; the vertex is still stepped every round
+                SyncBarrierScheduler.check_yield(v, yielded)
         except StopIteration as stop:
-            if ctx._commit_round is not None:
-                if stop.value is not None and stop.value != ctx._commit_value:
-                    raise RuntimeError(
-                        f"vertex {v} returned {stop.value!r} after "
-                        f"committing {ctx._commit_value!r}"
-                    )
-                outputs[v] = ctx._commit_value
-            else:
-                outputs[v] = stop.value
-            output = outputs[v]
+            output = outputs[v] = SyncBarrierScheduler.output_of(
+                v, ctx, stop.value
+            )
             gens[v] = None
             halted_now = True
         if ctx._commit_round == rnd:

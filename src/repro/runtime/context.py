@@ -65,6 +65,24 @@ class RouterState:
 _EMPTY_FROZENSET: frozenset[int] = frozenset()
 
 
+class _Wait:
+    """The type of :data:`WAIT` (one instance; it compares by identity)."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "WAIT"
+
+
+#: ``yield WAIT`` ends the round like a bare ``yield`` and promises that
+#: resuming this vertex in a round with an empty inbox and no new halt
+#: notice would change nothing and just yield again.  The fast engine
+#: then keeps the vertex active (it is still charged every round) but
+#: skips resuming it until mail or a halt notice arrives; the reference
+#: engine and the asynchronous executor step it anyway.
+WAIT = _Wait()
+
+
 class Context:
     """The local state and communication interface of one vertex."""
 
@@ -88,7 +106,6 @@ class Context:
         "_router",
         "_act",
         "_act_pos",
-        "_sent_round",
         "_bus",
         "_faults",
     )
@@ -131,7 +148,6 @@ class Context:
         self._router: RouterState | None = None
         self._act: list[int] | None = None
         self._act_pos: dict[int, int] | None = None
-        self._sent_round = 0
         #: the engine wires an active EventBus here; None (the default)
         #: keeps send/broadcast/commit entirely event-free
         self._bus = None
@@ -253,7 +269,6 @@ class Context:
                 rt.dirty.append(u)
             slot.append((self.v, payload))
             rt.msgs += 1
-        self._sent_round += 1
 
     def send_many(self, targets: Iterable[int], payload: Any) -> None:
         for u in targets:
@@ -270,7 +285,6 @@ class Context:
         for d in fi.fate(self._round, self.v, u):
             if d:
                 fi.hold(d, self.v, u, payload)
-                self._sent_round += 1
                 continue
             rt = self._router
             if rt is None:
@@ -281,7 +295,6 @@ class Context:
                     rt.dirty.append(u)
                 slot.append((self.v, payload))
                 rt.msgs += 1
-            self._sent_round += 1
 
     def broadcast(self, payload: Any) -> None:
         """Send ``payload`` to every active neighbor."""
@@ -313,7 +326,6 @@ class Context:
                 if u not in halted:
                     out.append((u, payload))
                     sent += 1
-            self._sent_round += sent
             if sent:
                 b = self._bus
                 if b is not None:
@@ -332,7 +344,6 @@ class Context:
         rt.dirty.extend(act)
         k = len(act)
         rt.msgs += k
-        self._sent_round += k
         b = self._bus
         if b is not None:
             b.emit(_BroadcastEvent(self._round, self.v, k))

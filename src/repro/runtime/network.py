@@ -10,7 +10,9 @@ Vertex programs are generator coroutines created by a *program factory*
   ``ctx.newly_halted`` (termination notices), and call ``ctx.send`` /
   ``ctx.broadcast``.
 * ``yield`` ends the round; messages sent during round r are delivered at
-  the start of round r + 1.
+  the start of round r + 1.  ``yield WAIT`` (:data:`repro.runtime.WAIT`)
+  ends it too, and promises that a round with an empty inbox and no new
+  halt notice would change nothing for this vertex.
 * ``return output`` terminates the vertex.  Its running time r(v) is the
   round in which it returned, and -- per the paper's model -- the final
   output is transmitted once to all neighbors: they observe it in
@@ -38,6 +40,11 @@ in ``tests/runtime/test_equivalence.py`` checks the two produce identical
   lazily only when a program reads ``ctx.inbox``);
 * maintains per-vertex active-neighbor lists with O(1) swap-removal so
   ``ctx.broadcast`` never re-filters halted neighbors;
+* does not resume a vertex whose last yield was ``yield WAIT`` until its
+  mail slot is non-empty (delayed fault copies included) or a halt notice
+  reaches it.  The vertex stays in the active list, so the active trace,
+  crash draws and the watchdog are unchanged, and the ascending stepping
+  order keeps send and inbox order unchanged;
 * drops messages addressed to a vertex that terminated in the same round
   at routing time: they can never be delivered (the receiver performs no
   further computation), so they neither linger in the mail buffers nor
@@ -72,7 +79,7 @@ from typing import Any, Callable, Generator, Mapping, Sequence
 import repro.obs as obs
 from repro.graphs.graph import Graph
 from repro.obs.events import Drop
-from repro.runtime.context import _EMPTY_FROZENSET, Context, RouterState
+from repro.runtime.context import _EMPTY_FROZENSET, WAIT, Context, RouterState
 from repro.runtime.metrics import RoundMetrics, TimeMetrics
 from repro.runtime.scheduler import SyncBarrierScheduler
 
@@ -174,7 +181,8 @@ class RoundLimitExceeded(MaxRoundsExceeded):
     Beyond the message, it carries a machine-readable snapshot for the
     fault harness and for debugging: the budget, the still-active
     vertices, and a per-vertex state summary ``(vertex, rounds run,
-    active neighbors, halted neighbors, committed?)`` -- enough to see,
+    active neighbors, halted neighbors, committed?)``, where rounds run is
+    the budget (every straggler was active throughout) -- enough to see,
     e.g., that every straggler borders a crashed vertex it is waiting on.
     """
 
@@ -207,13 +215,16 @@ class RoundLimitExceeded(MaxRoundsExceeded):
         )
 
     def _summarize(self, v: int) -> tuple:
+        # The budget, not ``ctx.round``: every straggler was active in all
+        # ``limit`` rounds, but the fast engine stops updating the round of
+        # a vertex asleep on ``yield WAIT``.
         if self._contexts is None:
             # bulk engine: no per-vertex Context objects exist
             return (v, self.limit, None, None, None)
         ctx = self._contexts[v]
         return (
             v,
-            ctx.round,
+            self.limit,
             ctx.active_degree(),
             len(ctx.halted),
             ctx.committed,
@@ -450,6 +461,8 @@ class SyncNetwork:
         dirty_next: list[int] = []
         router.slots_next = slots_next
         router.dirty = dirty_next
+        # 1 while a vertex's last yield was ``yield WAIT``
+        asleep = bytearray(n)
 
         # The barrier scheduler owns the round progression: crash
         # application, watchdog, active/message traces, halt bookkeeping.
@@ -514,15 +527,22 @@ class SyncNetwork:
 
             still_active: list[int] = []
             for v in sched.active:
+                # A vertex that yielded WAIT sleeps through quiet rounds:
+                # it stays active but is resumed only for mail (delayed
+                # copies included) or a halt notice.
+                if asleep[v] and not slots_cur[v] and v not in cleared:
+                    still_active.append(v)
+                    continue
                 ctx = contexts[v]
                 ctx._mail = slots_cur[v]
                 ctx._inbox_d = None
                 ctx._round = rnd
-                ctx._sent_round = 0
                 if ctx.newly_halted and v not in cleared:
                     ctx.newly_halted = _EMPTY_FROZENSET
-                if sched.step_vertex(v):
+                state = sched.step_vertex(v)
+                if state:
                     still_active.append(v)
+                    asleep[v] = state is WAIT
 
             if prof is not None:
                 _t1 = perf_counter()

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Any, Generator
 
-from repro.runtime.context import Context
+from repro.runtime.context import WAIT, Context
 
 
 def wait_rounds(ctx: Context, k: int) -> Generator[None, None, None]:
@@ -47,6 +47,8 @@ def collect_from(
 
     Termination notices count: a halted neighbor's final output is its
     message.  Used by the "wait for all your parents to choose" waves.
+    It waits with ``yield WAIT``: a round without mail or a new halt
+    notice changes nothing here.
     """
     missing = set(senders) - set(store)
     for u in list(missing):
@@ -54,7 +56,7 @@ def collect_from(
             store[u] = ctx.halted[u]
             missing.discard(u)
     while missing:
-        yield
+        yield WAIT
         for u, payloads in ctx.inbox.items():
             if u in missing:
                 store[u] = payloads[-1]

@@ -126,7 +126,6 @@ class ReferenceSyncNetwork(SyncNetwork):
                 ctx = contexts[v]
                 ctx.inbox = pending.get(v, {})
                 ctx._round = rnd
-                ctx._sent_round = 0
                 if v not in cleared and ctx.newly_halted:
                     ctx.newly_halted = _EMPTY_FROZENSET
                 if sched.step_vertex(v):

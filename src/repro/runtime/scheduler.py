@@ -30,6 +30,7 @@ from __future__ import annotations
 from typing import Any, Generator
 
 from repro.obs.events import Halt, RoundEnd, RoundStart
+from repro.runtime.context import WAIT
 from repro.runtime.metrics import RoundMetrics
 
 #: the selectable execution modes: the synchronous global-round barrier
@@ -227,40 +228,55 @@ class SyncBarrierScheduler:
         self.newly_halted = []
         return rnd, due, halted
 
-    def step_vertex(self, v: int) -> bool:
-        """Advance vertex ``v`` one round; ``False`` when it terminated.
+    def step_vertex(self, v: int):
+        """Advance vertex ``v`` one round.
 
-        A StopIteration return becomes the vertex's output (the committed
-        value when ``ctx.commit`` fixed it earlier -- returning a
-        *different* value afterwards is an error), its running time
-        r(v) = this round, and a halt notice queued for next round.
+        Returns ``False`` when it terminated, else ``True`` after a bare
+        ``yield`` and :data:`~repro.runtime.context.WAIT` after ``yield
+        WAIT`` (both truthy: the vertex stays active).  A StopIteration
+        return becomes the vertex's output (see :meth:`output_of`), its
+        running time r(v) = this round, and a halt notice queued for next
+        round.
         """
-        gens = self.gens
-        ctx = self.contexts[v]
         try:
-            yielded = next(gens[v])
-            if yielded is not None:
-                raise RuntimeError(
-                    f"vertex {v} yielded {yielded!r}; programs must "
-                    "use bare `yield` (send via ctx.send/broadcast)"
-                )
+            yielded = next(self.gens[v])
         except StopIteration as stop:
-            if ctx._commit_round is not None:
-                if stop.value is not None and stop.value != ctx._commit_value:
-                    raise RuntimeError(
-                        f"vertex {v} returned {stop.value!r} after "
-                        f"committing {ctx._commit_value!r}"
-                    )
-                self.outputs[v] = ctx._commit_value
-            else:
-                self.outputs[v] = stop.value
+            out = self.outputs[v] = self.output_of(
+                v, self.contexts[v], stop.value
+            )
             self.rounds[v] = self.rnd
-            gens[v] = None
-            self.newly_halted.append((v, self.outputs[v]))
+            self.gens[v] = None
+            self.newly_halted.append((v, out))
             if self.emit is not None:
                 self.emit(Halt(self.rnd, v))
             return False
-        return True
+        return True if yielded is None else self.check_yield(v, yielded)
+
+    @staticmethod
+    def check_yield(v: int, yielded: Any):
+        """The round-ending value of a non-bare ``yield``: ``WAIT``, or a
+        ``RuntimeError`` for anything else.  Every engine, the
+        asynchronous executor included, checks yields here."""
+        if yielded is WAIT:
+            return WAIT
+        raise RuntimeError(
+            f"vertex {v} yielded {yielded!r}; programs must use bare "
+            "`yield` or `yield WAIT` (send via ctx.send/broadcast)"
+        )
+
+    @staticmethod
+    def output_of(v: int, ctx, value: Any) -> Any:
+        """The output of a vertex whose program returned ``value``: the
+        committed value when ``ctx.commit`` fixed it earlier (returning a
+        *different* non-``None`` value afterwards is an error)."""
+        if ctx._commit_round is None:
+            return value
+        if value is not None and value != ctx._commit_value:
+            raise RuntimeError(
+                f"vertex {v} returned {value!r} after "
+                f"committing {ctx._commit_value!r}"
+            )
+        return ctx._commit_value
 
     def end_round(self, routed: int, receivers: int) -> None:
         """Close the round: fold the engine's routed-copy count (after

@@ -14,6 +14,7 @@ from repro.graphs import generators as gen
 from repro.runtime import (
     MaxRoundsExceeded,
     ReferenceSyncNetwork,
+    WAIT,
     RoundLimitExceeded,
     SyncNetwork,
     default_max_rounds,
@@ -46,7 +47,7 @@ def test_watchdog_fires_with_typed_error(engine):
     # per-vertex summaries: (v, round, active_degree, halted, committed)
     assert len(err.summaries) == 8
     for v, rnd, active_deg, halted, committed in err.summaries:
-        assert rnd == 5  # the last round the vertex actually executed
+        assert rnd == 5  # the budget: every straggler ran all 5 rounds
         assert active_deg == 2
         assert halted == 0
         assert committed is False
@@ -173,3 +174,38 @@ def test_crash_induced_nontermination_names_survivors(engine):
     for v, _rnd, active_deg, halted, _c in err.summaries:
         assert active_deg == 1  # the crashed hub never announced halting
         assert halted == 0
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_crash_induced_nontermination_with_wait_matches_reference(engine):
+    """The same crashed-hub star with the leaves waiting on ``yield
+    WAIT``: the fast engine stops resuming them after round 2, yet the
+    watchdog error must read the same as the reference engine's (every
+    straggler was active for the whole budget)."""
+
+    def prog_wait_for_hub(ctx):
+        if ctx.degree > 1:
+            ctx.broadcast("hub-here")
+            yield
+            ctx.broadcast("answer")
+            return "hub"
+        while True:
+            for msgs in ctx.inbox.values():
+                if "answer" in msgs:
+                    return "leaf-done"
+            yield WAIT
+
+    g = gen.star_forest(1, 5)
+    plan = FaultPlan(seed=1, crashes=CrashSpec(at={0: 2}))
+    errors = []
+    for cls in (engine, ReferenceSyncNetwork):
+        with pytest.raises(RoundLimitExceeded) as exc:
+            cls(g).run(prog_wait_for_hub, max_rounds=10, faults=plan)
+        errors.append(exc.value)
+    err, ref = errors
+    assert err.summaries == ref.summaries
+    assert str(err) == str(ref)
+    assert sorted(err.active) == [1, 2, 3, 4, 5]
+    for v, rnd, active_deg, halted, committed in err.summaries:
+        assert (rnd, active_deg, halted, committed) == (10, 1, 0, False)
+    assert "round 10" in str(err)

@@ -73,17 +73,49 @@ _PAYLOAD = {
 }
 
 
-class TestEngines:
-    @pytest.mark.parametrize("name", ["a2", "mis", "partition", "matching"])
-    def test_engines_agree_through_execute(self, name):
-        g, a, ids = _instance(n=80)
-        fast = zoo.execute(name, g, a, ids, 0, engine="fast")
-        ref = zoo.execute(name, g, a, ids, 0, engine="reference")
-        payload = _PAYLOAD[zoo.get(name).problem]
-        assert payload(fast.result) == payload(ref.result)
-        assert (
-            fast.result.metrics.worst_case == ref.result.metrics.worst_case
+def _recorded_runs(monkeypatch):
+    """Record ``(rounds, output_rounds, active_trace, messages_per_round)``
+    of every run a driver makes; both sync engines finish through
+    ``SyncBarrierScheduler.finish``."""
+    from repro.runtime.scheduler import SyncBarrierScheduler
+
+    runs = []
+    finish = SyncBarrierScheduler.finish
+
+    def recording_finish(self):
+        res = finish(self)
+        m = res.metrics
+        runs.append(
+            (m.rounds, res.output_rounds, m.active_trace, m.messages_per_round)
         )
+        return res
+
+    monkeypatch.setattr(SyncBarrierScheduler, "finish", recording_finish)
+    return runs
+
+
+class TestEngines:
+    @pytest.mark.parametrize("name", [s.name for s in zoo.all_specs()])
+    def test_engines_agree_through_execute(self, name, monkeypatch):
+        """Fast vs reference for every registered spec: the per-program
+        check that each ``yield WAIT`` keeps its promise (the fast engine
+        skips the vertex in quiet rounds, the reference engine does not)."""
+        spec = zoo.get(name)
+        workload = spec.workloads[0] if spec.workloads else "forest_union_a3"
+        g, a, ids = _instance(n=80, workload=workload)
+        runs = _recorded_runs(monkeypatch)
+        fast = zoo.execute(name, g, a, ids, 0, engine="fast")
+        fast_runs = list(runs)
+        runs.clear()
+        ref = zoo.execute(name, g, a, ids, 0, engine="reference")
+        assert fast.completed and ref.completed
+        payload = _PAYLOAD[spec.problem]
+        assert payload(fast.result) == payload(ref.result)
+        m_fast, m_ref = fast.result.metrics, ref.result.metrics
+        assert m_fast.rounds == m_ref.rounds
+        assert m_fast.active_trace == m_ref.active_trace
+        assert m_fast.messages_per_round == m_ref.messages_per_round
+        assert fast_runs and fast_runs == runs
         assert fast.engine == "fast" and ref.engine == "reference"
 
     @pytest.mark.parametrize(
