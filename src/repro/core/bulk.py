@@ -10,17 +10,17 @@ round.
 
 One kernel per algorithm, one fault model
 -----------------------------------------
-Procedure Partition and Luby MIS each have exactly one kernel.  It steps
-one engine round per iteration and replays an installed
-:func:`repro.faults.session`'s crash-stop and message-drop plan
-bit-identically to the fast engine; **a clean run is the empty plan**
-(:class:`FaultParams` with no strikes, no drop draws, offset 0 and no
-pre-crashed vertices), not a separate code path.  Duplicate/delay plans
-are refused up front with :class:`~repro.runtime.bulk.BulkUnsupported`:
-they need multi-round message buffering, which the kernels do not keep.
-Cole-Vishkin and defective coloring still pair a closed form for clean
-runs with a fault-aware kernel, which cost up to 11x and 1.34x their
-closed forms on clean runs.
+Procedure Partition, Luby MIS, Cole-Vishkin and defective coloring each
+have exactly one kernel.  It steps one engine round per iteration and
+replays an installed :func:`repro.faults.session`'s crash-stop and
+message-drop plan bit-identically to the fast engine; **a clean run is
+the empty plan** (:class:`FaultParams` with no strikes, no drop draws,
+offset 0 and no pre-crashed vertices), not a separate code path.
+Duplicate/delay plans are refused up front with
+:class:`~repro.runtime.bulk.BulkUnsupported`: they need multi-round
+message buffering, which the kernels do not keep.  A kernel builds only
+the result dicts its result type keeps; its round accounting comes back
+from :func:`_finish` as :class:`RoundMetrics`.
 
 Sender-side accounting
 ----------------------
@@ -44,7 +44,7 @@ mirrors this registry through ``AlgorithmSpec.bulk_capable`` and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -63,7 +63,8 @@ from repro.runtime.bulk import (
     resolve_ids,
     row_positions,
 )
-from repro.runtime.network import RoundLimitExceeded, RunResult
+from repro.runtime.metrics import RoundMetrics
+from repro.runtime.network import RoundLimitExceeded
 
 
 @dataclass
@@ -171,27 +172,32 @@ def _broadcast(
     n = term.size
     counted = same = 0
     inbox = np.zeros(n, dtype=np.int64)
+    # until some vertex terminates, every copy is routed and delivered
+    halted = bool(term.any())
     for lo in range(0, senders.size, BULK_CHUNK):
         chunk = senders[lo : lo + BULK_CHUNK]
         ws = gather_rows(offsets, indices, chunk)
-        t = term[ws]
+        t = term[ws] if halted else None
         if fp.drop:
-            # copies to a receiver known halted are never routed, so they
-            # draw no fate
-            routed = (t == 0) | (t == rnd)
             deg = offsets[chunk + 1] - offsets[chunk]
-            us = np.repeat(chunk, deg)[routed]
-            k = 0
-            if copy is not None:
-                k = np.repeat(copy[lo : lo + BULK_CHUNK], deg)[routed]
-            ws, t = ws[routed], t[routed]
+            us = np.repeat(chunk, deg)
+            k = 0 if copy is None else np.repeat(copy[lo : lo + BULK_CHUNK], deg)
+            if halted:
+                # copies to a receiver known halted are never routed, so
+                # they draw no fate
+                routed = (t == 0) | (t == rnd)
+                us, ws, t = us[routed], ws[routed], t[routed]
+                k = k if copy is None else k[routed]
             lost = drop_many(fp.seed, fp.offset + rnd, us, ws, k, fp.drop)
             fp.log_drops(rnd, us, ws, lost)
-            ws, t = ws[~lost], t[~lost]
-        live = t == 0
-        counted += int(np.count_nonzero(live))
-        same += int(np.count_nonzero(t == rnd))
-        inbox += np.bincount(ws[live], minlength=n)
+            ws = ws[~lost]
+            t = t[~lost] if halted else None
+        if halted:
+            live = t == 0
+            same += int(np.count_nonzero(t == rnd))
+            ws = ws if live.all() else ws[live]
+        counted += ws.size
+        inbox += np.bincount(ws, minlength=n)
     # distinct receivers straight off the arrival counts: numpy 2.4's
     # hash-based np.unique costs ~50x a scatter at n = 10^6
     acct.append((counted + same, counted + halts, int(np.count_nonzero(inbox))))
@@ -220,27 +226,23 @@ def _finish(
     max_rounds: int,
     acct: Sequence[tuple[int, int, int]],
     term: np.ndarray,
-    outputs: dict[int, Any],
-) -> RunResult:
-    """Fold a kernel's outcome into the fault session (if any) and the
-    run result; a watchdog stop raises the fast engine's typed round-limit
-    error."""
+) -> RoundMetrics:
+    """Fold a kernel's outcome into the fault session (if any) and return
+    the run's round metrics; a watchdog stop raises the fast engine's
+    typed round-limit error."""
     crash_rounds = dict(sorted((v, r) for r, v in fp.crash_log))
     if injector is not None:
         injector.absorb_rounds(rounds_run, list(crash_rounds))
     if watchdog is not None:
         raise RoundLimitExceeded(max_rounds, watchdog, None)
-    n = term.size
     sent, msgs, recv = (list(col) for col in zip(*acct)) if acct else ([], [], [])
     return finalize_run(
-        outputs,
         term,
         sent,
         msgs,
         recv,
         crash_rounds=crash_rounds,
         pre_crashed=fp.pre_crashed,
-        crashed=[v for v in injector.crashed if v < n] if injector else (),
         drops=fp.drop_log,
     )
 
@@ -303,11 +305,8 @@ def bulk_partition(
             )
             active = active[~join]
 
-    res = _finish(
-        injector, fp, rnd, watchdog, max_rounds, acct, term,
-        column_dict(term, term > 0),
-    )
-    return PartitionResult(h_index=res.outputs, A=A, metrics=res.metrics)
+    metrics = _finish(injector, fp, rnd, watchdog, max_rounds, acct, term)
+    return PartitionResult(h_index=column_dict(term, term > 0), A=A, metrics=metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -414,9 +413,9 @@ def bulk_luby_mis(
 
     # release the per-vertex and per-edge state before the result dicts
     del view, lastp, rand, inbox
-    outputs, in_mis, h_index = luby_outputs(term)
-    res = _finish(injector, fp, rnd, watchdog, max_rounds, acct, term, outputs)
-    return MISResult(in_mis=in_mis, h_index=h_index, metrics=res.metrics)
+    metrics = _finish(injector, fp, rnd, watchdog, max_rounds, acct, term)
+    in_mis, h_index = luby_outputs(term)
+    return MISResult(in_mis=in_mis, h_index=h_index, metrics=metrics)
 
 
 def _win_check(fp, rnd, offsets, indices, vs, term, lastp, view, rand, ids_arr):
@@ -455,17 +454,13 @@ def luby_outputs(term: np.ndarray):
     """Decode (attempt, joined?) from Luby termination parity: winners
     terminate at even round 2k, losers one round later at 2k+1.
 
-    Returns the ``(attempt, joined)`` outputs and the ``in_mis`` and
-    ``h_index`` dicts, over the vertices that terminated.
+    Returns the ``in_mis`` and ``h_index`` dicts over the vertices that
+    terminated.
     """
     done = np.flatnonzero(term > 0)
     t = term[done]
-    vs, att, joined = done.tolist(), (t // 2).tolist(), (t % 2 == 0).tolist()
-    return (
-        dict(zip(vs, zip(att, joined))),
-        dict(zip(vs, joined)),
-        dict(zip(vs, att)),
-    )
+    vs = done.tolist()
+    return dict(zip(vs, (t % 2 == 0).tolist())), dict(zip(vs, (t // 2).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -481,11 +476,22 @@ def bulk_ring_three_coloring(
 ):
     """Columnar Cole-Vishkin: the bit tricks vectorize directly.
 
-    Each halving step is ``diff = c ^ c[succ]``; the lowest set bit index
-    comes from ``log2(diff & -diff)`` (exact in float64 for any index
-    < 53, far beyond real ID spaces).  Three greedy recolor rounds
-    (classes 5, 4, 3) finish the {0..5} -> {0..2} reduction.  Under a
-    fault session the run goes to :func:`_ring_three_coloring_kernel`.
+    Runs in round lockstep like the fast program: rounds ``1..steps+1``
+    broadcast the halving chain (round r reduces with the successor's
+    round-``r-1`` value: ``diff = c ^ c_succ``, the lowest set bit index
+    from ``log2(diff & -diff)``, exact in float64 for any index < 53),
+    rounds ``steps+2..steps+4`` process the greedy recolor classes 5, 4,
+    3; everyone still alive terminates at ``steps+4``.  The program
+    *never waits*: a missing successor value (crashed sender or dropped
+    copy) skips the reduce and keeps the current color -- identical to
+    the fast program's keep-color-on-missing rule -- so Cole-Vishkin
+    cannot non-terminate under the crash-stop / message-drop adversary,
+    only degrade (the validators flag the resulting defects).
+
+    ``buf[r & 1][v]`` is the value v broadcast at round r, read by
+    neighbors at round r+1 from the other slot, and the monotone
+    ``bstamp[v]`` is the last round v broadcast, so receivers gate
+    delivery on ``bstamp[u] >= r-1``.
 
     ``successor`` must already be validated (the ``run_ring_three_
     coloring`` wrapper dispatches here after its checks).
@@ -493,85 +499,13 @@ def bulk_ring_three_coloring(
     from repro.baselines.cole_vishkin import _cv_steps
     from repro.core.coloring import ColoringResult
 
-    injector, fp = _session(graph.n, "ring 3-coloring")
-    if injector is not None:
-        return _ring_three_coloring_kernel(graph, successor, ids, injector, fp)
     n = graph.n
     ids_arr = resolve_ids(graph, ids)
-    offsets, indices = graph.csr(dtype="auto")
-    deg = (offsets[1:] - offsets[:-1]).astype(np.int64)
-    m2 = int(indices.size)
-    steps = _cv_steps(id_space(ids_arr))
-
-    c = ids_arr.copy()
-    if n:
-        with profiled("kernel"):
-            succ = np.asarray(list(successor), dtype=np.int64)
-            for _ in range(steps):
-                cs = c[succ]
-                diff = c ^ cs
-                low = diff & -diff
-                i = np.log2(low.astype(np.float64)).astype(np.int64)
-                c = 2 * i + ((c >> i) & 1)
-            src = np.repeat(np.arange(n, dtype=np.int64), deg)
-            for cls in (5, 4, 3):
-                nbc = c[indices]
-                used0 = np.zeros(n, dtype=bool)
-                used0[src[nbc == 0]] = True
-                used1 = np.zeros(n, dtype=bool)
-                used1[src[nbc == 1]] = True
-                pick = np.where(~used0, 0, np.where(~used1, 1, 2))
-                c = np.where(c == cls, pick, c)
-
-    rounds_total = steps + 4
-    if n:
-        term = np.full(n, rounds_total, dtype=np.int64)
-        n_recv = int((deg > 0).sum())
-        sent = [m2] * (rounds_total - 1) + [0]
-        msgs = [m2] * (rounds_total - 1) + [n]
-        recv = [n_recv] * (rounds_total - 1) + [0]
-    else:
-        term = np.zeros(0, dtype=np.int64)
-        sent, msgs, recv = [], [], []
-    colors = column_dict(c)
-    res = finalize_run(
-        {v: (1, col) for v, col in colors.items()}, term, sent, msgs, recv
-    )
-    return ColoringResult(
-        colors=colors,
-        h_index=dict.fromkeys(colors, 1),
-        metrics=res.metrics,
-        palette_bound=3,
-    )
-
-
-def _ring_three_coloring_kernel(graph, successor, ids, injector, fp: FaultParams):
-    """Cole-Vishkin under the crash-stop / message-drop adversary.
-
-    Runs in round lockstep like the fast program: rounds ``1..steps+1``
-    broadcast the halving chain (round r reduces with the successor's
-    round-``r-1`` value), rounds ``steps+2..steps+4`` process the greedy
-    recolor classes 5, 4, 3; everyone still alive terminates at
-    ``steps+4``.  The program *never waits*: a missing successor value
-    (crashed sender or dropped copy) skips the reduce and keeps the
-    current color -- identical to the fast program's keep-color-on-missing
-    rule -- so Cole-Vishkin cannot non-terminate under this adversary,
-    only degrade (the validators flag the resulting defects).
-
-    ``buf[r & 1][v]`` is the value v broadcast at round r, read by
-    neighbors at round r+1 from the other slot, and the monotone
-    ``bstamp[v]`` is the last round v broadcast, so receivers gate
-    delivery on ``bstamp[u] >= r-1``.
-    """
-    from repro.baselines.cole_vishkin import _cv_steps
-    from repro.core.coloring import ColoringResult
-
-    n = graph.n
-    ids_arr = resolve_ids(graph, ids)
+    injector, fp = _session(n, "ring 3-coloring")
     running = fp.running(n)
     steps = _cv_steps(id_space(ids_arr))
     offsets, indices = graph.csr(dtype="auto")
-    succ = np.asarray(list(successor), dtype=np.int64)
+    succ = np.asarray(successor, dtype=np.int64)
 
     buf = np.zeros((2, n), dtype=np.int64)  # slot r & 1 = round-r broadcast
     bstamp = np.zeros(n, dtype=np.int64)
@@ -593,27 +527,23 @@ def _ring_three_coloring_kernel(graph, successor, ids, injector, fp: FaultParams
                     break
 
             if rnd == 1:
-                c_new = ids_arr[vg].astype(np.int64)
+                c_new = ids_arr[vg]
             else:
                 prev = buf[(rnd - 1) & 1]
-                c_new = prev[vg].copy()
+                c_new = prev[vg]
                 if rnd <= steps + 1:
                     # halving step: reduce with the successor's round-(r-1)
                     # value when it arrived, keep the color otherwise
                     su = succ[vg]
-                    got = bstamp[su] >= rnd - 1
-                    if got.any():
-                        got &= fp.kept(rnd - 1, su, vg)
+                    cs = prev[su]
                     # keep-color on missing *or equal* successor value (the
                     # latter is reachable once a step was skipped)
-                    got &= prev[su] != c_new
-                    if got.any():
-                        cs = prev[su[got]]
-                        c0 = c_new[got]
-                        diff = c0 ^ cs
-                        low = diff & -diff
-                        i = np.log2(low.astype(np.float64)).astype(np.int64)
-                        c_new[got] = 2 * i + ((c0 >> i) & 1)
+                    got = (bstamp[su] >= rnd - 1) & (cs != c_new)
+                    if fp.drop:
+                        got &= fp.kept(rnd - 1, su, vg)
+                    diff = np.where(got, c_new ^ cs, 1)
+                    i = np.log2((diff & -diff).astype(np.float64)).astype(np.int64)
+                    c_new = np.where(got, 2 * i + ((c_new >> i) & 1), c_new)
                 else:
                     # greedy recolor of class 5 / 4 / 3 over the delivered
                     # neighbor values from round r-1
@@ -639,15 +569,12 @@ def _ring_three_coloring_kernel(graph, successor, ids, injector, fp: FaultParams
                 running[vg] = False
                 _broadcast(fp, rnd, offsets, indices, vg[:0], term, int(vg.size), acct)
 
+    metrics = _finish(injector, fp, rnd, None, steps + 4, acct, term)
     colors = column_dict(col, term > 0)
-    res = _finish(
-        injector, fp, rnd, None, steps + 4, acct, term,
-        {v: (1, c) for v, c in colors.items()},
-    )
     return ColoringResult(
         colors=colors,
         h_index=dict.fromkeys(colors, 1),
-        metrics=res.metrics,
+        metrics=metrics,
         palette_bound=3,
     )
 
@@ -664,123 +591,58 @@ def bulk_defective_coloring(
     ids: Sequence[int] | None = None,
     seed: int = 0,
 ):
-    """Columnar d-defective coloring.
-
-    The schedule's cover-free ``fam.pick`` decisions stay per-vertex
-    Python calls (they are small combinatorial lookups), but all rounds
-    advance in one simultaneous pass per family step over the CSR rows
-    -- the lockstep the generator's self-synchronizing loop converges to
-    on a whole graph.  Accounting: K broadcast rounds (isolated vertices
-    finish all their picks in round 1), then one terminating round.
-    Under a fault session the run goes to
-    :func:`_defective_coloring_kernel`.
-    """
-    from repro.core.defective import DefectiveColoringResult, defective_schedule
-
-    injector, fp = _session(graph.n, "defective coloring")
-    if injector is not None:
-        return _defective_coloring_kernel(
-            graph, d, degree_limit, ids, injector, fp
-        )
-    n = graph.n
-    ids_arr = resolve_ids(graph, ids)
-    A = degree_limit if degree_limit is not None else graph.max_degree()
-    A = max(A, 1)
-    space = id_space(ids_arr)
-    schedule = defective_schedule(space, A, d)
-    bound = schedule[-1].ground_size if schedule else space
-
-    rows = graph.csr_rows()
-    colors = [int(x) for x in ids_arr]
-    with profiled("kernel"):
-        for fam in schedule:
-            colors = [
-                fam.pick(colors[v], [colors[u] for u in rows[v]])
-                for v in range(n)
-            ]
-
-    steps = len(schedule)
-    offsets, indices = graph.csr(dtype="auto")
-    deg = (offsets[1:] - offsets[:-1]).astype(np.int64)
-    m2 = int(indices.size)
-    n_iso = int((deg == 0).sum())
-    n_ni = n - n_iso
-    term = np.ones(n, dtype=np.int64)
-    if steps and n_ni:
-        term[deg > 0] = steps + 1
-        sent = [m2] * steps + [0]
-        msgs = [m2 + n_iso] + [m2] * (steps - 1) + [n_ni]
-        recv = [n_ni] * steps + [0]
-    elif n:
-        # no steps, or no edges: every vertex finishes in round 1
-        sent, msgs, recv = [0], [n], [0]
-    else:
-        term = np.zeros(0, dtype=np.int64)
-        sent, msgs, recv = [], [], []
-    res = finalize_run(dict(enumerate(colors)), term, sent, msgs, recv)
-    return DefectiveColoringResult(
-        colors=res.outputs,
-        metrics=res.metrics,
-        palette_bound=bound,
-        defect_bound=d,
-    )
-
-
-def _defective_coloring_kernel(
-    graph, d, degree_limit, ids, injector, fp: FaultParams
-):
-    """The defective-coloring schedule under crash-stop / message-drop
-    faults.
+    """Columnar d-defective coloring: each round, every vertex whose wait
+    is satisfied picks its next family step with one
+    :meth:`~repro.core.coverfree.PolyFamily.pick_many` per step.
 
     The fast program is *self-synchronizing*: it broadcasts family step k
     and then waits until every neighbor's step k arrived, with no resend.
-    Two consequences shape this kernel.  First, a vertex released from a
-    long wait catches up by broadcasting several steps in one round, so a
-    (src, dst) pair can carry multiple copies per round -- the adversary's
-    per-copy index is the step's offset within the sender's round batch.
-    Second, one dropped copy (or a crashed neighbor) stalls its receiver
-    at that step forever, which cascades; the watchdog reports the same
-    legitimate non-termination the fast engine does.
+    On a clean run that is lockstep -- K broadcast rounds (isolated
+    vertices finish all their picks in round 1), then one terminating
+    round.  Under crash-stop / message-drop faults two consequences shape
+    the kernel.  First, a vertex released from a long wait catches up by
+    broadcasting several steps in one round, so a (src, dst) pair can
+    carry multiple copies per round -- the adversary's per-copy index is
+    the step's offset within the sender's round batch.  Second, one
+    dropped copy (or a crashed neighbor) stalls its receiver at that step
+    forever, which cascades; the watchdog reports the same legitimate
+    non-termination the fast engine does.
 
-    ``ustep[r & 1][v]`` is v's cumulative broadcast count as of round r
-    (written every round v is alive, so the previous-parity slot is
-    always fresh for delivery), ``ucol[s & 1][v]`` the color value of v's
-    step-s broadcast (neighbor step skew is at most one wait, so a slot is
-    consumed before it is overwritten), and the monotone ``ulast[v]``
-    stamps v's last live round, so only that round's live vertices
-    broadcast.  Receiver-owned per-edge state: ``e_seen[j]`` copies
-    fate-processed so far, ``e_gap[j]`` the first step not yet delivered
-    (the wait barrier -- a drop freezes it permanently).
+    ``scol[s][v]`` is v's color after s picks -- the value of its step-s
+    broadcast -- written once, so a vertex picking step s+1 reads its
+    neighbors' ``scol[s]`` however far they have moved on since; a
+    per-step column is simpler than parity slots and the schedule has
+    only a handful of steps.  ``bc[v]`` counts v's broadcasts so far, so
+    a sender's batch this round is its growth.  Receiver-owned per-edge
+    state: ``e_seen[j]`` copies fate-processed so far, ``e_gap[j]`` the
+    first step not yet delivered (the wait barrier -- a drop freezes it
+    permanently).
     """
     from repro.core.defective import DefectiveColoringResult, defective_schedule
 
     n = graph.n
     ids_arr = resolve_ids(graph, ids)
+    injector, fp = _session(n, "defective coloring")
     running = fp.running(n)
     A = degree_limit if degree_limit is not None else graph.max_degree()
     A = max(A, 1)
     space = id_space(ids_arr)
     schedule = defective_schedule(space, A, d)
     bound = schedule[-1].ground_size if schedule else space
-    max_rounds = 4 * len(schedule) + 64
     n_steps = len(schedule)
+    max_rounds = 4 * n_steps + 64
     offsets, indices = graph.csr(dtype="auto")
-    offsets = offsets.astype(np.int64)
-    deg = np.diff(offsets)
+    deg = offsets[1:] - offsets[:-1]
 
-    ustep = np.zeros((2, n), dtype=np.int64)
-    ucol = np.zeros((2, n), dtype=np.int64)
-    ulast = np.zeros(n, dtype=np.int64)
+    scol = np.zeros((n_steps + 1, n), dtype=np.int64)
+    scol[0] = ids_arr
+    bc = np.zeros(n, dtype=np.int64)
     term = np.zeros(n, dtype=np.int64)
-    col = np.zeros(n, dtype=np.int64)
     # row starts of the non-isolated vertices, for per-row minima
     nz = deg > 0
     nz_starts = offsets[:-1][nz]
-    nb_list, off_list = indices.tolist(), offsets.tolist()
-    e_seen = np.zeros(indices.size, dtype=np.int64)
-    e_gap = np.zeros(indices.size, dtype=np.int64)
-    bc = [0] * n  # steps broadcast so far; picks done = bc - 1 or bc
-    cols = ids_arr.tolist()
+    e_seen = np.zeros(indices.size, dtype=np.int32)
+    e_gap = np.zeros(indices.size, dtype=np.int32)
     acct: list[tuple[int, int, int]] = []
     watchdog = None
     rnd = 0
@@ -790,7 +652,6 @@ def _defective_coloring_kernel(
             if not run_idx.size:
                 break
             rnd += 1
-            srnd = fp.offset + rnd
             hit = fp.strike(rnd, run_idx)
             if hit.any():
                 running[run_idx[hit]] = False
@@ -801,88 +662,79 @@ def _defective_coloring_kernel(
                 watchdog = run_idx.tolist()
                 break
 
-            halts = 0
-            # Fate-process the copies broadcast at round rnd-1 (delivery
-            # advances each edge's contiguous-prefix gap; a dropped step
-            # freezes it -- there are no resends).
             if rnd > 1:
-                ej, us, owners = _edges(offsets, indices, run_idx)
-                cnt = ustep[(rnd - 1) & 1][us]
-                fresh = cnt > e_seen[ej]
-                ej, us, owners, cnt = ej[fresh], us[fresh], owners[fresh], cnt[fresh]
-                base = e_seen[ej]
-                # copies delivered before the first dropped one, per edge
-                adv = cnt - base
-                if fp.drop and ej.size:
-                    item, kidx = _expand(adv)
-                    lost = drop_many(
-                        fp.seed, srnd - 1, us[item], owners[item], kidx, fp.drop
+                for lo in range(0, run_idx.size, BULK_CHUNK):
+                    _deliver(
+                        fp, rnd, offsets, indices, run_idx[lo : lo + BULK_CHUNK],
+                        bc, e_seen, e_gap,
                     )
-                    np.minimum.at(adv, item[lost], kidx[lost])
-                at_gap = e_gap[ej] == base
-                e_gap[ej[at_gap]] += adv[at_gap]
-                e_seen[ej] = cnt
             # Make progress: first activation broadcasts step 0, then every
-            # satisfied wait picks and broadcasts the next step (possibly
-            # several in one round), terminating after the last pick.
-            gap_min = np.full(n, n_steps + 1, dtype=np.int64)
-            if nz_starts.size:
-                gap_min[nz] = np.minimum.reduceat(e_gap, nz_starts)
-            gap_min = gap_min.tolist()
-            for v in run_idx.tolist():
-                b = bc[v]
-                done = False
-                if b == 0:
-                    if n_steps == 0:
-                        done = True
+            # satisfied wait picks and broadcasts the next step -- several
+            # in one round when catching up, ascending steps -- and the
+            # last pick terminates instead of broadcasting.
+            before = bc[run_idx]
+            if n_steps:
+                gap_min = np.full(n, n_steps + 1, dtype=np.int64)
+                if nz_starts.size:
+                    gap_min[nz] = np.minimum.reduceat(e_gap, nz_starts)
+                gap = gap_min[run_idx]
+                b = np.maximum(before, 1)
+                done = np.zeros(run_idx.size, dtype=bool)
+                for s, fam in enumerate(schedule, start=1):
+                    go = (b == s) & (gap >= s)
+                    if not go.any():
+                        continue
+                    vs = run_idx[go]
+                    scol[s][vs] = fam.pick_many(scol[s - 1], offsets, indices, vs)
+                    if s == n_steps:
+                        done = go
                     else:
-                        ucol[0][v] = cols[v]
-                        b = 1
-                if not done:
-                    while b >= 1 and gap_min[v] >= b:
-                        fam = schedule[b - 1]
-                        cols[v] = fam.pick(
-                            cols[v],
-                            [
-                                int(ucol[(b - 1) & 1][u])
-                                for u in nb_list[off_list[v] : off_list[v + 1]]
-                            ],
-                        )
-                        if b == n_steps:
-                            done = True
-                            break
-                        ucol[b & 1][v] = cols[v]
-                        b += 1
-                bc[v] = b
-                ustep[rnd & 1][v] = b
-                ulast[v] = rnd
-                if done:
-                    term[v] = rnd
-                    col[v] = cols[v]
-                    running[v] = False
-                    halts += 1
+                        b[go] = s + 1
+                bc[run_idx] = b
+            else:
+                b, done = before, np.ones(run_idx.size, dtype=bool)
+            finished = run_idx[done]
+            term[finished] = rnd
+            running[finished] = False
 
             # this round's batched broadcasts: one entry per copy, its
             # index within the sender's batch
-            senders = np.flatnonzero(ulast == rnd)
-            item, kidx = _expand(
-                ustep[rnd & 1][senders] - ustep[(rnd - 1) & 1][senders]
-            )
+            item, kidx = _expand(b - before)
             _broadcast(
-                fp, rnd, offsets, indices, senders[item], term, halts, acct,
-                copy=kidx,
+                fp, rnd, offsets, indices, run_idx[item], term,
+                int(finished.size), acct, copy=kidx,
             )
 
-    res = _finish(
-        injector, fp, rnd, watchdog, max_rounds, acct, term,
-        column_dict(col, term > 0),
-    )
+    metrics = _finish(injector, fp, rnd, watchdog, max_rounds, acct, term)
     return DefectiveColoringResult(
-        colors=res.outputs,
-        metrics=res.metrics,
+        colors=column_dict(scol[n_steps], term > 0),
+        metrics=metrics,
         palette_bound=bound,
         defect_bound=d,
     )
+
+
+def _deliver(fp, rnd, offsets, indices, vs, bc, e_seen, e_gap):
+    """Defective coloring's receive step over the running vertices ``vs``:
+    fate-process the copies their neighbors broadcast at round rnd-1.
+    Delivery advances each edge's contiguous-prefix gap; a dropped step
+    freezes it -- there are no resends."""
+    ej, us, owners = _edges(offsets, indices, vs)
+    cnt = bc[us]
+    fresh = cnt > e_seen[ej]
+    ej, us, owners, cnt = ej[fresh], us[fresh], owners[fresh], cnt[fresh]
+    base = e_seen[ej]
+    # copies delivered before the first dropped one, per edge
+    adv = cnt - base
+    if fp.drop and ej.size:
+        item, kidx = _expand(adv)
+        lost = drop_many(
+            fp.seed, fp.offset + rnd - 1, us[item], owners[item], kidx, fp.drop
+        )
+        np.minimum.at(adv, item[lost], kidx[lost])
+    at_gap = e_gap[ej] == base
+    e_gap[ej[at_gap]] += adv[at_gap]
+    e_seen[ej] = cnt
 
 
 #: generator driver function name -> columnar twin.  The zoo's

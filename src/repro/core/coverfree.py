@@ -32,6 +32,10 @@ from functools import lru_cache
 from math import ceil
 from typing import Iterable, Sequence
 
+import numpy as np
+
+from repro.runtime.bulk import BULK_CHUNK, gather_rows
+
 
 def is_prime(x: int) -> bool:
     """Trial-division primality test (field sizes are small)."""
@@ -129,6 +133,90 @@ class PolyFamily:
                 f"({counts[best_x]} > slack {self.slack}); A bound exceeded?"
             )
         return best_x * q + mine[best_x]
+
+    def pick_many(
+        self,
+        colors: np.ndarray,
+        offsets: np.ndarray,
+        indices: np.ndarray,
+        verts: np.ndarray,
+    ) -> np.ndarray:
+        """:meth:`pick` for every vertex of ``verts`` at once: entry i is
+        ``pick(colors[v], colors[u] for u in row v)`` for ``v = verts[i]``,
+        the rows read from the CSR arrays ``offsets`` / ``indices``.
+
+        The polynomial rows are evaluated once per vertex read and
+        gathered over the rows' edges; agreements with each neighbor not
+        of the vertex's own color are counted per (vertex, point), and
+        the first minimal point wins, exactly the scalar rule.  Raises the
+        scalar :class:`AssertionError` for the first vertex (in ``verts``
+        order) whose best point lies in more than ``slack`` neighbor
+        sets.  Pieces of ``BULK_CHUNK // q`` vertices bound the per-edge
+        ``q``-wide scratch.
+        """
+        q = self.q
+        colors = np.asarray(colors, dtype=np.int64)
+        step = max(1, BULK_CHUNK // q)
+        # one polynomial row per distinct color the call reads -- the
+        # pickers' and their neighbors' -- in the narrowest dtype holding
+        # F_q; ``slot`` maps a vertex to its color's row
+        need = np.zeros(colors.size, dtype=bool)
+        need[verts] = True
+        for lo in range(0, verts.size, step):
+            need[gather_rows(offsets, indices, verts[lo : lo + step])] = True
+        who = np.flatnonzero(need)
+        palette = np.sort(colors[who])
+        first = np.ones(palette.size, dtype=bool)
+        first[1:] = palette[1:] != palette[:-1]
+        palette = palette[first]
+        slot = np.zeros(colors.size, dtype=np.int64)
+        slot[who] = np.searchsorted(palette, colors[who])
+        table = np.empty((palette.size, q), dtype=np.uint8 if q <= 256 else np.int32)
+        for lo in range(0, palette.size, step):
+            table[lo : lo + step] = self._rows(palette[lo : lo + step])
+
+        out = np.empty(verts.size, dtype=np.int64)
+        for lo in range(0, verts.size, step):
+            vs = verts[lo : lo + step]
+            nbs = gather_rows(offsets, indices, vs)
+            owner = np.repeat(np.arange(vs.size), offsets[vs + 1] - offsets[vs])
+            # equal-color neighbors are skipped
+            other = slot[nbs] != slot[vs][owner]
+            nbs, owner = nbs[other], owner[other]
+            mine = table[slot[vs]]
+            # count the agreements per (vertex, point)
+            hits = np.flatnonzero(table[slot[nbs]] == mine[owner])
+            counts = np.bincount(
+                owner[hits // q] * q + hits % q, minlength=vs.size * q
+            ).reshape(vs.size, q)
+            best = counts.argmin(axis=1)
+            worst = counts[np.arange(vs.size), best]
+            bad = np.flatnonzero(worst > self.slack)
+            if bad.size:
+                raise AssertionError(
+                    "cover-free guarantee violated: too many neighbors "
+                    f"({worst[bad[0]]} > slack {self.slack}); A bound exceeded?"
+                )
+            out[lo : lo + vs.size] = best * q + mine[np.arange(vs.size), best]
+        return out
+
+    def _rows(self, colors: np.ndarray) -> np.ndarray:
+        """``P_c(x)`` for every color of ``colors`` (rows) and x in F_q
+        (columns): :func:`_poly_row` by Horner over the low ``degree + 1``
+        base-q digits."""
+        q = self.q
+        digits = []
+        c = colors
+        for _ in range(self.degree + 1):
+            digits.append(c % q)
+            c = c // q
+        xs = np.arange(q, dtype=np.int64)
+        acc = np.zeros((colors.size, q), dtype=np.int64)
+        for d in reversed(digits):
+            acc *= xs
+            acc += d[:, None]
+            acc %= q
+        return acc
 
 
 @lru_cache(maxsize=1 << 18)

@@ -235,17 +235,17 @@ def forest_union_csr(n: int, a: int, seed: int = 0, dtype: str = "auto") -> Grap
         hi_parts.append(np.maximum(u, v))
     lo = np.concatenate(lo_parts)
     hi = np.concatenate(hi_parts)
-    # hash-based in numpy 2.4; a sort-based dedup is ROADMAP item 1
-    codes = np.unique(lo.astype(np.int64) * n + hi)
+    # dedup the packed edge codes by a sort and an adjacent compare
+    codes = np.sort(lo.astype(np.int64) * n + hi)
+    codes = codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
     lo = codes // n
     hi = codes % n
-    src = np.concatenate((lo, hi))
-    dst = np.concatenate((hi, lo))
-    order = np.lexsort((dst, src))
-    want = csr_index_dtype(n, src.size, dtype)
+    # both arc directions, ordered by (src, dst) through one packed key
+    keys = np.sort(np.concatenate((lo * n + hi, hi * n + lo)))
+    want = csr_index_dtype(n, keys.size, dtype)
     offsets = np.zeros(n + 1, dtype=want)
-    offsets[1:] = np.cumsum(np.bincount(src, minlength=n)).astype(want)
-    indices = dst[order].astype(want)
+    offsets[1:] = np.cumsum(np.bincount(keys // n, minlength=n)).astype(want)
+    indices = (keys % n).astype(want)
     return Graph.from_csr(offsets, indices)
 
 

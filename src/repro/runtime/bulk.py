@@ -177,11 +177,14 @@ def gather_rows(
     """
     if verts.size == 0:
         return indices[:0]
+    lo, hi = int(verts[0]), int(verts[-1]) + 1
+    if hi - lo == verts.size and (np.diff(verts) == 1).all():
+        # a contiguous ascending run of vertices is one slice
+        return indices[offsets[lo] : offsets[hi]]
     return indices[row_positions(offsets, verts)]
 
 
 def finalize_run(
-    outputs: dict[int, Any],
     term: np.ndarray,
     sent: Sequence[int],
     msgs: Sequence[int],
@@ -190,10 +193,9 @@ def finalize_run(
     *,
     crash_rounds: dict[int, int] | None = None,
     pre_crashed: Sequence[int] = (),
-    crashed: Sequence[int] = (),
     drops: Sequence[tuple[int, int, int]] = (),
-) -> RunResult:
-    """Assemble a :class:`RunResult` from a bulk driver's final arrays.
+) -> RoundMetrics:
+    """The :class:`RoundMetrics` of a bulk run, from its final arrays.
 
     ``term`` is the per-vertex termination round (0 for a crashed
     vertex); ``sent`` / ``msgs`` / ``receivers`` are per-round totals
@@ -208,8 +210,7 @@ def finalize_run(
     start it crashed at (its metrics round is that minus one, exactly the
     fast engine's accounting); ``pre_crashed`` are vertices already dead
     from an earlier run in the fault session (metrics round 0, no
-    event); ``crashed`` is the session's whole crashed set for the
-    result.  A final round in which every remaining vertex crashed is
+    event).  A final round in which every remaining vertex crashed is
     *unrecorded*, mirroring the fast engine's break-before-trace, but its
     ``fault_crash`` events are still emitted after the last ``round_end``.
     ``drops`` are the adversary's dropped copies as ``(round, src, dst)``
@@ -271,18 +272,10 @@ def finalize_run(
             for v in crashes_by_round.get(rounds_run + 1, ()):
                 bus.emit(FaultCrash(rounds_run + 1, v))
 
-        rounds_t = tuple(rounds_arr.tolist())
-        metrics = RoundMetrics(
-            rounds=rounds_t,
+        return RoundMetrics(
+            rounds=tuple(rounds_arr.tolist()),
             active_trace=tuple(active.tolist()),
             messages_per_round=tuple(map(int, msgs)),
-        )
-        return RunResult(
-            outputs=outputs,
-            metrics=metrics,
-            contexts=(),
-            output_rounds=rounds_t,
-            crashed=tuple(sorted(crashed)),
         )
 
 
@@ -343,5 +336,10 @@ def bulk_broadcast_kernel(graph: Graph, rounds: int = 10) -> RunResult:
     sent = [m2] * rounds + [0]
     msgs = [m2] * rounds + [n]
     receivers = [n_recv] * rounds + [0]
-    outputs: dict[int, Any] = dict.fromkeys(range(n))
-    return finalize_run(outputs, term, sent, msgs, receivers)
+    metrics = finalize_run(term, sent, msgs, receivers)
+    return RunResult(
+        outputs=dict.fromkeys(range(n)),
+        metrics=metrics,
+        contexts=(),
+        output_rounds=metrics.rounds,
+    )

@@ -173,3 +173,79 @@ def test_property_pick_always_avoids(capacity, A, data):
     for u in nbrs:
         if u != mine:
             assert chosen not in fam.member_points(u)
+
+
+def _pick_outcome(pick):
+    try:
+        return pick()
+    except AssertionError as e:
+        return str(e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    # small palettes give small fields, where rows break slack often
+    capacity=st.one_of(st.integers(2, 30), st.integers(2, 3000)),
+    A=st.integers(min_value=1, max_value=6),
+    slack=st.integers(min_value=0, max_value=3),
+    data=st.data(),
+)
+def test_property_pick_many_is_pick(capacity, A, slack, data):
+    """``pick_many`` over CSR rows equals the scalar ``pick`` per vertex --
+    isolated vertices, equal-color neighbors and rows with more than A
+    neighbors included -- or raises the scalar's first AssertionError."""
+    import numpy as np
+
+    fam = build_family(capacity, A, slack)
+    n = data.draw(st.integers(min_value=1, max_value=14))
+    # a narrow color range makes equal-color neighbors common
+    top = data.draw(st.sampled_from([min(3, capacity - 1), capacity - 1]))
+    colors = data.draw(
+        st.lists(st.integers(0, top), min_size=n, max_size=n), label="colors"
+    )
+    width = data.draw(st.sampled_from([A, 3 * A + 2, 8 * A + 8]))
+    rows = data.draw(
+        st.lists(
+            st.lists(st.integers(0, n - 1), max_size=width),
+            min_size=n,
+            max_size=n,
+        ),
+        label="rows",
+    )
+    verts = data.draw(
+        st.lists(st.integers(0, n - 1), max_size=2 * n), label="verts"
+    )
+    dtype = data.draw(st.sampled_from([np.int32, np.int64]))
+    offsets = np.zeros(n + 1, dtype=dtype)
+    offsets[1:] = np.cumsum([len(r) for r in rows])
+    indices = np.array([u for r in rows for u in r], dtype=dtype)
+
+    want = _pick_outcome(
+        lambda: [fam.pick(colors[v], [colors[u] for u in rows[v]]) for v in verts]
+    )
+    got = _pick_outcome(
+        lambda: fam.pick_many(
+            np.array(colors), offsets, indices, np.array(verts, dtype=np.int64)
+        ).tolist()
+    )
+    assert got == want
+
+
+def test_pick_many_raises_the_first_scalar_error():
+    """Over F_2 every other degree-1 polynomial agrees with yours on one
+    point, so a row holding all of them breaks slack 0; the first bad row
+    in ``verts`` order names its count, as the scalar loop does."""
+    import numpy as np
+
+    fam = build_family(4, 1)
+    assert fam.q == 2 and fam.degree == 1
+    colors = np.array([0, 1, 2, 3])
+    # vertex 3: every other color twice (count 2); vertex 0: once (count 1)
+    rows = [[1, 2, 3], [], [], [0, 1, 2, 0, 1, 2]]
+    offsets = np.cumsum([0] + [len(r) for r in rows])
+    indices = np.array([u for r in rows for u in r])
+    for verts, count in (([1, 3, 0], 2), ([0, 3], 1)):
+        with pytest.raises(AssertionError, match=rf"\({count} > slack 0\)"):
+            fam.pick_many(colors, offsets, indices, np.array(verts))
+        with pytest.raises(AssertionError, match=rf"\({count} > slack 0\)"):
+            [fam.pick(colors[v], colors[rows[v]].tolist()) for v in verts]

@@ -202,6 +202,46 @@ class TestForestUnionCsr:
         assert np.array_equal(a[1], b[1])
         assert not np.array_equal(a[1], c[1])
 
+    @pytest.mark.parametrize(
+        "n,a,seed",
+        [(0, 1, 0), (1, 3, 0), (2, 1, 5), (3, 1, 0), (50, 1, 2), (300, 3, 7),
+         (2000, 4, 1), (70000, 2, 3)],
+    )
+    def test_sorted_dedup_matches_the_hash_unique_formulation(self, n, a, seed):
+        """The sort-based build is byte-identical to the earlier one,
+        kept here as the oracle: ``np.unique`` over the packed edge codes
+        and a lexsort of the arcs by (src, dst)."""
+        import numpy as np
+
+        from repro.graphs.graph import Graph, csr_index_dtype
+
+        def oracle():
+            if n < 2:
+                return Graph(n)
+            rng = np.random.default_rng(seed)
+            lo_parts, hi_parts = [], []
+            for _ in range(a):
+                perm = rng.permutation(n)
+                j = (rng.random(n - 1) * np.arange(1, n)).astype(np.int64)
+                u, v = perm[j], perm[1:]
+                lo_parts.append(np.minimum(u, v))
+                hi_parts.append(np.maximum(u, v))
+            lo, hi = np.concatenate(lo_parts), np.concatenate(hi_parts)
+            codes = np.unique(lo.astype(np.int64) * n + hi)
+            lo, hi = codes // n, codes % n
+            src, dst = np.concatenate((lo, hi)), np.concatenate((hi, lo))
+            order = np.lexsort((dst, src))
+            want = csr_index_dtype(n, src.size, "auto")
+            offsets = np.zeros(n + 1, dtype=want)
+            offsets[1:] = np.cumsum(np.bincount(src, minlength=n)).astype(want)
+            return Graph.from_csr(offsets, dst[order].astype(want))
+
+        got = gen.forest_union_csr(n, a, seed=seed).csr(dtype="auto")
+        want = oracle().csr(dtype="auto")
+        for x, y in zip(got, want):
+            assert x.dtype == y.dtype
+            assert x.tobytes() == y.tobytes()
+
     def test_tiny_and_invalid(self):
         assert gen.forest_union_csr(1, 3).n == 1
         assert gen.forest_union_csr(0, 1).n == 0

@@ -1,4 +1,4 @@
-"""The bulk engine's shared plumbing: CSR row-gather, RunResult
+"""The bulk engine's shared plumbing: CSR row-gather, round-metrics
 assembly, the columnar bench kernel, and the refusal paths
 (:class:`BulkUnsupported` for generic programs and fault sessions).
 
@@ -25,12 +25,14 @@ class TestGatherRows:
     def test_matches_per_vertex_slices(self):
         g = gen.union_of_forests(60, 3, seed=0)
         offsets, indices = g.csr()
-        verts = np.array([0, 5, 5, 17, 59], dtype=np.int64)
-        expect = np.concatenate(
-            [indices[offsets[v] : offsets[v + 1]] for v in verts]
-        )
-        got = gather_rows(offsets, indices, verts)
-        assert np.array_equal(got, expect)
+        # scattered, repeated, contiguous (one slice) and descending runs
+        for vs in ([0, 5, 5, 17, 59], [3, 4, 5, 6], [7], [6, 5, 4, 3], [2, 3, 3, 5]):
+            verts = np.array(vs, dtype=np.int64)
+            expect = np.concatenate(
+                [indices[offsets[v] : offsets[v + 1]] for v in verts]
+            )
+            got = gather_rows(offsets, indices, verts)
+            assert np.array_equal(got, expect)
 
     def test_empty_vertex_set(self):
         g = gen.ring(5)
@@ -65,18 +67,16 @@ class TestResolveIds:
 class TestFinalizeRun:
     def test_derives_active_trace_from_term(self):
         term = np.array([1, 2, 2, 3], dtype=np.int64)
-        res = finalize_run(
-            {v: None for v in range(4)},
+        metrics = finalize_run(
             term,
             sent=[4, 2, 1],
             msgs=[5, 4, 2],
             receivers=[3, 2, 0],
         )
-        assert res.metrics.rounds == (1, 2, 2, 3)
-        assert res.metrics.active_trace == (4, 3, 1)
-        assert res.metrics.messages_per_round == (5, 4, 2)
-        assert res.output_rounds == (1, 2, 2, 3)
-        assert res.metrics.check_active_trace()
+        assert metrics.rounds == (1, 2, 2, 3)
+        assert metrics.active_trace == (4, 3, 1)
+        assert metrics.messages_per_round == (5, 4, 2)
+        assert metrics.check_active_trace()
 
     def test_emits_aggregate_events_on_live_bus(self):
         from repro.obs.events import EventBus
@@ -85,7 +85,6 @@ class TestFinalizeRun:
         mem = MemorySink()
         term = np.array([2, 1], dtype=np.int64)
         finalize_run(
-            {0: None, 1: None},
             term,
             sent=[3, 0],
             msgs=[4, 1],
@@ -99,9 +98,9 @@ class TestFinalizeRun:
         assert mem.events[2].halts == 1
 
     def test_empty_graph(self):
-        res = finalize_run({}, np.zeros(0, dtype=np.int64), [], [], [])
-        assert res.metrics.rounds == ()
-        assert res.metrics.active_trace == ()
+        metrics = finalize_run(np.zeros(0, dtype=np.int64), [], [], [])
+        assert metrics.rounds == ()
+        assert metrics.active_trace == ()
 
 
 class TestBroadcastKernel:
