@@ -50,8 +50,9 @@ def _cv_reduce(c_self: int, c_succ: int) -> int:
     return 2 * i + b
 
 
-def _check_successor(graph: Graph, successor: Sequence[int]) -> None:
-    """Raise unless every ``successor[v]`` is a neighbor of ``v``.
+def _check_successor(graph: Graph, successor: Sequence[int] | np.ndarray) -> np.ndarray:
+    """The successor map as an int64 column; raise unless every
+    ``successor[v]`` is a neighbor of ``v``.
 
     Checked against the CSR arrays, so a ``Graph.from_csr`` ring never
     builds its Python adjacency just to be validated.
@@ -69,6 +70,7 @@ def _check_successor(graph: Graph, successor: Sequence[int]) -> None:
     if bad.size:
         v = int(bad[0])
         raise ValueError(f"successor[{v}] = {successor[v]} is not a neighbor")
+    return succ
 
 
 def run_ring_three_coloring(
@@ -85,12 +87,12 @@ def run_ring_three_coloring(
     """
     n = graph.n
     if successor is None:
-        successor = [(v + 1) % n for v in range(n)]
-    _check_successor(graph, successor)
+        successor = np.roll(np.arange(n, dtype=np.int64), -1)
+    succ = _check_successor(graph, successor)
     if current_engine() == "bulk":
         from repro.core.bulk import bulk_ring_three_coloring
 
-        return bulk_ring_three_coloring(graph, successor, ids=ids, seed=seed)
+        return bulk_ring_three_coloring(graph, succ, ids=ids, seed=seed)
 
     def program(ctx: Context):
         succ = ctx.config["successor"][ctx.v]
@@ -124,7 +126,7 @@ def run_ring_three_coloring(
         return (1, c)
 
     net = SyncNetwork(graph, ids=ids, seed=seed)
-    net.config["successor"] = list(successor)
+    net.config["successor"] = succ.tolist()
     net.config["cv_steps"] = _cv_steps(net.config["id_space"])
     res = net.run(program, max_rounds=net.config["cv_steps"] + 16)
     return ColoringResult(

@@ -18,9 +18,11 @@ the empty plan** (:class:`FaultParams` with no strikes, no drop draws,
 offset 0 and no pre-crashed vertices), not a separate code path.
 Duplicate/delay plans are refused up front with
 :class:`~repro.runtime.bulk.BulkUnsupported`: they need multi-round
-message buffering, which the kernels do not keep.  A kernel builds only
-the result dicts its result type keeps; its round accounting comes back
-from :func:`_finish` as :class:`RoundMetrics`.
+message buffering, which the kernels do not keep.  A kernel returns its
+per-vertex results as read-only :class:`~repro.runtime.bulk.ColumnMap`
+views over its final columns -- no per-vertex Python object is built
+between the kernel and the validators -- and its round accounting comes
+back from :func:`_finish` as :class:`RoundMetrics`.
 
 Sender-side accounting
 ----------------------
@@ -55,7 +57,7 @@ from repro.graphs.graph import Graph
 from repro.runtime.bulk import (
     BULK_CHUNK,
     BulkUnsupported,
-    column_dict,
+    ColumnMap,
     finalize_run,
     gather_rows,
     id_space,
@@ -306,7 +308,7 @@ def bulk_partition(
             active = active[~join]
 
     metrics = _finish(injector, fp, rnd, watchdog, max_rounds, acct, term)
-    return PartitionResult(h_index=column_dict(term, term > 0), A=A, metrics=metrics)
+    return PartitionResult(h_index=ColumnMap(term, term > 0), A=A, metrics=metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +413,7 @@ def bulk_luby_mis(
                 halts = int(winners.size)
             inbox = _broadcast(fp, rnd, offsets, indices, senders, term, halts, acct)
 
-    # release the per-vertex and per-edge state before the result dicts
+    # release the per-vertex and per-edge state before the result columns
     del view, lastp, rand, inbox
     metrics = _finish(injector, fp, rnd, watchdog, max_rounds, acct, term)
     in_mis, h_index = luby_outputs(term)
@@ -454,13 +456,11 @@ def luby_outputs(term: np.ndarray):
     """Decode (attempt, joined?) from Luby termination parity: winners
     terminate at even round 2k, losers one round later at 2k+1.
 
-    Returns the ``in_mis`` and ``h_index`` dicts over the vertices that
+    Returns the ``in_mis`` and ``h_index`` views over the vertices that
     terminated.
     """
-    done = np.flatnonzero(term > 0)
-    t = term[done]
-    vs = done.tolist()
-    return dict(zip(vs, (t % 2 == 0).tolist())), dict(zip(vs, (t // 2).tolist()))
+    done = term > 0
+    return ColumnMap(done & (term % 2 == 0), done), ColumnMap(term // 2, done)
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +494,8 @@ def bulk_ring_three_coloring(
     delivery on ``bstamp[u] >= r-1``.
 
     ``successor`` must already be validated (the ``run_ring_three_
-    coloring`` wrapper dispatches here after its checks).
+    coloring`` wrapper dispatches here after its checks, with the int64
+    column they return, which is used as is).
     """
     from repro.baselines.cole_vishkin import _cv_steps
     from repro.core.coloring import ColoringResult
@@ -505,7 +506,7 @@ def bulk_ring_three_coloring(
     running = fp.running(n)
     steps = _cv_steps(id_space(ids_arr))
     offsets, indices = graph.csr(dtype="auto")
-    succ = np.asarray(successor, dtype=np.int64)
+    succ = np.asarray(successor, dtype=np.int64)  # no copy of an int64 column
 
     buf = np.zeros((2, n), dtype=np.int64)  # slot r & 1 = round-r broadcast
     bstamp = np.zeros(n, dtype=np.int64)
@@ -570,10 +571,10 @@ def bulk_ring_three_coloring(
                 _broadcast(fp, rnd, offsets, indices, vg[:0], term, int(vg.size), acct)
 
     metrics = _finish(injector, fp, rnd, None, steps + 4, acct, term)
-    colors = column_dict(col, term > 0)
+    done = term > 0
     return ColoringResult(
-        colors=colors,
-        h_index=dict.fromkeys(colors, 1),
+        colors=ColumnMap(col, done),
+        h_index=ColumnMap(np.broadcast_to(np.int64(1), (n,)), done),
         metrics=metrics,
         palette_bound=3,
     )
@@ -707,7 +708,8 @@ def bulk_defective_coloring(
 
     metrics = _finish(injector, fp, rnd, watchdog, max_rounds, acct, term)
     return DefectiveColoringResult(
-        colors=column_dict(scol[n_steps], term > 0),
+        # a copy, so the view does not keep every step's column alive
+        colors=ColumnMap(scol[n_steps].copy(), term > 0),
         metrics=metrics,
         palette_bound=bound,
         defect_bound=d,

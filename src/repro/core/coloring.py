@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import floor, log2
-from typing import Generator, Hashable, Sequence
+from typing import Generator, Hashable, Mapping, Sequence
 
 from repro.analysis.logstar import ilog
 from repro.core.arb_linial import arb_linial_steps, list_coloring_steps, priority_wave
@@ -38,20 +38,22 @@ from repro.graphs.graph import Graph
 from repro.runtime.context import WAIT, Context
 from repro.runtime.metrics import RoundMetrics
 from repro.runtime.network import SyncNetwork
+from repro.verify.colorings import color_count
 
 
 @dataclass(frozen=True)
 class ColoringResult:
     """A vertex coloring with its round accounting."""
 
-    colors: dict[int, Hashable]
-    h_index: dict[int, int]
+    #: vertex -> color; ColumnMap views on the bulk engine
+    colors: Mapping[int, Hashable]
+    h_index: Mapping[int, int]
     metrics: RoundMetrics
     palette_bound: int  # a-priori bound on the number of colors
 
     @property
     def colors_used(self) -> int:
-        return len(set(self.colors.values()))
+        return color_count(self.colors)
 
 
 # ---------------------------------------------------------------------------

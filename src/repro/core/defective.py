@@ -42,7 +42,7 @@ of out-degree <= ceil(A/k) + d (d = the defect of the underlying coloring;
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Iterable, Sequence
+from typing import Generator, Iterable, Mapping, Sequence
 
 from repro.core.common import LocalView, degree_bound
 from repro.core.coverfree import PolyFamily, build_family, palette_schedule
@@ -50,6 +50,7 @@ from repro.graphs.graph import Graph
 from repro.runtime.context import WAIT, Context
 from repro.runtime.metrics import RoundMetrics
 from repro.runtime.network import SyncNetwork, current_engine
+from repro.verify.colorings import color_count
 
 
 # ---------------------------------------------------------------------------
@@ -172,14 +173,15 @@ def defective_coloring_steps(
 
 @dataclass(frozen=True)
 class DefectiveColoringResult:
-    colors: dict[int, int]
+    #: vertex -> color; a ColumnMap view on the bulk engine
+    colors: Mapping[int, int]
     metrics: RoundMetrics
     palette_bound: int
     defect_bound: int
 
     @property
     def colors_used(self) -> int:
-        return len(set(self.colors.values()))
+        return color_count(self.colors)
 
 
 def run_defective_coloring(

@@ -27,7 +27,7 @@ committed -- never later than the paper's blocked schedule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Sequence
+from typing import Hashable, Mapping, Sequence
 
 from repro.core.arb_linial import arb_linial_steps, greedy_from_list, _step_tag
 from repro.core.coloring import ColoringResult
@@ -35,6 +35,7 @@ from repro.core.common import JOIN, LocalView, degree_bound, partition_length_bo
 from repro.core.coverfree import palette_schedule
 from repro.core.partition import join_h_set
 from repro.graphs.graph import Graph
+from repro.runtime.bulk import ColumnMap
 from repro.runtime.context import WAIT, Context
 from repro.runtime.metrics import RoundMetrics, TimeMetrics
 from repro.runtime.network import SyncNetwork
@@ -158,15 +159,19 @@ def run_delta_plus_one_coloring(
 class MISResult:
     """A maximal independent set with its round accounting."""
 
-    in_mis: dict[int, bool]
-    h_index: dict[int, int]
+    #: vertex -> joined?; ColumnMap views on the bulk engine
+    in_mis: Mapping[int, bool]
+    h_index: Mapping[int, int]
     metrics: RoundMetrics
     #: virtual-time accounting; only asynchronous-mode runs fill this in
     times: "TimeMetrics | None" = None
 
     @property
     def mis(self) -> set[int]:
-        return {v for v, flag in self.in_mis.items() if flag}
+        m = self.in_mis
+        if isinstance(m, ColumnMap):
+            return set(m.keys_array()[m.values_array().astype(bool)].tolist())
+        return {v for v, flag in m.items() if flag}
 
 
 def run_mis(

@@ -16,10 +16,13 @@ rounds) reuses the same code path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Generator, Sequence
+from typing import Callable, Generator, Mapping, Sequence
+
+import numpy as np
 
 from repro.core.common import JOIN, LocalView, degree_bound, partition_length_bound
 from repro.graphs.graph import Graph
+from repro.runtime.bulk import ColumnMap
 from repro.runtime.context import Context
 from repro.runtime.metrics import RoundMetrics, TimeMetrics
 from repro.runtime.network import RunResult, SyncNetwork, current_engine
@@ -60,7 +63,8 @@ def join_h_set(
 class PartitionResult:
     """Output of running pure Procedure Partition."""
 
-    h_index: dict[int, int]
+    #: vertex -> H-set index; a ColumnMap view on the bulk engine
+    h_index: Mapping[int, int]
     A: int
     metrics: RoundMetrics
     #: virtual-time accounting; only asynchronous-mode runs fill this in
@@ -68,12 +72,22 @@ class PartitionResult:
 
     @property
     def num_sets(self) -> int:
-        return max(self.h_index.values(), default=0)
+        h = self.h_index
+        if isinstance(h, ColumnMap):
+            return int(h.values_array().max(initial=0))
+        return max(h.values(), default=0)
 
     def h_sets(self) -> list[list[int]]:
         """H_1, ..., H_ell as vertex lists (index 0 = H_1)."""
+        h = self.h_index
+        if isinstance(h, ColumnMap):
+            level = h.values_array()
+            order = np.argsort(level, kind="stable")
+            cuts = np.searchsorted(level[order], np.arange(2, self.num_sets + 1))
+            parts = np.split(h.keys_array()[order], cuts) if level.size else []
+            return [part.tolist() for part in parts]
         out: list[list[int]] = [[] for _ in range(self.num_sets)]
-        for v, i in self.h_index.items():
+        for v, i in h.items():
             out[i - 1].append(v)
         return out
 

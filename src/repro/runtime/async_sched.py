@@ -229,7 +229,8 @@ def run_async(
     #: send round -> traffic (program copies + halt notices - drops)
     msgs: dict[int, int] = {}
     #: send round -> distinct receivers of normally-routed copies (the
-    #: barrier's ``round_end.receivers``; same-round halt drops removed)
+    #: barrier's ``round_end.receivers``; same-round halt drops removed);
+    #: filled only when events are emitted, as nothing else reads it
     recv_sets: dict[int, set[int]] = {}
     # readiness bookkeeping: while v waits to execute round R it collects
     # round R-1 tokens -- wait_round[v] = R-1, wait_missing[v] the senders
@@ -411,11 +412,12 @@ def run_async(
                         round_msgs += 1
                         key = (u, rnd)
                         norm_recv[key] = norm_recv.get(key, 0) + 1
-                        rs = recv_sets.get(rnd)
-                        if rs is None:
-                            recv_sets[rnd] = {u}
-                        else:
-                            rs.add(u)
+                        if emit is not None:
+                            rs = recv_sets.get(rnd)
+                            if rs is None:
+                                recv_sets[rnd] = {u}
+                            else:
+                                rs.add(u)
                         lst = tok_payloads.get(u)
                         if lst is None:
                             tok_payloads[u] = [payload]
@@ -435,8 +437,8 @@ def run_async(
                 # Copies already routed to v this same round by senders
                 # that executed earlier in virtual time: drop them.
                 round_msgs -= c
-                recv_sets[rnd].discard(v)
                 if emit is not None:
+                    recv_sets[rnd].discard(v)
                     emit(Drop(rnd, v, c))
             if emit is not None:
                 emit(Halt(rnd, v))

@@ -28,6 +28,11 @@ halt notice per terminating vertex).  The helpers here centralise the
 shared accounting so each driver only supplies its algorithm-specific
 array steps.
 
+Results stay columnar: a kernel's per-vertex outputs (H-indices,
+colors, MIS flags) are :class:`ColumnMap` views over its final arrays,
+which behave as the dicts the generator drivers return but let the
+validators read the arrays without boxing a Python object per vertex.
+
 Tracing granularity caveat
 --------------------------
 The bulk engine never materialises individual messages, so it cannot emit
@@ -50,6 +55,8 @@ rather than being ignored.
 
 from __future__ import annotations
 
+import operator
+from collections.abc import ItemsView, Mapping, ValuesView
 from contextlib import nullcontext
 from typing import Any, Sequence
 
@@ -118,14 +125,93 @@ def resolve_ids(graph: Graph, ids: Sequence[int] | None) -> np.ndarray:
     return ids_arr
 
 
-def column_dict(col: np.ndarray, keep: np.ndarray | None = None) -> dict[int, Any]:
-    """``{v: col[v]}`` with plain Python values, over every vertex or only
-    those where ``keep`` is set (one ``tolist`` per column, no per-element
-    boxing)."""
-    if keep is None or keep.all():
-        return dict(enumerate(col.tolist()))
-    vs = np.flatnonzero(keep)
-    return dict(zip(vs.tolist(), col[vs].tolist()))
+class ColumnMap(Mapping[int, Any]):
+    """A read-only ``{v: column[v] for v where mask[v]}`` over numpy columns.
+
+    The bulk kernels' per-vertex results (H-indices, colors, MIS flags)
+    are columns indexed by vertex; this view gives them dict semantics --
+    ``==`` with a dict either way round, ascending iteration, ``get``,
+    ``in``, ``KeyError`` for absent, out-of-range and negative keys, plain
+    Python values -- without boxing a per-vertex object.  The validators
+    read :attr:`column` and :attr:`mask` directly
+    (:mod:`repro.verify.columns`); ``values()`` and ``items()`` convert
+    the column with one ``tolist`` instead of a lookup per key.
+    """
+
+    __slots__ = ("column", "mask", "full", "_len")
+
+    def __init__(self, column: np.ndarray, mask: np.ndarray | None = None) -> None:
+        n = column.shape[0]
+        self.full = mask is None or bool(mask.all())
+        if mask is None:
+            mask = np.ones(n, dtype=bool)
+        elif mask.shape != (n,) or mask.dtype != bool:
+            raise ValueError("mask must be a boolean column as long as the values")
+        #: the value of every vertex (meaningless where ``mask`` is unset)
+        self.column = column.view()
+        #: which vertices are keys
+        self.mask = mask.view()
+        self.column.flags.writeable = self.mask.flags.writeable = False
+        self._len = n if self.full else int(np.count_nonzero(mask))
+
+    def keys_array(self) -> np.ndarray:
+        """The keys, ascending, as an int64 column."""
+        if self.full:
+            return np.arange(self.column.shape[0], dtype=np.int64)
+        return np.flatnonzero(self.mask)
+
+    def values_array(self) -> np.ndarray:
+        """The values in key order, as a column."""
+        return self.column if self.full else self.column[self.mask]
+
+    def _index(self, key) -> int:
+        try:
+            i = operator.index(key)
+        except TypeError:
+            raise KeyError(key) from None
+        if not (0 <= i < self.column.shape[0] and self.mask[i]):
+            raise KeyError(key)
+        return i
+
+    def __getitem__(self, key):
+        return self.column[self._index(key)].item()
+
+    def __contains__(self, key) -> bool:
+        try:
+            self._index(key)
+        except KeyError:
+            return False
+        return True
+
+    def __iter__(self):
+        return iter(self.keys_array().tolist())
+
+    def __len__(self) -> int:
+        return self._len
+
+    def values(self):
+        return _ColumnValues(self)
+
+    def items(self):
+        return _ColumnItems(self)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self.items())!r})"
+
+
+class _ColumnValues(ValuesView):
+    __slots__ = ()
+
+    def __iter__(self):
+        return iter(self._mapping.values_array().tolist())
+
+
+class _ColumnItems(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self):
+        m = self._mapping
+        return zip(m.keys_array().tolist(), m.values_array().tolist())
 
 
 def id_space(ids_arr: np.ndarray) -> int:

@@ -14,6 +14,7 @@ round i), whose exponential decay (Lemma 6.1) powers every result.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 
 @dataclass(frozen=True)
@@ -31,7 +32,11 @@ class RoundMetrics:
     def n(self) -> int:
         return len(self.rounds)
 
-    @property
+    # the sums below are computed once per instance: a result's metrics
+    # are read by the CLI summary, the run manifest and the benchmark
+    # digest, each an O(n) pass over ``rounds``
+
+    @cached_property
     def round_sum(self) -> int:
         """RoundSum(V) = sum of rounds over all vertices."""
         return sum(self.rounds)
@@ -43,12 +48,12 @@ class RoundMetrics:
             return 0.0
         return self.round_sum / len(self.rounds)
 
-    @property
+    @cached_property
     def worst_case(self) -> int:
         """T(G) = max_v r(v) (0 for the empty graph)."""
         return max(self.rounds, default=0)
 
-    @property
+    @cached_property
     def total_messages(self) -> int:
         return sum(self.messages_per_round)
 

@@ -561,9 +561,13 @@ class SyncNetwork:
                             emit(Drop(rnd, v, len(slot)))
                         slot.clear()
 
-            sched.end_round(
-                router.msgs, len({u for u in dirty_next if slots_next[u]})
+            # distinct receivers only feed the round_end event
+            receivers = (
+                len({u for u in dirty_next if slots_next[u]})
+                if emit is not None
+                else 0
             )
+            sched.end_round(router.msgs, receivers)
             router.msgs = 0
             sched.active = still_active
 

@@ -282,7 +282,8 @@ class SyncBarrierScheduler:
         """Close the round: fold the engine's routed-copy count (after
         same-round drops), this round's halt notices, and the copies the
         adversary held for later delivery into the traffic trace, and
-        emit ``round_end``."""
+        emit ``round_end``.  ``receivers`` only feeds that event, so an
+        engine without a live bus may pass 0 instead of counting."""
         msgs_total = routed + len(self.newly_halted)
         if self.injector is not None:
             msgs_total += self.injector.take_delayed_count()

@@ -7,8 +7,9 @@ Tests and benchmarks validate every produced solution.
 The validators behind ``Execution.validate`` for the bulk-capable problem
 kinds -- :func:`assert_proper_coloring`, :func:`assert_defective_coloring`,
 :func:`assert_maximal_independent_set` and :func:`assert_h_partition` --
-are columnar: they read the graph's CSR view and integer columns of the
-result (:mod:`repro.verify.columns`), never ``g.edges()`` or
+are columnar: they read the graph's CSR view and columns of the result
+(:mod:`repro.verify.columns`; zero-copy for the bulk kernels'
+:class:`~repro.runtime.bulk.ColumnMap` views), never ``g.edges()`` or
 ``g.neighbors()``, so validating a ``Graph.from_csr`` graph never builds
 its Python object layer.  Their witness is the lowest offending vertex or
 canonical edge.  The loop-form definitions they are tested against live

@@ -8,7 +8,8 @@ from typing import Hashable, Mapping
 import numpy as np
 
 from repro.graphs.graph import Graph, canonical_edge
-from repro.verify.columns import arcs, factorize, first
+from repro.runtime.bulk import ColumnMap
+from repro.verify.columns import arcs, color_codes, distinct, first
 
 
 class VerificationError(AssertionError):
@@ -17,13 +18,14 @@ class VerificationError(AssertionError):
 
 def _require_total(
     g: Graph, coloring: Mapping[int, Hashable], what: str
-) -> list[Hashable]:
-    """The colors of ``0..n-1`` as a list, or raise naming the uncolored."""
-    colors = list(map(coloring.get, g.vertices()))
-    missing = [v for v, c in enumerate(colors) if c is None]
-    if missing:
-        raise VerificationError(f"{what}: vertices without a color: {missing[:10]}")
-    return colors
+) -> np.ndarray:
+    """Integer codes of the colors of ``0..n-1`` (equal colors, equal
+    codes), or raise naming the uncolored."""
+    codes, colored = color_codes(g.n, coloring)
+    if not colored.all():
+        missing = np.flatnonzero(~colored)[:10].tolist()
+        raise VerificationError(f"{what}: vertices without a color: {missing}")
+    return codes
 
 
 def assert_proper_coloring(
@@ -33,16 +35,15 @@ def assert_proper_coloring(
 ) -> None:
     """Every vertex colored; no edge monochromatic; optionally at most
     ``max_colors`` distinct colors used."""
-    colors = _require_total(g, coloring, "proper coloring")
-    codes, used = factorize(colors)
+    codes = _require_total(g, coloring, "proper coloring")
     src, dst = arcs(g)
     hit = first(codes[src] == codes[dst])
     if hit is not None:
         u, v = int(src[hit]), int(dst[hit])
         raise VerificationError(
-            f"edge ({u}, {v}) is monochromatic with color {colors[u]!r}"
+            f"edge ({u}, {v}) is monochromatic with color {coloring[u]!r}"
         )
-    if max_colors is not None and used > max_colors:
+    if max_colors is not None and (used := distinct(codes)) > max_colors:
         raise VerificationError(
             f"coloring uses {used} colors, allowed at most {max_colors}"
         )
@@ -105,8 +106,7 @@ def assert_defective_coloring(
 ) -> None:
     """A d-defective coloring: every vertex has at most ``max_defect``
     same-colored neighbors (Section 7.8)."""
-    colors = _require_total(g, coloring, "defective coloring")
-    codes, used = factorize(colors)
+    codes = _require_total(g, coloring, "defective coloring")
     src, dst = arcs(g)
     defect = np.bincount(src[codes[src] == codes[dst]], minlength=g.n)
     v = first(defect > max_defect)
@@ -114,12 +114,15 @@ def assert_defective_coloring(
         raise VerificationError(
             f"vertex {v} has defect {int(defect[v])} > allowed {max_defect}"
         )
-    if max_colors is not None and used > max_colors:
+    if max_colors is not None and (used := distinct(codes)) > max_colors:
         raise VerificationError(
             f"defective coloring uses {used} colors, allowed {max_colors}"
         )
 
 
 def color_count(coloring: Mapping[Hashable, Hashable]) -> int:
-    """The number of distinct colors used."""
+    """The number of distinct colors used (read off the column of an
+    integer :class:`~repro.runtime.bulk.ColumnMap`)."""
+    if isinstance(coloring, ColumnMap) and coloring.column.dtype.kind in "biu":
+        return distinct(coloring.values_array())
     return len(set(coloring.values()))

@@ -5,20 +5,26 @@ from __future__ import annotations
 
 from typing import Collection
 
+import numpy as np
+
 from repro.graphs.graph import Graph, canonical_edge
 from repro.verify.colorings import VerificationError
 from repro.verify.columns import arcs, first, vertex_mask
 
 
-def assert_maximal_independent_set(g: Graph, mis: Collection[int]) -> None:
+def assert_maximal_independent_set(
+    g: Graph, mis: Collection[int] | np.ndarray
+) -> None:
     """I is independent (no edge inside) and maximal (every outside vertex
-    has a neighbor inside)."""
+    has a neighbor inside).  ``mis`` is a vertex collection or a boolean
+    column over the vertices."""
     n = g.n
-    s = set(mis)
-    if s and not (0 <= min(s) and max(s) < n):
-        v = next(v for v in s if not 0 <= v < n)
-        raise VerificationError(f"MIS contains non-vertex {v}")
-    inside = vertex_mask(n, s)
+    if not isinstance(mis, np.ndarray):
+        mis = set(mis)
+        if mis and not (0 <= min(mis) and max(mis) < n):
+            v = next(v for v in mis if not 0 <= v < n)
+            raise VerificationError(f"MIS contains non-vertex {v}")
+    inside = vertex_mask(n, mis)
     src, dst = arcs(g)
     hit = first(inside[src] & inside[dst])
     if hit is not None:

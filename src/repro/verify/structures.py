@@ -4,8 +4,7 @@ arbdefective colorings (Section 7.8)."""
 
 from __future__ import annotations
 
-from itertools import repeat
-from typing import Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
 import numpy as np
 
@@ -13,23 +12,24 @@ from repro.graphs.graph import Graph, canonical_edge
 from repro.graphs.arboricity import arboricity_exact
 from repro.graphs.orientation import Orientation
 from repro.verify.colorings import VerificationError
-from repro.verify.columns import arcs, first, vertex_mask
+from repro.verify.columns import arcs, first, value_column, vertex_mask
 
 
 def assert_h_partition(
     g: Graph,
     h_index: Mapping[int, int],
     degree_bound: float,
-    subset: set[int] | None = None,
+    subset: Collection[int] | np.ndarray | None = None,
 ) -> None:
     """An H-partition H_1, ..., H_ell (Procedure Partition's output): every
     vertex belongs to exactly one H-set, and every vertex in H_i has at most
-    ``degree_bound`` neighbors in H_i u H_{i+1} u ... (within ``subset`` if
-    given, else the whole graph)."""
+    ``degree_bound`` neighbors in H_i u H_{i+1} u ... (within ``subset`` --
+    a vertex collection or a boolean column -- if given, else the whole
+    graph)."""
     n = g.n
     checked = np.ones(n, dtype=bool) if subset is None else vertex_mask(n, subset)
     # an absent vertex reads as level 0, invalid like any level < 1
-    level = np.array(list(map(h_index.get, range(n), repeat(0))))
+    level = value_column(n, h_index, 0)
     v = first(checked & (level < 1))
     if v is not None:
         if v not in h_index:

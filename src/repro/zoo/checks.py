@@ -28,7 +28,7 @@ import numpy as np
 
 from repro import verify
 from repro.verify import VerificationError
-from repro.verify.columns import arcs, factorize, first, vertex_mask
+from repro.verify.columns import arcs, color_codes, first, key_mask, value_column, vertex_mask
 
 # ---------------------------------------------------------------------------
 # full validators (fault-free runs): validate(g, res) -> summary line
@@ -39,10 +39,15 @@ def _validate_coloring(g, res) -> str:
     return f"proper coloring, {res.colors_used} colors (bound {res.palette_bound})"
 
 
+def _in_mis(g, res) -> np.ndarray:
+    """The MIS as a boolean column over the vertices."""
+    return np.asarray(value_column(g.n, res.in_mis, False), dtype=bool)
+
+
 def _validate_mis(g, res) -> str:
-    mis = res.mis
-    verify.assert_maximal_independent_set(g, mis)
-    return f"maximal independent set, |I| = {len(mis)}"
+    inside = _in_mis(g, res)
+    verify.assert_maximal_independent_set(g, inside)
+    return f"maximal independent set, |I| = {int(np.count_nonzero(inside))}"
 
 
 def _validate_matching(g, res) -> str:
@@ -120,21 +125,30 @@ FULL_VALIDATORS: dict[str, Callable] = {
 
 # ---------------------------------------------------------------------------
 # survivor-subgraph safety checks: check(g, res, alive) -> None | raise
+#
+# ``alive`` is a vertex set or a boolean column over the vertices.
 # ---------------------------------------------------------------------------
 
-def _survivors(g, alive: set[int], decided, what: str) -> np.ndarray:
+def _survivors(g, alive, decided, what: str) -> np.ndarray:
     """The survivor mask; raises at the lowest survivor ``decided`` lacks."""
     live = vertex_mask(g.n, alive)
-    v = first(live & ~vertex_mask(g.n, decided.keys()))
+    v = first(live & ~key_mask(g.n, decided))
     if v is not None:
         raise VerificationError(f"surviving vertex {v} terminated without {what}")
     return live
 
 
-def check_vertex_coloring(g, res, alive: set[int]) -> None:
+def _alive_set(alive) -> set[int]:
+    """The survivors as a set, for the loop-form checks."""
+    if isinstance(alive, np.ndarray):
+        return set(np.flatnonzero(alive).tolist())
+    return alive
+
+
+def check_vertex_coloring(g, res, alive) -> None:
     colors = res.colors
     live = _survivors(g, alive, colors, "a color")
-    codes, _ = factorize(map(colors.get, g.vertices()))
+    codes, _ = color_codes(g.n, colors)
     src, dst = arcs(g)
     hit = first(live[src] & live[dst] & (codes[src] == codes[dst]))
     if hit is not None:
@@ -144,14 +158,14 @@ def check_vertex_coloring(g, res, alive: set[int]) -> None:
         )
 
 
-def check_partition(g, res, alive: set[int]) -> None:
+def check_partition(g, res, alive) -> None:
     _survivors(g, alive, res.h_index, "an H-index")
     verify.assert_h_partition(g, res.h_index, res.A, subset=alive)
 
 
-def check_mis(g, res, alive: set[int]) -> None:
+def check_mis(g, res, alive) -> None:
     live = _survivors(g, alive, res.in_mis, "an MIS decision")
-    both = live & vertex_mask(g.n, res.mis)
+    both = live & _in_mis(g, res)
     src, dst = arcs(g)
     hit = first(both[src] & both[dst])
     if hit is not None:
@@ -161,7 +175,8 @@ def check_mis(g, res, alive: set[int]) -> None:
         )
 
 
-def check_matching(g, res, alive: set[int]) -> None:
+def check_matching(g, res, alive) -> None:
+    alive = _alive_set(alive)
     seen: dict[int, tuple[int, int]] = {}
     for e in res.matching:
         u, v = e
@@ -175,9 +190,10 @@ def check_matching(g, res, alive: set[int]) -> None:
             seen[x] = e
 
 
-def check_edge_coloring(g, res, alive: set[int]) -> None:
+def check_edge_coloring(g, res, alive) -> None:
     from repro.graphs.graph import canonical_edge
 
+    alive = _alive_set(alive)
     ec = res.edge_colors
     # adjacent survivor-survivor edges must have distinct colors
     for v in alive:
@@ -197,13 +213,14 @@ def check_edge_coloring(g, res, alive: set[int]) -> None:
             by_color[c] = e
 
 
-def check_leader_election(g, res, alive: set[int]) -> None:
+def check_leader_election(g, res, alive) -> None:
     """Safety half of leader election: no two surviving leaders.
 
     Completing at all under a crash is rare (the token must tour every
     ring vertex), but when it happens the survivors must not disagree on
     who leads, and every surviving vertex must have fixed an output.
     """
+    alive = _alive_set(alive)
     outputs = res.outputs
     leaders = []
     for v in alive:
@@ -221,7 +238,7 @@ def check_leader_election(g, res, alive: set[int]) -> None:
         )
 
 
-def check_consensus(g, res, alive: set[int]) -> None:
+def check_consensus(g, res, alive) -> None:
     """Safety half of binary consensus among crash-stop survivors.
 
     Agreement per connected component of the *surviving* subgraph (a
@@ -230,6 +247,7 @@ def check_consensus(g, res, alive: set[int]) -> None:
     crashed vertex's zero may have propagated before the crash, but no
     value outside the component's input set can ever be decided.
     """
+    alive = _alive_set(alive)
     decisions, values = res.decisions, res.values
     for v in alive:
         if decisions.get(v) not in (0, 1):

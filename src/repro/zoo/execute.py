@@ -26,6 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Sequence
 
+import numpy as np
+
 from repro.zoo.checks import full_validator, survivor_check
 from repro.zoo.registry import get
 from repro.zoo.spec import ENGINES, MODES, AlgorithmSpec
@@ -75,12 +77,29 @@ class Execution:
             )
         if not self.faulted:
             return full_validator(self.spec.problem)(g, self.result)
-        alive = self.alive(g)
-        survivor_check(self.spec.problem)(g, self.result, alive)
+        live = np.ones(g.n, dtype=bool)
+        crashed = np.array(self.crashed, dtype=np.int64)
+        live[crashed[(crashed >= 0) & (crashed < g.n)]] = False
+        survivor_check(self.spec.problem)(g, self.result, live)
         return (
-            f"survivor-safety OK on {len(alive)}/{g.n} surviving vertices "
-            f"(crashed: {sorted(self.crashed) if self.crashed else 'none'})"
+            f"survivor-safety OK on {int(np.count_nonzero(live))}/{g.n} "
+            f"surviving vertices (crashed: {_listed(self.crashed)})"
         )
+
+
+#: how many crashed IDs a survivor summary lists before it abbreviates
+LISTED_IDS = 10
+
+
+def _listed(vertices) -> str:
+    """``[3, 5]``, or the count and the lowest :data:`LISTED_IDS` IDs of a
+    longer list, so a summary stays one short line at any n."""
+    if not vertices:
+        return "none"
+    ids = sorted(vertices)
+    if len(ids) <= LISTED_IDS:
+        return str(ids)
+    return f"{len(ids)} vertices, lowest {LISTED_IDS}: {ids[:LISTED_IDS]}"
 
 
 def execute(

@@ -261,6 +261,17 @@ class TestFaults:
         assert "survivor-safety OK" in summary
         assert ex.alive(g) == set(g.vertices()) - set(ex.crashed)
 
+    def test_survivor_summary_abbreviates_a_long_crash_list(self):
+        g, a, ids = _instance(n=200)
+        at = {v: 1 for v in range(0, 200, 7)}  # 29 scheduled crashes
+        ex = zoo.execute("partition", g, a, ids, 0, faults=FaultPlan(seed=1, crashes=CrashSpec(at=at)))
+        assert len(ex.crashed) == 29
+        lowest = sorted(ex.crashed)[:10]
+        assert ex.validate(g) == (
+            f"survivor-safety OK on 171/200 surviving vertices "
+            f"(crashed: 29 vertices, lowest 10: {lowest})"
+        )
+
     def test_watchdog_is_always_captured(self):
         # a crashed MIS participant leaves neighbors waiting forever
         g, a, ids = _instance(n=40, seed=5, workload="gnp_sparse")
