@@ -130,7 +130,7 @@ def measure_engine(
     points = []
     for n in ns:
         g = gen.union_of_forests(n, 3, seed=0)
-        g.csr_rows()  # build the CSR cache outside the timed region
+        g.edges()  # build the object layer and CSR rows outside the timed region
         best = None
         for _ in range(max(1, repeats)):
             t0 = time.perf_counter()
@@ -199,8 +199,6 @@ def measure_null_sink_overhead(
     if engine == "bulk":
         from repro.runtime.bulk import bulk_broadcast_kernel
 
-        g.csr(dtype="auto")  # build the CSR cache outside the timed region
-
         def timed(with_bus: bool) -> float:
             previous = obs.install(bus) if with_bus else None
             t0 = time.process_time()
@@ -213,7 +211,7 @@ def measure_null_sink_overhead(
             return dt
 
     elif engine == "fast":
-        g.csr_rows()  # build the CSR cache outside the timed region
+        g.edges()  # build the object layer and CSR rows outside the timed region
         program = broadcast_program(rounds)
 
         def timed(with_bus: bool) -> float:

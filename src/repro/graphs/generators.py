@@ -200,53 +200,33 @@ def union_of_forests(n: int, a: int, seed: int = 0, density: float = 1.0) -> Gra
     return Graph(n, edges)
 
 
-def forest_union_csr(n: int, a: int, seed: int = 0, dtype: str = "auto") -> Graph:
-    """A prescribed-arboricity forest union built columnar, CSR-direct.
+def forest_union_csr(n: int, a: int, seed: int = 0) -> Graph:
+    """A prescribed-arboricity forest union sampled columnar.
 
     Numpy-vectorised sibling of :func:`union_of_forests` for graphs too
-    large for the Python object layer (n >= 10^6): each of the ``a``
-    forests attaches ``perm[i]`` to ``perm[j]`` for a random ``j < i``
-    under an independent permutation, duplicates across forests are
-    collapsed, and the result is handed to :meth:`Graph.from_csr`
-    without ever materialising per-vertex tuples.  Arboricity <= a by
-    construction; the edge sample differs from ``union_of_forests`` at
-    equal seeds (different RNG), so treat the two as distinct workloads.
-
-    ``dtype`` is forwarded to :func:`repro.graphs.graph.csr_index_dtype`
-    ("auto" stores int32 CSR whenever n and 2m fit).
+    large for a Python edge set (n >= 10^6): each of the ``a`` forests
+    attaches ``perm[i]`` to ``perm[j]`` for a random ``j < i`` under an
+    independent permutation, and the pairs go to :class:`Graph` as one
+    array, which collapses the duplicates across forests.  Arboricity
+    <= a by construction; the edge sample differs from
+    ``union_of_forests`` at equal seeds (different RNG), so treat the
+    two as distinct workloads.
     """
     import numpy as np
-
-    from repro.graphs.graph import csr_index_dtype
 
     if a < 1:
         raise ValueError("arboricity must be >= 1")
     if n < 2:
         return Graph(n)
     rng = np.random.default_rng(seed)
-    lo_parts = []
-    hi_parts = []
+    us, vs = [], []
     for _ in range(a):
         perm = rng.permutation(n)
         j = (rng.random(n - 1) * np.arange(1, n)).astype(np.int64)
-        u = perm[j]
-        v = perm[1:]
-        lo_parts.append(np.minimum(u, v))
-        hi_parts.append(np.maximum(u, v))
-    lo = np.concatenate(lo_parts)
-    hi = np.concatenate(hi_parts)
-    # dedup the packed edge codes by a sort and an adjacent compare
-    codes = np.sort(lo.astype(np.int64) * n + hi)
-    codes = codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
-    lo = codes // n
-    hi = codes % n
-    # both arc directions, ordered by (src, dst) through one packed key
-    keys = np.sort(np.concatenate((lo * n + hi, hi * n + lo)))
-    want = csr_index_dtype(n, keys.size, dtype)
-    offsets = np.zeros(n + 1, dtype=want)
-    offsets[1:] = np.cumsum(np.bincount(keys // n, minlength=n)).astype(want)
-    indices = (keys % n).astype(want)
-    return Graph.from_csr(offsets, indices)
+        us.append(perm[j])
+        vs.append(perm[1:])
+    # an (m, 2) view of two contiguous rows: no interleaving copy
+    return Graph(n, np.stack((np.concatenate(us), np.concatenate(vs))).T)
 
 
 def permutation_ids(n: int, seed: int = 0):

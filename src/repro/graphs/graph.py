@@ -6,14 +6,24 @@ Vertices are the integers ``0 .. n-1``; symmetry-breaking identifiers (the
 maximizes) are stored separately, so the same topology can be re-run under
 many ID assignments.
 
-The representation is optimised for the access pattern of the round
-simulator: ``neighbors(v)`` is a tuple lookup, ``degree(v)`` is O(1), and
-edge-set membership is O(1) via per-vertex frozensets.
+The adjacency is stored once, in CSR form: an ``offsets`` array of length
+``n + 1`` and an ``indices`` array of length ``2m`` holding every row
+sorted ascending, built in numpy and kept in int32 whenever it fits.  The
+columnar engines and validators read those arrays directly, and
+``degree(v)`` is an offsets difference.  The Python-object layer the
+generator engines iterate (``neighbors(v)`` tuples, per-vertex frozensets
+for O(1) ``has_edge``, the sorted edge tuple) is built from the CSR only
+on the first object-level call, so an n = 10^6 graph that only runs on
+the bulk engine never pays for millions of tuples.
 """
 
 from __future__ import annotations
 
+from array import array
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 #: largest value an int32 CSR array can address (offsets run to 2m,
 #: indices to n - 1)
@@ -35,8 +45,6 @@ def csr_index_dtype(n: int, m2: int, dtype: str = "auto"):
     cache-friendly memory.  Forcing ``"int32"`` on an oversized graph is
     a loud error, never a silent overflow.
     """
-    import numpy as np
-
     fits32 = n <= INT32_MAX and m2 <= INT32_MAX
     if dtype == "auto":
         return np.dtype(np.int32) if fits32 else np.dtype(np.int64)
@@ -55,6 +63,49 @@ def csr_index_dtype(n: int, m2: int, dtype: str = "auto"):
     )
 
 
+def _check_pair(n: int, u, v) -> None:
+    """Raise the error for edge ``(u, v)`` if it is a self-loop or has an
+    endpoint outside ``0 .. n-1``."""
+    if u == v:
+        raise ValueError(f"self-loop at vertex {u} is not allowed")
+    if not (0 <= u < n and 0 <= v < n):
+        raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+
+
+def _edge_pairs(n: int, edges):
+    """``edges`` as a checked ``(k, 2)`` integer array.
+
+    A ``(k, 2)`` integer numpy array is taken as it is; any other
+    iterable is read pair by pair into int64.  The first offending edge
+    in iteration order raises, with the message a Python loop of
+    ``for u, v in edges`` plus :func:`_check_pair` would give: that loop
+    is run only when the columnar read fails, to find and report the
+    offender (non-pairs raise the unpacking error).
+    """
+    if not (
+        isinstance(edges, np.ndarray)
+        and edges.ndim == 2
+        and edges.shape[1] == 2
+        and edges.dtype.kind in "iu"
+    ):
+        if not isinstance(edges, (list, tuple)):
+            edges = list(edges)
+        try:
+            if set(map(len, edges)) - {2}:
+                raise ValueError("not all edges are pairs")
+            flat = array("q", chain.from_iterable(edges))
+        except (TypeError, ValueError, OverflowError):
+            for u, v in edges:
+                _check_pair(n, u, v)
+            raise TypeError("edge endpoints must be integers") from None
+        edges = np.frombuffer(flat, dtype=np.int64).reshape(-1, 2)
+    u, v = edges[:, 0], edges[:, 1]
+    if edges.size and (edges.min() < 0 or edges.max() >= n or (u == v).any()):
+        bad = (u == v) | (u < 0) | (u >= n) | (v < 0) | (v >= n)
+        _check_pair(n, *edges[int(np.argmax(bad))].tolist())
+    return edges
+
+
 class Graph:
     """An immutable, simple, undirected graph on vertices ``0 .. n-1``.
 
@@ -63,39 +114,42 @@ class Graph:
     n:
         Number of vertices.
     edges:
-        Iterable of ``(u, v)`` pairs.  Self-loops are rejected; duplicate
-        edges (in either orientation) are collapsed.
+        Iterable of ``(u, v)`` pairs, or an ``(m, 2)`` integer numpy
+        array.  Self-loops are rejected; duplicate edges (in either
+        orientation) are collapsed.
     """
 
-    __slots__ = ("_n", "_adj", "_adj_sets", "_edges", "_m", "_csr", "_csr_rows")
+    __slots__ = ("_n", "_m", "_offsets", "_indices", "_csr", "_csr_rows",
+                 "_adj", "_adj_sets", "_edges")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if n < 0:
             raise ValueError(f"vertex count must be non-negative, got {n}")
-        self._n = n
-        self._csr = {}
+        pairs = _edge_pairs(n, edges).astype(np.int64, copy=False)
+        u, v = pairs[:, 0], pairs[:, 1]
+        # dedup the packed (min, max) edge codes by a sort and an
+        # adjacent compare (n = 0 admits no edge, so nothing divides by 0)
+        codes = np.sort(np.minimum(u, v) * n + np.maximum(u, v))
+        codes = np.concatenate((codes[:1], codes[1:][codes[1:] != codes[:-1]]))
+        lo, hi = codes // n, codes % n
+        # both arc directions, ordered by (src, dst) through one packed key
+        keys = np.sort(np.concatenate((codes, hi * n + lo)))
+        want = csr_index_dtype(n, keys.size)
+        offsets = np.zeros(n + 1, dtype=want)
+        offsets[1:] = np.cumsum(np.bincount(keys // n, minlength=n))
+        self._set_csr(offsets, (keys % n).astype(want))
+
+    def _set_csr(self, offsets, indices) -> None:
+        """Store the CSR arrays; the object layer stays unbuilt."""
+        self._n = offsets.size - 1
+        self._m = indices.size // 2
+        self._offsets = offsets
+        self._indices = indices
+        self._csr = {offsets.dtype.name: (offsets, indices)}
         self._csr_rows = None
-        adj: list[list[int]] = [[] for _ in range(n)]
-        seen: set[tuple[int, int]] = set()
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u} is not allowed")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            e = canonical_edge(u, v)
-            if e in seen:
-                continue
-            seen.add(e)
-            adj[u].append(v)
-            adj[v].append(u)
-        self._adj: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(nbrs)) for nbrs in adj
-        )
-        self._adj_sets: tuple[frozenset[int], ...] = tuple(
-            frozenset(nbrs) for nbrs in self._adj
-        )
-        self._edges: tuple[tuple[int, int], ...] = tuple(sorted(seen))
-        self._m = len(self._edges)
+        self._adj = None
+        self._adj_sets = None
+        self._edges = None
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -131,10 +185,7 @@ class Graph:
 
     def degree(self, v: int) -> int:
         """deg(v): the number of edges incident on ``v``."""
-        if self._adj is None:
-            offsets, _ = self.csr()
-            return int(offsets[v + 1] - offsets[v])
-        return len(self._adj[v])
+        return int(self._offsets[v + 1] - self._offsets[v])
 
     def has_edge(self, u: int, v: int) -> bool:
         """Whether ``{u, v}`` is an edge."""
@@ -143,23 +194,11 @@ class Graph:
 
     def max_degree(self) -> int:
         """Delta(G), the maximum degree (0 for the empty graph)."""
-        if self._n == 0:
-            return 0
-        if self._adj is None:
-            import numpy as np
-
-            offsets, _ = self.csr()
-            return int(np.max(np.diff(offsets)))
-        return max(len(nbrs) for nbrs in self._adj)
+        return int(np.diff(self._offsets).max()) if self._n else 0
 
     def degree_sequence(self) -> list[int]:
         """All vertex degrees, indexed by vertex."""
-        if self._adj is None:
-            import numpy as np
-
-            offsets, _ = self.csr()
-            return np.diff(offsets).tolist()
-        return [len(nbrs) for nbrs in self._adj]
+        return np.diff(self._offsets).tolist()
 
     # ------------------------------------------------------------------
     # CSR adjacency view (the round engine's fast path)
@@ -169,48 +208,25 @@ class Graph:
 
         ``offsets`` is an array of length ``n + 1`` and ``indices`` an
         array of length ``2m``; the neighbors of ``v`` are
-        ``indices[offsets[v]:offsets[v+1]]``, sorted ascending.  Built
-        lazily on first use and cached per index dtype for the lifetime
-        of the graph (the graph is immutable), so repeated executions
-        over the same topology share one flat adjacency encoding.
+        ``indices[offsets[v]:offsets[v+1]]``, sorted ascending.  The
+        stored arrays are returned as they are when their dtype is the
+        one asked for; any other dtype is cast once and cached for the
+        lifetime of the graph (the graph is immutable).
 
         ``dtype`` selects the index width: ``"int64"`` (the default,
         always valid), ``"int32"`` (loud :class:`ValueError` if ``n`` or
         ``2m`` exceed the int32 range), or ``"auto"`` (int32 when it
         fits, int64 otherwise — see :func:`csr_index_dtype`).
         """
-        import numpy as np
-
         want = csr_index_dtype(self._n, 2 * self._m, dtype)
-        cached = self._csr.get(want.name)
-        if cached is not None:
-            return cached
-        if self._csr:
-            # Cast an already-built view rather than rebuilding from the
-            # object layer (which may not exist for from_csr graphs).
-            offsets, indices = next(iter(self._csr.values()))
-            view = (offsets.astype(want), indices.astype(want))
-        else:
-            offsets = np.zeros(self._n + 1, dtype=want)
-            if self._n:
-                offsets[1:] = np.cumsum(
-                    np.fromiter(
-                        (len(nbrs) for nbrs in self._adj),
-                        dtype=want,
-                        count=self._n,
-                    )
-                )
-            indices = np.fromiter(
-                (u for nbrs in self._adj for u in nbrs),
-                dtype=want,
-                count=2 * self._m,
-            )
-            view = (offsets, indices)
-        self._csr[want.name] = view
+        view = self._csr.get(want.name)
+        if view is None:
+            view = (self._offsets.astype(want), self._indices.astype(want))
+            self._csr[want.name] = view
         return view
 
     def csr_rows(self) -> list[list[int]]:
-        """Per-vertex neighbor rows sliced out of :meth:`csr`.
+        """Per-vertex neighbor rows sliced out of the CSR arrays.
 
         A cached list-of-lists mirror of the CSR arrays holding plain
         Python ints, which is what the engine's object-level loops
@@ -220,9 +236,8 @@ class Graph:
         immutable and copy before mutating.
         """
         if self._csr_rows is None:
-            offsets, indices = self.csr()
-            off = offsets.tolist()
-            idx = indices.tolist()
+            off = self._offsets.tolist()
+            idx = self._indices.tolist()
             self._csr_rows = [
                 idx[off[v] : off[v + 1]] for v in range(self._n)
             ]
@@ -230,19 +245,14 @@ class Graph:
 
     @classmethod
     def from_csr(cls, offsets, indices) -> "Graph":
-        """Build a graph directly from CSR arrays, skipping the object layer.
+        """Build a graph directly from CSR arrays.
 
         ``offsets`` must be non-decreasing with ``offsets[0] == 0`` and
         ``offsets[-1] == len(indices)``; ``indices`` holds both
         orientations of every edge with each row sorted ascending (the
-        invariants :meth:`csr` guarantees).  The Python-object adjacency
-        (tuples, frozensets, the edge list) is materialised lazily only
-        if an object-level accessor is called, so columnar-only pipelines
-        can hold an n = 10^7 graph in a few hundred MB instead of tens of
-        GB of tuples.
+        invariants :meth:`csr` guarantees).  The arrays are stored as
+        given, in their own dtype.
         """
-        import numpy as np
-
         offsets = np.ascontiguousarray(offsets)
         indices = np.ascontiguousarray(indices)
         if offsets.ndim != 1 or offsets.size < 1 or offsets[0] != 0:
@@ -260,13 +270,7 @@ class Graph:
         if indices.size and (indices.min() < 0 or indices.max() >= n):
             raise ValueError(f"indices out of range for n={n}")
         g = cls.__new__(cls)
-        g._n = n
-        g._m = indices.size // 2
-        g._adj = None
-        g._adj_sets = None
-        g._edges = None
-        g._csr_rows = None
-        g._csr = {np.dtype(offsets.dtype).name: (offsets, indices)}
+        g._set_csr(offsets, indices)
         return g
 
     def _materialize_objects(self) -> None:
@@ -392,13 +396,16 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        self._materialize_objects()
-        other._materialize_objects()
-        return self._n == other._n and self._edges == other._edges
+        return (
+            self._n == other._n
+            and np.array_equal(self._offsets, other._offsets)
+            and np.array_equal(self._indices, other._indices)
+        )
 
     def __hash__(self) -> int:
-        self._materialize_objects()
-        return hash((self._n, self._edges))
+        # the "auto" dtype is a function of (n, m), so equal graphs hash
+        # the same bytes whatever dtype they were stored in
+        return hash((self._n, self.csr(dtype="auto")[1].tobytes()))
 
     def __repr__(self) -> str:
         return f"Graph(n={self._n}, m={self._m})"

@@ -9,8 +9,8 @@ executions back to back (an algorithm driver may run several networks).
 
 Renderers:
 
-* :func:`narrative` -- the per-round "what happened when" log, the event
-  -stream analogue of :meth:`repro.runtime.trace.Trace.narrative`;
+* :func:`narrative` -- the per-round "what happened when" log: active
+  vertices, messages, commits, terminations and faults;
 * :func:`decay_table` -- the active-vertex decay curve n_i with per-round
   ratios, i.e. the measured shape Lemma 6.1 bounds;
 * :func:`diff` -- engine-vs-engine (or run-vs-run) comparison of two

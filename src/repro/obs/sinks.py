@@ -20,9 +20,7 @@ Three built-ins cover the observability spectrum:
   :func:`repro.obs.report.load_records` tolerates.
 
 The aggregating sink lives in :mod:`repro.obs.collect`
-(:class:`~repro.obs.collect.MetricsCollector`) and the trace-building
-sink in :mod:`repro.runtime.trace`
-(:class:`~repro.runtime.trace.TraceRecorder`).
+(:class:`~repro.obs.collect.MetricsCollector`).
 """
 
 from __future__ import annotations

@@ -35,7 +35,6 @@ from repro.runtime.scheduler import (
     mode_session,
 )
 from repro.runtime.reference import ReferenceSyncNetwork
-from repro.runtime.trace import Trace, TraceRecorder
 
 __all__ = [
     "BulkUnsupported",
@@ -53,8 +52,6 @@ __all__ = [
     "SyncBarrierScheduler",
     "SyncNetwork",
     "TimeMetrics",
-    "Trace",
-    "TraceRecorder",
     "WAIT",
     "bulk_broadcast_kernel",
     "current_engine",

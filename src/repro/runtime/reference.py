@@ -12,10 +12,9 @@ It exists so the throughput-optimised :class:`repro.runtime.network
 ``tests/runtime/test_equivalence.py`` replays randomized programs over
 every workload family through both engines and asserts identical
 :class:`~repro.runtime.network.RunResult`\\ s (outputs, per-vertex rounds,
-active/message traces, commit rounds) and identical
-:class:`~repro.runtime.trace.Trace` records.  It is also the "before"
-engine that :mod:`repro.bench.baseline` times to quantify the fast path's
-speedup.
+active/message traces, commit rounds) and identical event streams.  It
+is also the "before" engine that :mod:`repro.bench.baseline` times to
+quantify the fast path's speedup.
 
 Do not optimise this module; clarity is its contract.
 """

@@ -237,3 +237,239 @@ class TestFromCsr:
             Graph.from_csr(np.array([0, 2, 1, 4]), np.array([1, 2, 0, 0]))
         with pytest.raises(ValueError, match="out of range"):
             Graph.from_csr(np.array([0, 1, 2]), np.array([1, 5]))
+
+
+# ---------------------------------------------------------------------------
+# The numpy constructor against the object-layer constructor it replaced
+# ---------------------------------------------------------------------------
+class ObjectGraph:
+    """The former Python constructor, kept as the oracle: per-vertex
+    lists deduplicated through a set of canonical edges, then the CSR
+    arrays read back off the sorted rows."""
+
+    def __init__(self, n, edges):
+        import numpy as np
+
+        adj = [[] for _ in range(n)]
+        seen = set()
+        for u, v in edges:
+            if u == v:
+                raise ValueError(f"self-loop at vertex {u} is not allowed")
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+            e = canonical_edge(u, v)
+            if e in seen:
+                continue
+            seen.add(e)
+            adj[u].append(v)
+            adj[v].append(u)
+        self.adj = tuple(tuple(sorted(nbrs)) for nbrs in adj)
+        self.adj_sets = tuple(frozenset(nbrs) for nbrs in self.adj)
+        self.edges = tuple(sorted(seen))
+        self.m = len(self.edges)
+        self.offsets = np.zeros(n + 1, dtype=np.int64)
+        self.offsets[1:] = np.cumsum([len(nbrs) for nbrs in self.adj], dtype=np.int64)
+        self.indices = np.array([u for nbrs in self.adj for u in nbrs], dtype=np.int64)
+
+
+def _outcome(build):
+    """What ``build()`` raised, as (type, message), or None."""
+    try:
+        build()
+    except (TypeError, ValueError) as e:
+        return type(e), str(e)
+    return None
+
+
+def _as_form(form, pairs):
+    """A fresh iterable of ``pairs`` in one of the accepted input forms."""
+    import numpy as np
+
+    if form == "list":
+        return list(pairs)
+    if form == "tuple":
+        return tuple(pairs)
+    if form == "generator":
+        return (p for p in pairs)
+    if form == "int64":
+        return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    return np.array(pairs, dtype=np.int32).reshape(-1, 2)
+
+
+FORMS = ("list", "tuple", "generator", "int64", "int32")
+
+
+def _pairs(n):
+    from hypothesis import strategies as st
+
+    if n < 2:
+        return st.just([])
+    v = st.integers(0, n - 1)
+    return st.lists(st.tuples(v, v).filter(lambda e: e[0] != e[1]), max_size=3 * n)
+
+
+def _with_duplicates(draw, pairs):
+    """``pairs`` plus repeats of some of them, in either orientation."""
+    from hypothesis import strategies as st
+
+    extra = []
+    for u, v in pairs:
+        k = draw(st.integers(0, 2))
+        extra += [(v, u)] * (k == 1) + [(u, v)] * (k == 2)
+    return draw(st.permutations(pairs + extra))
+
+
+def _check_against_oracle(n, pairs, form):
+    import numpy as np
+
+    want = ObjectGraph(n, pairs)
+    g = Graph(n, _as_form(form, pairs))
+    assert g.n == n and g.m == want.m
+    o64, i64 = g.csr()
+    assert o64.tobytes() == want.offsets.tobytes()
+    assert i64.tobytes() == want.indices.tobytes()
+    oa, ia = g.csr(dtype="auto")
+    assert oa.dtype == ia.dtype == np.int32
+    assert np.array_equal(oa, want.offsets) and np.array_equal(ia, want.indices)
+    assert g.degree_sequence() == [len(r) for r in want.adj]
+    assert g.max_degree() == max((len(r) for r in want.adj), default=0)
+    assert g.edges() == want.edges
+    assert all(g.neighbors(v) == want.adj[v] for v in range(n))
+    assert all(g.neighbor_set(v) == want.adj_sets[v] for v in range(n))
+    # equal to the same graph stored as int64 CSR, and hashed alike
+    h = Graph.from_csr(want.offsets, want.indices)
+    assert g == h and hash(g) == hash(h)
+    return g
+
+
+class TestConstructorOracle:
+    """``Graph(n, edges)`` builds exactly the graph the former object-layer
+    constructor did, from every accepted input form, and rejects the
+    same first offender with the same error."""
+
+    def test_property(self):
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        @st.composite
+        def cases(draw):
+            n = draw(st.integers(0, 12))
+            pairs = _with_duplicates(draw, draw(_pairs(n)))
+            return n, pairs, draw(st.sampled_from(FORMS))
+
+        @settings(max_examples=300, deadline=None)
+        @given(cases(), cases())
+        def check(a, b):
+            g = _check_against_oracle(*a)
+            (na, pa, _), (nb, pb, _) = a, b
+            same = na == nb and ObjectGraph(na, pa).edges == ObjectGraph(nb, pb).edges
+            assert (g == Graph(nb, pb)) == same
+
+        check()
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_duplicates_and_isolated_vertices(self, form):
+        pairs = [(0, 1), (1, 0), (0, 1), (4, 2), (2, 4), (3, 4)]
+        g = _check_against_oracle(7, pairs, form)
+        assert g.m == 3 and g.degree(5) == g.degree(6) == 0
+
+    @pytest.mark.parametrize("n", [0, 1])
+    @pytest.mark.parametrize("form", FORMS)
+    def test_tiny(self, n, form):
+        g = _check_against_oracle(n, [], form)
+        assert g.m == 0 and g.max_degree() == 0
+
+    def test_errors_property(self):
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        @st.composite
+        def cases(draw):
+            n = draw(st.integers(0, 6))
+            v = st.integers(-2, n + 1)
+            item = st.one_of(
+                st.tuples(v, v),
+                st.tuples(v, v),
+                st.tuples(v, v),
+                st.tuples(v),
+                st.tuples(v, v, v),
+                v,
+            )
+            return n, draw(st.lists(item, max_size=8))
+
+        @settings(max_examples=300, deadline=None)
+        @given(cases())
+        def check(case):
+            n, items = case
+            want = _outcome(lambda: ObjectGraph(n, items))
+            assert _outcome(lambda: Graph(n, items)) == want
+            assert _outcome(lambda: Graph(n, iter(items))) == want
+
+        check()
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [(0, 1), (2, 2), (0, 5)],  # self-loop first
+            [(0, 1), (0, 5), (2, 2)],  # out-of-range first
+            [(0, 1), (-1, 2)],
+            [(4, 4)],  # a self-loop outside the range reports the loop
+            [(0, 1), (1,)],
+            [(0, 1), (1, 2, 0)],
+            [(0, 1), 3],
+            [(1, 1), (2,)],  # the offender before a non-pair wins
+        ],
+    )
+    @pytest.mark.parametrize("form", ["list", "generator"])
+    def test_first_offender_message(self, edges, form):
+        want = _outcome(lambda: ObjectGraph(3, edges))
+        assert want is not None
+        assert _outcome(lambda: Graph(3, _as_form(form, edges))) == want
+
+    @pytest.mark.parametrize("dtype", ["int64", "int32", "uint8"])
+    def test_first_offender_in_a_numpy_array(self, dtype):
+        import numpy as np
+
+        for rows in ([[0, 1], [2, 2], [0, 7]], [[0, 1], [0, 7], [2, 2]]):
+            arr = np.array(rows, dtype=dtype)
+            want = _outcome(lambda: ObjectGraph(3, arr))
+            assert want is not None
+            assert _outcome(lambda: Graph(3, arr)) == want
+        # a numpy array that is not a column of pairs
+        for arr in (np.arange(4, dtype=dtype), np.zeros((2, 3), dtype=dtype)):
+            assert _outcome(lambda: Graph(3, arr)) == _outcome(
+                lambda: ObjectGraph(3, arr)
+            )
+
+    def test_non_integer_endpoints_rejected(self):
+        with pytest.raises(TypeError, match="integers"):
+            Graph(3, [(0.0, 1.0)])
+        with pytest.raises(TypeError):
+            Graph(3, [("0", "1")])
+
+
+class TestLazyObjectLayer:
+    """CSR is the only stored adjacency: the object layer is built on the
+    first object-level call, and CSR readers add no dtype copy."""
+
+    def test_constructor_builds_no_object_layer(self):
+        g = Graph(5, [(0, 1), (1, 2), (3, 4)])
+        assert g._adj is None
+        assert g.degree(1) == 2 and g.max_degree() == 2
+        assert g.csr_rows() == [[1], [0, 2], [1], [4], [3]]
+        assert g == Graph(5, [(4, 3), (2, 1), (1, 0)])
+        assert g._adj is None
+        assert g.neighbors(1) == (0, 2)
+        assert g._adj is not None
+
+    def test_csr_readers_add_no_int64_copy(self):
+        from repro.graphs import generators as gen
+
+        g = gen.forest_union_csr(500, 3, seed=0)
+        assert sorted(g._csr) == ["int32"]
+        g.max_degree()
+        g.degree(7)
+        g.degree_sequence()
+        g.csr_rows()
+        assert sorted(g._csr) == ["int32"]
+        assert g._adj is None

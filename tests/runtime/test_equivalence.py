@@ -8,7 +8,7 @@ replay randomized programs exercising every observable engine feature --
 ``ctx.send``, ``ctx.broadcast``, ``ctx.send_many``, ``ctx.commit``,
 ``ctx.inbox``, ``ctx.halted`` / ``ctx.newly_halted``, final-round sends --
 over every workload family and several seeds, and compare the complete
-:class:`RunResult` surface plus the per-round :class:`Trace` records.
+:class:`RunResult` surface plus the full engine event streams.
 
 The three-way matrix at the bottom extends the pin to the columnar bulk
 engine: every driver with a bulk twin (``repro.core.bulk.BULK_DRIVERS``)
@@ -24,7 +24,7 @@ from repro.bench.workloads import WORKLOADS
 from repro.obs.events import EventBus
 from repro.runtime.network import SyncNetwork
 from repro.runtime.reference import ReferenceSyncNetwork
-from repro.runtime.trace import TraceRecorder
+from repro.obs.sinks import MemorySink
 
 # every family the benchmark tables quantify over (>= 5 required)
 FAMILIES = sorted(WORKLOADS)
@@ -141,23 +141,23 @@ PROGRAMS = {
 }
 
 
-def _run_both(family, seed, program, with_trace=False):
+def _run_both(family, seed, program, with_events=False):
     from repro.graphs import generators as gen
 
     wl = WORKLOADS[family]
     g, _a = wl(N, seed=seed)
     ids = gen.random_ids(g.n, seed=1000 + seed)
     results = []
-    traces = []
+    streams = []
     for cls in (SyncNetwork, ReferenceSyncNetwork):
-        if with_trace:
-            rec = TraceRecorder()
-            res = cls(g, ids=ids, seed=seed).run(program, bus=EventBus(rec))
-            traces.append(rec.trace)
+        if with_events:
+            mem = MemorySink()
+            res = cls(g, ids=ids, seed=seed).run(program, bus=EventBus(mem))
+            streams.append(mem.events)
         else:
             res = cls(g, ids=ids, seed=seed).run(program)
         results.append(res)
-    return results, traces
+    return results, streams
 
 
 def _assert_equal_results(fast, ref):
@@ -196,10 +196,10 @@ def test_engines_agree_across_programs(program_name, family):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_commit_and_trace_golden(family, seed):
     """Committed-then-terminated vertices report identical output_rounds
-    and identical Trace records (terminations, commits, per-round message
-    counts) under both engines."""
-    (fast, ref), (t_fast, t_ref) = _run_both(
-        family, seed, prog_commit_then_linger, with_trace=True
+    and identical event streams (every commit, halt and message, in
+    order) under both engines."""
+    (fast, ref), (ev_fast, ev_ref) = _run_both(
+        family, seed, prog_commit_then_linger, with_events=True
     )
     _assert_equal_results(fast, ref)
     # commit rounds strictly before termination rounds for lingerers
@@ -207,19 +207,17 @@ def test_commit_and_trace_golden(family, seed):
         o < r for o, r in zip(fast.output_rounds, fast.metrics.rounds)
     ) or all(o == r for o, r in zip(fast.output_rounds, fast.metrics.rounds))
     assert fast.output_metrics.rounds == ref.output_metrics.rounds
-    assert t_fast.records == t_ref.records
-    assert [r.committed for r in t_fast.records] == [
-        r.committed for r in t_ref.records
-    ]
+    assert ev_fast == ev_ref
+    assert any(e.kind == "commit" for e in ev_fast)
 
 
 @pytest.mark.parametrize("family", ["ring", "gnp_sparse"])
 def test_trace_equivalence_on_chatter(family):
-    (fast, ref), (t_fast, t_ref) = _run_both(
-        family, 1, prog_mixed_chatter, with_trace=True
+    (fast, ref), (ev_fast, ev_ref) = _run_both(
+        family, 1, prog_mixed_chatter, with_events=True
     )
     _assert_equal_results(fast, ref)
-    assert t_fast.records == t_ref.records
+    assert ev_fast == ev_ref
 
 
 @pytest.mark.parametrize("family", FAMILIES)

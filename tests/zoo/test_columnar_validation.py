@@ -1,8 +1,8 @@
 """A bulk run plus its validation never builds the Python object layer.
 
-``Graph.from_csr`` graphs hold only CSR arrays; ``g.edges()`` or
-``g.neighbors()`` would materialise tuples and frozensets for every
-vertex (``g._adj``).  Executing a bulk-capable algorithm on the bulk
+A graph holds only CSR arrays, whether built by ``Graph(n, edges)`` or
+``Graph.from_csr``; ``g.edges()`` or ``g.neighbors()`` would materialise
+tuples and frozensets for every vertex (``g._adj``).  Executing a bulk-capable algorithm on the bulk
 engine and validating the result -- clean, or survivor-restricted under a
 fault plan -- must read the CSR view only.  Nor does validation box the
 result: it reads the :class:`~repro.runtime.bulk.ColumnMap` columns, never
@@ -67,6 +67,11 @@ def _forest():
     return gen.forest_union_csr(N, 3, seed=5)
 
 
+def _edge_forest():
+    # union_of_forests hands its Python edge set to Graph(n, edges)
+    return gen.union_of_forests(N, 3, seed=5)
+
+
 def _csr_ring():
     offsets, indices = gen.ring(N).csr()
     return Graph.from_csr(offsets.copy(), indices.copy())
@@ -103,10 +108,14 @@ def _crash_drop():
         (COLE_VISHKIN, _csr_ring, _start_crashes),
         (PROPER_DEFECTIVE, _forest, None),
         (PROPER_DEFECTIVE, _forest, _crashes),
+        (zoo.get("partition"), _edge_forest, None),
+        (zoo.get("luby-mis"), _edge_forest, _crashes),
+        (COLE_VISHKIN, lambda: gen.ring(N), None),
     ],
     ids=[
         "partition", "luby-mis", "luby-mis@crash", "partition@crash-drop", "cole-vishkin",
         "partition@crash", "cole-vishkin@crash", "defective-0", "defective-0@crash",
+        "partition-edges", "luby-mis-edges@crash", "cole-vishkin-edges",
     ],
 )
 def test_bulk_run_and_validation_keep_graph_columnar(spec, make_graph, plan, item_reads):
