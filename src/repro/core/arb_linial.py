@@ -29,7 +29,7 @@ from typing import Any, Callable, Generator, Iterable, Sequence
 
 from repro.core.common import LocalView
 from repro.core.coverfree import PolyFamily
-from repro.runtime.context import WAIT, Context
+from repro.runtime.context import Context
 
 
 def _step_tag(tag: str, k: int) -> str:
@@ -59,14 +59,9 @@ def arb_linial_steps(
     """
     c = ctx.id if color0 is None else color0
     for k, fam in enumerate(schedule):
-        ctx.broadcast((_step_tag(tag, k), c))
         want = _step_tag(tag, k)
-        missing = [u for u in parents if not view.heard(want, u)]
-        while missing:
-            yield WAIT
-            view.absorb(ctx)
-            missing = [u for u in missing if not view.heard(want, u)]
-        bucket = view.get(want)
+        ctx.broadcast((want, c))
+        bucket = yield from view.wait_for(ctx, want, parents)
         c = fam.pick(c, [bucket[u] for u in parents])
     return c
 
@@ -88,12 +83,7 @@ def priority_wave(
     completes in (length of the relation) rounds.
     """
     preds = list(predecessors)
-    missing = [u for u in preds if not view.heard(tag, u)]
-    while missing:
-        yield WAIT
-        view.absorb(ctx)
-        missing = [u for u in missing if not view.heard(tag, u)]
-    bucket = view.get(tag)
+    bucket = yield from view.wait_for(ctx, tag, preds)
     value = choose({u: bucket[u] for u in preds})
     ctx.broadcast((tag, value))
     return value
@@ -142,12 +132,7 @@ def list_coloring_steps(
     last = _step_tag(tag_tmp, len(schedule))
     ctx.broadcast((last, tmp))
     member_list = list(members)
-    missing = [u for u in member_list if not view.heard(last, u)]
-    while missing:
-        yield WAIT
-        view.absorb(ctx)
-        missing = [u for u in missing if not view.heard(last, u)]
-    temps = view.get(last)
+    temps = yield from view.wait_for(ctx, last, member_list)
     smaller = [u for u in member_list if temps[u] < tmp]
     # Wait for smaller-temp members (under tag_pick) and external
     # predecessors (under ext_tag), then choose greedily.

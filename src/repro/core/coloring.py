@@ -35,7 +35,7 @@ from repro.core.coverfree import build_family, palette_schedule
 from repro.core.forests import forest_info_step
 from repro.core.partition import join_h_set
 from repro.graphs.graph import Graph
-from repro.runtime.context import WAIT, Context
+from repro.runtime.context import Context
 from repro.runtime.metrics import RoundMetrics
 from repro.runtime.network import SyncNetwork
 from repro.verify.colorings import color_count
@@ -267,15 +267,8 @@ def run_oa_coloring(
                 same_phase_later.append(u)
             elif hu == h:
                 same_set.append(u)
-        psi_tag = f"psi{phase}"
-        missing = [u for u in same_set if not view.heard(psi_tag, u)]
-        while missing:
-            yield WAIT
-            view.absorb(ctx)
-            missing = [u for u in missing if not view.heard(psi_tag, u)]
-        parents = same_phase_later + [
-            u for u in same_set if view.value(psi_tag, u) > psi
-        ]
+        psis = yield from view.wait_for(ctx, f"psi{phase}", same_set)
+        parents = same_phase_later + [u for u in same_set if psis[u] > psi]
         wave_tag = f"wave{phase}"
 
         def choose(pred_colors: dict[int, int]) -> int:

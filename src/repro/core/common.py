@@ -9,9 +9,9 @@ from neighbors that are in *other* phases of a composed algorithm.
 from __future__ import annotations
 
 from math import ceil, log
-from typing import Any
+from typing import Any, Iterable
 
-from repro.runtime.context import Context
+from repro.runtime.context import WAIT, Context
 
 # Message tags used across the core algorithms.
 JOIN = "join"          # payload: H-set index i (vertex joined H_i)
@@ -31,6 +31,17 @@ class LocalView:
     ``state[tag][u]`` is the most recent payload with that tag received from
     neighbor ``u``.  Programs call :meth:`absorb` exactly once per round,
     immediately after each ``yield``.
+
+    The order of the senders inside one bucket (``state[tag]``, as
+    returned by :meth:`get` and :meth:`wait_for`) is unspecified: it is
+    the order in which senders first reached that bucket, and the engines
+    deliver an adversary-delayed copy at different positions in
+    ``ctx.mail`` (see :mod:`repro.runtime.context`).  Only the values per
+    ``(tag, sender)`` are the same on every engine.  Consumers look
+    senders up (``bucket[u]``, ``u in bucket``), iterate their own
+    neighbor or member lists, or fold the bucket with an
+    order-insensitive operation (``len``, ``set``, ``dict(...)`` used
+    for lookups); none depends on bucket order.
     """
 
     __slots__ = ("state",)
@@ -40,12 +51,11 @@ class LocalView:
 
     def absorb(self, ctx: Context) -> None:
         state = self.state
-        for u, payloads in ctx.inbox.items():
-            for tag, payload in payloads:
-                bucket = state.get(tag)
-                if bucket is None:
-                    bucket = state[tag] = {}
-                bucket[u] = payload
+        for u, (tag, payload) in ctx.mail:
+            bucket = state.get(tag)
+            if bucket is None:
+                bucket = state[tag] = {}
+            bucket[u] = payload
 
     def get(self, tag: str) -> dict[int, Any]:
         """All payloads heard with this tag, keyed by sender."""
@@ -57,6 +67,26 @@ class LocalView:
 
     def value(self, tag: str, u: int, default: Any = None) -> Any:
         return self.state.get(tag, {}).get(u, default)
+
+    def wait_for(self, ctx: Context, tag: str, members: Iterable[int]):
+        """``bucket = yield from view.wait_for(ctx, tag, members)``: end
+        rounds with ``yield WAIT``, absorbing after each, until every
+        member has been heard under ``tag``; returns the tag's bucket.
+
+        Returns at once, without yielding, if every member has been heard
+        already.  The wait only reacts to mail, so it keeps the
+        ``yield WAIT`` promise.
+        """
+        state = self.state
+        bucket = state.get(tag)
+        missing = [u for u in members if bucket is None or u not in bucket]
+        while missing:
+            yield WAIT
+            self.absorb(ctx)
+            bucket = state.get(tag)
+            if bucket is not None:
+                missing = [u for u in missing if u not in bucket]
+        return {} if bucket is None else bucket
 
 
 def degree_bound(a: int, eps: float) -> int:

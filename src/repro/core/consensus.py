@@ -105,11 +105,7 @@ def run_consensus(
         # Input 1: listen for a zero until the horizon.
         for _ in range(2, horizon + 1):
             yield
-            if any(
-                val == 0
-                for payloads in ctx.inbox.values()
-                for _tag, val in payloads
-            ):
+            if any(val == 0 for _u, (_tag, val) in ctx.mail):
                 ctx.commit(0)
                 ctx.broadcast((EST, 0))
                 yield  # relay before halting

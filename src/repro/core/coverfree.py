@@ -126,12 +126,14 @@ class PolyFamily:
             for x in range(q):
                 if theirs[x] == mine[x]:
                     counts[x] += 1
-        best_x = min(range(q), key=lambda x: (counts[x], x))
-        if counts[best_x] > self.slack:
+        # the first point with the fewest agreements
+        fewest = min(counts)
+        if fewest > self.slack:
             raise AssertionError(
                 "cover-free guarantee violated: too many neighbors "
-                f"({counts[best_x]} > slack {self.slack}); A bound exceeded?"
+                f"({fewest} > slack {self.slack}); A bound exceeded?"
             )
+        best_x = counts.index(fewest)
         return best_x * q + mine[best_x]
 
     def pick_many(

@@ -47,7 +47,7 @@ from typing import Generator, Iterable, Mapping, Sequence
 from repro.core.common import LocalView, degree_bound
 from repro.core.coverfree import PolyFamily, build_family, palette_schedule
 from repro.graphs.graph import Graph
-from repro.runtime.context import WAIT, Context
+from repro.runtime.context import Context
 from repro.runtime.metrics import RoundMetrics
 from repro.runtime.network import SyncNetwork, current_engine
 from repro.verify.colorings import color_count
@@ -161,12 +161,7 @@ def defective_coloring_steps(
     for k, fam in enumerate(schedule):
         step_tag = f"{tag}#{k}"
         ctx.broadcast((step_tag, c))
-        missing = [u for u in members if not view.heard(step_tag, u)]
-        while missing:
-            yield WAIT
-            view.absorb(ctx)
-            missing = [u for u in missing if not view.heard(step_tag, u)]
-        bucket = view.get(step_tag)
+        bucket = yield from view.wait_for(ctx, step_tag, members)
         c = fam.pick(c, [bucket[u] for u in members])
     return c
 
@@ -294,12 +289,7 @@ def run_arbdefective_coloring(
         psi = yield from arb_linial_steps(ctx, view, same, schedule, tag="ad")
         last = _step_tag("ad", len(schedule))
         ctx.broadcast((last, psi))
-        missing = [u for u in same if not view.heard(last, u)]
-        while missing:
-            yield WAIT
-            view.absorb(ctx)
-            missing = [u for u in missing if not view.heard(last, u)]
-        psis = view.get(last)
+        psis = yield from view.wait_for(ctx, last, same)
         # Parents: later H-sets (including the still-unjoined) and same-set
         # higher psi -- the Partial-Orientation of paper Algorithm 1.
         joined = view.get(JOIN)

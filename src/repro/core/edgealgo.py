@@ -124,14 +124,15 @@ def _edge_wave_program_factory(
                 keys[u] = (h, 0, view.value(last, u), out_label[u])
             else:
                 keys[u] = (hu, 1, 0, out_label[u])
-        # Keys of in-edges need the tails' labels.
-        missing = set(tails)
-        while missing:
-            yield WAIT
+        # Keys of in-edges need the tails' labels.  A head always ends
+        # one round here first; that round may sleep through quiet rounds
+        # (WAIT) only while a label is still missing -- a label that
+        # arrived earlier lets the next round proceed, mail or not.
+        if tails:
+            labels = view.get(LABEL)
+            yield WAIT if any(u not in labels for u in tails) else None
             view.absorb(ctx)
-            for u in list(missing):
-                if view.heard(LABEL, u):
-                    missing.discard(u)
+            yield from view.wait_for(ctx, LABEL, tails)
         for u in tails:
             lab = view.value(LABEL, u)
             if joined[u] == h:
@@ -195,11 +196,10 @@ def _edge_wave_program_factory(
             # vertex on.
             yield WAIT
             view.absorb(ctx)
-            for u, payloads in ctx.inbox.items():
-                for tag, payload in payloads:
-                    if tag == DECIDE and u not in decided:
-                        decided[u] = payload
-                        my_state = update_state(my_state, u, payload, False)
+            for u, (tag, payload) in ctx.mail:
+                if tag == DECIDE and u not in decided:
+                    decided[u] = payload
+                    my_state = update_state(my_state, u, payload, False)
 
     return program
 

@@ -36,7 +36,7 @@ from repro.core.coverfree import palette_schedule
 from repro.core.partition import join_h_set
 from repro.graphs.graph import Graph
 from repro.runtime.bulk import ColumnMap
-from repro.runtime.context import WAIT, Context
+from repro.runtime.context import Context
 from repro.runtime.metrics import RoundMetrics, TimeMetrics
 from repro.runtime.network import SyncNetwork
 
@@ -71,12 +71,7 @@ def _preamble(
     temp = yield from arb_linial_steps(ctx, view, same, schedule, tag="x")
     last = _step_tag("x", len(schedule))
     ctx.broadcast((last, temp))
-    missing = [u for u in same if not view.heard(last, u)]
-    while missing:
-        yield WAIT
-        view.absorb(ctx)
-        missing = [u for u in missing if not view.heard(last, u)]
-    temps = view.get(last)
+    temps = yield from view.wait_for(ctx, last, same)
     same_smaller = [u for u in same if temps[u] < temp]
     same_larger = [u for u in same if temps[u] > temp]
     # Earlier-set neighbors are fully known (they announced before we
@@ -87,14 +82,6 @@ def _preamble(
         u for u in ctx.neighbors if u not in set(same) and joined.get(u, h + 1) > h
     ]
     return h, temp, same_smaller, same_larger, earlier, later
-
-
-def _await_tag(ctx: Context, view: LocalView, tag: str, senders):
-    missing = [u for u in senders if not view.heard(tag, u)]
-    while missing:
-        yield WAIT
-        view.absorb(ctx)
-        missing = [u for u in missing if not view.heard(tag, u)]
 
 
 # ---------------------------------------------------------------------------
@@ -130,8 +117,8 @@ def run_delta_plus_one_coloring(
             ctx, view, A, ell, schedule, worstcase_schedule
         )
         preds = smaller + earlier
-        yield from _await_tag(ctx, view, PICK, preds)
-        forbidden = {view.value(PICK, u) for u in preds}
+        picks = yield from view.wait_for(ctx, PICK, preds)
+        forbidden = {picks[u] for u in preds}
         color = greedy_from_list(range(delta + 1), forbidden)
         ctx.broadcast((PICK, color))
         return (h, color)
@@ -198,8 +185,8 @@ def run_mis(
             ctx, view, A, ell, schedule, worstcase_schedule
         )
         preds = smaller + earlier
-        yield from _await_tag(ctx, view, DECIDE, preds)
-        in_mis = not any(view.value(DECIDE, u) for u in preds)
+        decided = yield from view.wait_for(ctx, DECIDE, preds)
+        in_mis = not any(decided[u] for u in preds)
         ctx.broadcast((DECIDE, in_mis))
         return (h, in_mis)
 

@@ -44,7 +44,7 @@ from repro.core.common import LocalView, degree_bound, partition_length_bound
 from repro.core.coverfree import palette_schedule
 from repro.core.defective import arbdefective_choose, async_h_partition
 from repro.graphs.graph import Graph
-from repro.runtime.context import WAIT, Context
+from repro.runtime.context import Context
 from repro.runtime.network import SyncNetwork
 
 DEC = "opx:dec"  # broadcast: tuple of this vertex's branch decisions so far
@@ -96,26 +96,6 @@ def _await_members(
     ] if level > 0 else list(ctx.neighbors)
 
 
-def _await_exacts(
-    ctx: Context, view: LocalView, members: Sequence[int], tag_x: str
-) -> Generator[None, None, dict[int, int]]:
-    missing = [u for u in members if not view.heard(tag_x, u)]
-    while missing:
-        yield WAIT
-        view.absorb(ctx)
-        missing = [u for u in missing if not view.heard(tag_x, u)]
-    bucket = view.get(tag_x)
-    return {u: bucket[u] for u in members}
-
-
-def _await_tag(ctx: Context, view: LocalView, tag: str, senders):
-    missing = [u for u in senders if not view.heard(tag, u)]
-    while missing:
-        yield WAIT
-        view.absorb(ctx)
-        missing = [u for u in missing if not view.heard(tag, u)]
-
-
 def _structure(
     ctx: Context,
     view: LocalView,
@@ -128,14 +108,15 @@ def _structure(
     returns (h, psi, exact_h per member, psi per same-set member)."""
     tagp = f"hp{path}"
     h = yield from async_h_partition(ctx, view, members, A, tag=tagp)
-    exacts = yield from _await_exacts(ctx, view, members, tagp + "x")
+    bucket = yield from view.wait_for(ctx, tagp + "x", members)
+    exacts = {u: bucket[u] for u in members}
     same = [u for u in members if exacts[u] == h]
     schedule = schedules.get(A)
     psi = yield from arb_linial_steps(ctx, view, same, schedule, tag=f"ps{path}")
     last = _step_tag(f"ps{path}", len(schedule))
     ctx.broadcast((last, psi))
-    yield from _await_tag(ctx, view, last, same)
-    psis = {u: view.value(last, u) for u in same}
+    bucket = yield from view.wait_for(ctx, last, same)
+    psis = {u: bucket[u] for u in same}
     return h, psi, exacts, psis
 
 

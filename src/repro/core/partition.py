@@ -234,8 +234,8 @@ def compose_with_algorithm(
     exactly the accounting of the corollary.
 
     ``per_set_algorithm(ctx, view, h_index, same_set_neighbors)`` receives
-    the neighbor -> H-index map restricted to *known* joiners; vertices
-    absent from it are in strictly later sets.
+    the neighbors that joined the same H-set, as a neighbor -> H-index map
+    in ``ctx.neighbors`` order; neighbors absent from it are in other sets.
     """
     A = degree_bound(a, eps)
     period = t_aux + 2  # decision + 1 round to learn same-round joiners + t_aux
@@ -247,7 +247,7 @@ def compose_with_algorithm(
         yield
         view.absorb(ctx)
         joined = view.get(JOIN)
-        same = {u: j for u, j in joined.items() if j == i}
+        same = {u: i for u in ctx.neighbors if joined.get(u) == i}
         out = yield from per_set_algorithm(ctx, view, i, same)
         return out
 

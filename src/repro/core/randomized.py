@@ -33,7 +33,7 @@ from repro.core.coloring import ColoringResult
 from repro.core.common import JOIN, LocalView, degree_bound, partition_length_bound
 from repro.core.partition import join_h_set
 from repro.graphs.graph import Graph
-from repro.runtime.context import WAIT, Context
+from repro.runtime.context import Context
 from repro.runtime.network import SyncNetwork
 
 
@@ -82,14 +82,9 @@ def rand_color_attempts(
             continue
         conflict = proposal in forbidden
         if not conflict:
-            for u, payloads in ctx.inbox.items():
-                if u not in member_set:
-                    continue
-                for mtag, payload in payloads:
-                    if mtag == tag_p and payload == proposal:
-                        conflict = True
-                        break
-                if conflict:
+            for u, (mtag, payload) in ctx.mail:
+                if mtag == tag_p and payload == proposal and u in member_set:
+                    conflict = True
                     break
         if not conflict:
             ctx.broadcast((tag_f, proposal))
@@ -173,13 +168,8 @@ def run_aloglogn_coloring(
             view.absorb(ctx)
         joined = view.get(JOIN)
         higher = [u for u in ctx.neighbors if joined[u] > h]
-        tag_f = "p2:f"
-        missing = [u for u in higher if not view.heard(tag_f, u)]
-        while missing:
-            yield WAIT
-            view.absorb(ctx)
-            missing = [u for u in missing if not view.heard(tag_f, u)]
-        forbidden = {view.value(tag_f, u) for u in higher}
+        finals = yield from view.wait_for(ctx, "p2:f", higher)
+        forbidden = {finals[u] for u in higher}
         palette = range(A + 1, 2 * A + 2)
         color = yield from rand_color_attempts(
             ctx, view, same, palette, forbidden, tag="p2:"

@@ -35,7 +35,7 @@ from repro.core.common import JOIN, LocalView, degree_bound, partition_length_bo
 from repro.core.coverfree import palette_schedule
 from repro.core.partition import join_h_set
 from repro.graphs.graph import Graph
-from repro.runtime.context import WAIT, Context
+from repro.runtime.context import Context
 from repro.runtime.network import SyncNetwork
 
 
@@ -228,13 +228,9 @@ def run_ka_coloring(
         # same-set neighbors can classify the edge).
         psi_tag = f"psi{h}"
         ctx.broadcast((psi_tag, psi))
-        missing = [u for u in same if not view.heard(psi_tag, u)]
-        while missing:
-            yield WAIT
-            view.absorb(ctx)
-            missing = [u for u in missing if not view.heard(psi_tag, u)]
+        psis = yield from view.wait_for(ctx, psi_tag, same)
         wave_parents = [u for u in parents if joined.get(u, ell + 1) > h] + [
-            u for u in same if view.value(psi_tag, u) > psi
+            u for u in same if psis[u] > psi
         ]
         base = (seg - 1) * (A + 1)
         palette = range(base, base + A + 1)

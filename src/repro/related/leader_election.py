@@ -94,6 +94,10 @@ def run_leader_election(
             # Everything below reacts to mail only: sleep through quiet
             # rounds (most of the Theta(n) rounds after committing).
             yield WAIT
+            # The grouped inbox, not ctx.mail: this loop returns mid-way
+            # and sends as it goes, so its processing order is observable,
+            # and only the grouped order is the same on every engine when
+            # a fault-delayed copy joins a sender's normal one.
             for sender, payloads in ctx.inbox.items():
                 for tag, payload in payloads:
                     if tag == PROBE:

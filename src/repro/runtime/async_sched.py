@@ -56,7 +56,9 @@ import heapq
 import math
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
+
+import numpy as np
 
 from repro import rng
 from repro.faults.plan import message_fates
@@ -125,6 +127,24 @@ class DelaySpec:
             return self.scale * (0.5 + u)
         return -math.log(1.0 - u) * self.scale
 
+    def arc_draw(self, src, dst) -> Callable[[int, int], float]:
+        """:meth:`draw` over a fixed list of arcs: ``arc_draw(src,
+        dst)(i, rnd) == draw(src[i], dst[i], rnd)``, bit for bit.
+
+        ``src`` and ``dst`` are integer arrays.  The hash prefix
+        ``fold(0, seed, DELAY, src[i], dst[i])`` is computed for every
+        arc at once, so each draw folds only its round.
+        """
+        scale = self.scale
+        if self.dist == "fixed":
+            return lambda i, rnd: scale
+        pre = rng.hash64_many(self.seed, rng.DELAY, src, dst).tolist()
+        fold, u01 = rng.fold, rng.to_u01
+        if self.dist == "uniform":
+            return lambda i, rnd: scale * (0.5 + u01(fold(pre[i], rnd)))
+        log = math.log
+        return lambda i, rnd: -log(1.0 - u01(fold(pre[i], rnd))) * scale
+
     # -- serialisation (manifests) -------------------------------------
     def to_dict(self) -> dict[str, Any]:
         return {"dist": self.dist, "scale": self.scale, "seed": self.seed}
@@ -143,7 +163,7 @@ class DelaySpec:
 
 # heap entry kinds (the entry layout is (t, seq, kind, ...))
 _EXEC = 0    # (t, seq, _EXEC, v, rnd)
-_TOKEN = 1   # (t, seq, _TOKEN, src, dst, rnd, payloads, halt, output)
+_TOKEN = 1   # (t, seq, _TOKEN, src, dst, rnd, mail pairs, halt, output)
 _MARKER = 2  # (t, seq, _MARKER, src, dst, rnd)
 
 
@@ -185,6 +205,11 @@ def run_async(
     gens = net._spawn(program, contexts)
     emit, prof = net._resolve_bus(bus, contexts)
     injector = net._resolve_faults(faults)
+    # Link delays keyed by CSR arc: the neighbors of v, in
+    # ``g.neighbors(v)`` order, are arcs arc0[v], arc0[v] + 1, ...
+    offsets, indices = g.csr()
+    arc0 = offsets.tolist()
+    delay = delays.arc_draw(np.repeat(np.arange(n), np.diff(offsets)), indices)
 
     # The adversary is evaluated through its *pure* draw functions (as
     # the fault-aware bulk kernels do): begin_run supplies the session state
@@ -217,7 +242,7 @@ def run_async(
     #: (src, dst) -> the last round for which src will ever emit a token
     #: on that edge (set when dst's scheduler learns of halt/crash)
     last_tok: dict[tuple[int, int], int] = {}
-    #: v -> token round -> src -> (arrival t, payloads, halt?, output)
+    #: v -> token round -> src -> (arrival t, mail pairs, halt?, output)
     arrivals: list[dict[int, dict[int, tuple]]] = [{} for _ in range(n)]
     #: v -> due local round -> [(send round, src, seq, payload)] copies
     #: the adversary delayed; they never gate readiness
@@ -307,23 +332,24 @@ def run_async(
             gens[v] = None
             rounds[v] = rnd - 1
             times[v] = t
-            for u in g.neighbors(v):
-                push((t + delays.draw(v, u, rnd), seq, _MARKER, v, u, rnd))
+            a = arc0[v]
+            for i, u in enumerate(g.neighbors(v)):
+                push((t + delay(a + i, rnd), seq, _MARKER, v, u, rnd))
             return
 
         ctx = contexts[v]
-        # Assemble the round exactly as the barrier would deliver it:
+        # Assemble the round's mail as the barrier would deliver it:
         # round rnd-1 tokens in ascending sender order (halt notices
         # applied now, round-gated), then adversary-delayed copies due
         # this round in (send round, sender) order.
-        inbox: dict[int, list[Any]] = {}
+        mail: list[tuple[int, Any]] = []
         new_halts: list[int] | None = None
         toks = arrivals[v].pop(rnd - 1, None) if rnd > 1 else None
         if toks:
             for u in sorted(toks):
-                _at, payloads, halt, out = toks[u]
-                if payloads:
-                    inbox[u] = list(payloads)
+                _at, pairs, halt, out = toks[u]
+                if pairs:
+                    mail += pairs
                 if halt:
                     ctx.halted[u] = out
                     ctx._halted_set.add(u)
@@ -334,15 +360,12 @@ def run_async(
         if box:
             box.sort(key=lambda e: e[:3])
             for _sr, src, _sq, payload in box:
-                lst = inbox.get(src)
-                if lst is None:
-                    inbox[src] = [payload]
-                else:
-                    lst.append(payload)
+                mail.append((src, payload))
         ctx.newly_halted = (
             frozenset(new_halts) if new_halts else _EMPTY_FROZENSET
         )
-        ctx.inbox = inbox
+        ctx._mail = mail
+        ctx._inbox_d = None
         ctx._round = rnd
         norm_recv.pop((v, rnd - 1), None)  # delivered; no longer droppable
 
@@ -369,9 +392,10 @@ def run_async(
         if ctx._commit_round == rnd:
             commit_t[v] = t
 
-        # Route this round's sends through the (pure) fault draws.
+        # Route this round's sends through the (pure) fault draws.  A
+        # token carries its copies as ``(sender, payload)`` mail pairs.
         round_msgs = msgs.get(rnd, 0)
-        tok_payloads: dict[int, list[Any]] = {}
+        tok_mail: dict[int, list[tuple[int, Any]]] = {}
         out_msgs = ctx._outgoing
         if out_msgs:
             ctx._outgoing = []
@@ -418,11 +442,11 @@ def run_async(
                                 recv_sets[rnd] = {u}
                             else:
                                 rs.add(u)
-                        lst = tok_payloads.get(u)
+                        lst = tok_mail.get(u)
                         if lst is None:
-                            tok_payloads[u] = [payload]
+                            tok_mail[u] = [(v, payload)]
                         else:
-                            lst.append(payload)
+                            lst.append((v, payload))
             if drop_acc and emit is not None:
                 for u, c in drop_acc.items():
                     emit(Drop(rnd, u, c))
@@ -448,19 +472,19 @@ def run_async(
         # no pulse (they are done); everyone else gets one, carrying the
         # payloads and -- in v's final round -- the halt notice.
         halted_set = ctx._halted_set
-        for u in g.neighbors(v):
+        a = arc0[v]
+        for i, u in enumerate(g.neighbors(v)):
             if u in halted_set:
                 continue
-            payloads = tok_payloads.get(u)
             push(
                 (
-                    t + delays.draw(v, u, rnd),
+                    t + delay(a + i, rnd),
                     seq,
                     _TOKEN,
                     v,
                     u,
                     rnd,
-                    tuple(payloads) if payloads else (),
+                    tok_mail.get(u, ()),
                     halted_now,
                     output,
                 )
@@ -469,14 +493,14 @@ def run_async(
         if not halted_now:
             _advance(v, rnd + 1, t)
 
-    def _token(t: float, src: int, dst: int, rnd: int, payloads, halt, out):
+    def _token(t: float, src: int, dst: int, rnd: int, pairs, halt, out):
         if emit is not None:
             emit(Delivery(rnd, src, dst, t))
         if halt:
             last_tok[(src, dst)] = rnd
         if gens[dst] is None:
             return  # receiver halted or crashed; the token is moot
-        arrivals[dst].setdefault(rnd, {})[src] = (t, payloads, halt, out)
+        arrivals[dst].setdefault(rnd, {})[src] = (t, pairs, halt, out)
         miss = wait_missing[dst]
         if miss is not None and wait_round[dst] == rnd and src in miss:
             miss.discard(src)

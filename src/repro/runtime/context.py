@@ -18,20 +18,36 @@ A context can run *wired* or *unwired*.  The fast engine
 (:class:`repro.runtime.network.SyncNetwork`) wires each context to a shared
 :class:`RouterState`: ``send``/``broadcast`` then deliver straight into the
 engine's pooled per-vertex mail slots (a broadcast allocates one
-``(sender, payload)`` tuple and appends it to every active neighbor's slot
--- the receivers' inbox dicts are materialised lazily, only if a program
-actually reads ``ctx.inbox``).  Unwired contexts -- as driven by
+``(sender, payload)`` tuple and appends it to every active neighbor's
+slot, and the receiver reads that slot in place as ``ctx.mail``).
+Unwired contexts -- as driven by
 :class:`repro.runtime.reference.ReferenceSyncNetwork`, the executable
 specification of the round semantics -- fall back to accumulating
 ``(target, payload)`` tuples in ``_outgoing`` for the engine to route.
 Both regimes produce bit-identical executions; the differential tests in
 ``tests/runtime/test_equivalence.py`` enforce it.
 
-``ctx.inbox`` is valid for the duration of the round it was delivered in:
-the dict object handed to the program is freshly built and never reused,
-but the engine's underlying mail buffers are pooled, so programs must not
-assume messages remain observable in later rounds (none of the repo's
-programs ever did).
+Reading the round's messages
+----------------------------
+``ctx.mail`` is the read path: the round's messages as ``(sender,
+payload)`` pairs in delivery order.  The fast engine hands over its
+pooled slot unchanged, the asynchronous executor builds one list per
+local round, and the reference engine flattens its per-round dict.
+``ctx.inbox`` is the same mail grouped by sender (``sender -> list of
+payloads``), built lazily on first access, for the few programs that
+need per-sender grouping or a processing order that does not depend on
+the engine.
+
+Delivery order is the same on every engine except in one case: a
+sender's normal copy and an adversary-delayed copy (:mod:`repro.faults`)
+arriving in the same round.  ``ctx.mail`` on the fast and asynchronous
+engines lists every delayed copy after all normal ones, while grouping
+(and so the reference engine's flattened mail) puts it next to its
+sender's normal copies.  Per sender, both orders agree.
+
+Both views are valid only for the round they were delivered in: the
+engines' mail buffers are pooled, so programs must not keep the list, or
+assume messages remain observable in later rounds.
 """
 
 from __future__ import annotations
@@ -170,12 +186,29 @@ class Context:
         return r
 
     @property
+    def mail(self) -> list[tuple[int, Any]]:
+        """Messages delivered this round: ``(sender, payload)`` pairs in
+        delivery order (see the module docstring).  Read it, do not keep
+        or modify it."""
+        m = self._mail
+        if m is None:
+            d = self._inbox_d
+            m = self._mail = (
+                [(u, p) for u, payloads in d.items() for p in payloads]
+                if d
+                else []
+            )
+        return m
+
+    @property
     def inbox(self) -> dict[int, list[Any]]:
-        """Messages delivered this round: sender -> list of payloads.
+        """Messages delivered this round, grouped: sender -> list of
+        payloads.
 
         Several messages from the same sender in one round are bundled in
-        send order.  The dict is built lazily from the engine's pooled
-        mail slot on first access and cached for the rest of the round.
+        delivery order, senders in order of first appearance in
+        :attr:`mail`.  The dict is built lazily from the mail on first
+        access and cached for the rest of the round.
         """
         d = self._inbox_d
         if d is None:

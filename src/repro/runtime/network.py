@@ -4,9 +4,11 @@ Vertex programs are generator coroutines created by a *program factory*
 ``factory(ctx) -> generator``.  The protocol is:
 
 * Code between two ``yield`` statements is one round of local computation.
-  During it the program may read ``ctx.inbox`` (messages delivered this
-  round, as ``sender -> list of payloads`` -- several messages to the same
-  neighbor in one round are bundled in send order), ``ctx.halted`` /
+  During it the program may read ``ctx.mail`` (messages delivered this
+  round, as ``(sender, payload)`` pairs in delivery order) or its grouped
+  view ``ctx.inbox`` (``sender -> list of payloads`` -- several messages
+  to the same neighbor in one round are bundled in send order),
+  ``ctx.halted`` /
   ``ctx.newly_halted`` (termination notices), and call ``ctx.send`` /
   ``ctx.broadcast``.
 * ``yield`` ends the round; messages sent during round r are delivered at
@@ -36,15 +38,16 @@ in ``tests/runtime/test_equivalence.py`` checks the two produce identical
   (:meth:`repro.graphs.graph.Graph.csr` / ``csr_rows``) for halt-notice
   fan-out and broadcast routing;
 * routes messages at send time into pooled, double-buffered per-vertex
-  mail slots (no per-round dict allocation; inbox dicts are materialised
-  lazily only when a program reads ``ctx.inbox``);
+  mail slots (no per-round dict allocation): a vertex reads its slot in
+  place as ``ctx.mail``, and the grouped ``ctx.inbox`` dict is built only
+  when a program reads it;
 * maintains per-vertex active-neighbor lists with O(1) swap-removal so
   ``ctx.broadcast`` never re-filters halted neighbors;
 * does not resume a vertex whose last yield was ``yield WAIT`` until its
   mail slot is non-empty (delayed fault copies included) or a halt notice
   reaches it.  The vertex stays in the active list, so the active trace,
   crash draws and the watchdog are unchanged, and the ascending stepping
-  order keeps send and inbox order unchanged;
+  order keeps send and mail order unchanged;
 * drops messages addressed to a vertex that terminated in the same round
   at routing time: they can never be delivered (the receiver performs no
   further computation), so they neither linger in the mail buffers nor

@@ -10,7 +10,9 @@ dimension (``RunResult.times``); these tests pin both the invariance and
 the time accounting (fixed unit delays reproduce round counts exactly).
 """
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.bench.workloads import make_workload
 from repro.faults import CrashSpec, FaultPlan, MessageFaults
@@ -243,6 +245,34 @@ class TestDelaySpec:
         d = DelaySpec(dist="exp", scale=1.0, seed=0)
         assert d.draw(1, 2, 3) == d.draw(1, 2, 3)
         assert d.draw(1, 2, 3) != d.draw(2, 1, 3)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        dist=st.sampled_from(DELAY_DISTS),
+        scale=st.floats(0.01, 100.0),
+        seed=st.one_of(
+            st.integers(-(2**70), -1),
+            st.integers(2**63, 2**70),
+            st.integers(0, 2**63 - 1),
+        ),
+        arcs=st.lists(
+            st.tuples(st.integers(0, 2**31), st.integers(0, 2**31)),
+            min_size=1,
+            max_size=8,
+        ),
+        rounds=st.lists(st.integers(0, 2**40), min_size=1, max_size=4),
+    )
+    def test_arc_draw_is_draw(self, dist, scale, seed, arcs, rounds):
+        """The per-arc prefix-folded draws the executor uses equal the
+        scalar oracle bit for bit, for negative seeds and seeds >= 2^63
+        too (both are folded modulo 2^64)."""
+        d = DelaySpec(dist=dist, scale=scale, seed=seed)
+        src = np.array([s for s, _ in arcs], dtype=np.int64)
+        dst = np.array([t for _, t in arcs], dtype=np.int64)
+        draw = d.arc_draw(src, dst)
+        for i, (s, t) in enumerate(arcs):
+            for rnd in rounds:
+                assert draw(i, rnd).hex() == d.draw(s, t, rnd).hex()
 
     @pytest.mark.parametrize("dist", DELAY_DISTS)
     def test_all_dists_have_mean_scale(self, dist):

@@ -13,12 +13,14 @@ streams, fault events included.  This is the fault layer's analogue of
 
 import pytest
 
+from repro import obs, zoo
 from repro.bench.workloads import WORKLOADS
 from repro.faults import CrashSpec, FaultPlan, MessageFaults
 from repro.graphs import generators as gen
 from repro.obs import EventBus, MemorySink
 from repro.runtime.network import SyncNetwork
 from repro.runtime.reference import ReferenceSyncNetwork
+from repro.runtime.scheduler import SyncBarrierScheduler
 
 FAMILIES = ("forest_union_a3", "planar_grid", "caterpillar", "gnp_sparse", "ring")
 SEEDS = (0, 1, 2)
@@ -140,3 +142,64 @@ def test_crashed_vertices_recorded_identically():
     # a crashed vertex produced no output and stopped counting rounds
     for v in fast.crashed:
         assert v not in fast.outputs
+
+
+# ---------------------------------------------------------------------------
+# Registry programs built on LocalView
+# ---------------------------------------------------------------------------
+#
+# ``LocalView.absorb`` reads ``ctx.mail``, whose order differs between the
+# engines in one case: a delayed copy arriving in the same round as its
+# sender's normal copy (only the per-sender order agrees).  These runs pin
+# that the programs' executions do not depend on that order, under the
+# delay plans.  Edge coloring also pins its label wait, which used to
+# sleep through a round that a label absorbed earlier let proceed.  No
+# validation step: Luby MIS is not delay-tolerant, and equality of the
+# two engines is the point.
+
+REGISTRY_PROGRAMS = ("partition", "luby-mis", "ka", "edge-coloring")
+
+
+def _execute_both(name, family, plan, monkeypatch):
+    g, a = WORKLOADS[family](N, seed=0)
+    ids = gen.random_ids(g.n, seed=1000)
+    finish = SyncBarrierScheduler.finish
+    out = []
+    for engine in ("fast", "reference"):
+        runs = []
+
+        def recording_finish(self, runs=runs):
+            res = finish(self)
+            runs.append(res)
+            return res
+
+        monkeypatch.setattr(SyncBarrierScheduler, "finish", recording_finish)
+        sink = MemorySink()
+        with obs.session(sink):
+            ex = zoo.execute(
+                name, g, a, ids, 0, engine=engine, faults=plan,
+                capture_errors=True,
+            )
+        out.append((ex, runs, sink.events))
+    return out
+
+
+@pytest.mark.parametrize("plan_name", ("msg_delay", "everything"))
+@pytest.mark.parametrize("family", ("forest_union_a3", "gnp_sparse"))
+@pytest.mark.parametrize("name", REGISTRY_PROGRAMS)
+def test_registry_programs_agree_under_delays(name, family, plan_name, monkeypatch):
+    (fast, runs_f, ev_f), (ref, runs_r, ev_r) = _execute_both(
+        name, family, PLANS[plan_name], monkeypatch
+    )
+    assert type(fast.error) is type(ref.error)
+    assert (fast.watchdog is None) == (ref.watchdog is None)
+    if fast.watchdog is not None:
+        assert fast.watchdog.active == ref.watchdog.active
+    assert fast.crashed == ref.crashed
+    assert fast.result == ref.result
+    assert len(runs_f) == len(runs_r)
+    for f, r in zip(runs_f, runs_r):
+        _assert_identical(f, r, ev_f, ev_r)
+    assert ev_f == ev_r
+    # the plan actually delayed copies
+    assert any(e.kind == "fault_delay" for e in ev_f)
