@@ -60,6 +60,35 @@ def _key_ge(k1, k2) -> bool:
     return not _key_lt(k1, k2)
 
 
+class _WaveView(LocalView):
+    """:class:`LocalView` that keeps each neighbor's newest ``PROG``
+    snapshot.
+
+    A vertex broadcasts its snapshot only when it changes, and its cursor
+    only grows.  Under a message-delay adversary an older snapshot can
+    arrive after a newer one; storing it would leave the head waiting on
+    a stale cursor the tail never rebroadcasts.  A snapshot whose cursor
+    is older than the stored one is therefore ignored (equal cursors
+    carry equal snapshots).  Without delays snapshots arrive in order and
+    every one is kept, as with the plain view.
+    """
+
+    __slots__ = ()
+
+    def absorb(self, ctx: Context) -> None:
+        state = self.state
+        for u, (tag, payload) in ctx.mail:
+            bucket = state.get(tag)
+            if bucket is None:
+                bucket = state[tag] = {}
+            elif tag == PROG:
+                old = bucket.get(u)
+                # not _key_ge(payload[0], old[0]), inlined (once per PROG)
+                if old is not None and (payload[0] or _INF) < (old[0] or _INF):
+                    continue
+            bucket[u] = payload
+
+
 def _edge_wave_program_factory(
     decide_batch: Callable[[Context, dict, list[tuple[int, object]], dict[int, object]], dict[int, Hashable]],
     init_state: Callable[[Context], object],
@@ -80,7 +109,7 @@ def _edge_wave_program_factory(
 
     def program(ctx: Context):
         schedule = ctx.config["schedule"]
-        view = LocalView()
+        view = _WaveView()
         h = yield from join_h_set(ctx, view, A)
         if worstcase_schedule:
             while ctx.round < ell + 1:

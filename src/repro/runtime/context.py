@@ -94,8 +94,10 @@ class _Wait:
 #: resuming this vertex in a round with an empty inbox and no new halt
 #: notice would change nothing and just yield again.  The fast engine
 #: then keeps the vertex active (it is still charged every round) but
-#: skips resuming it until mail or a halt notice arrives; the reference
-#: engine and the asynchronous executor step it anyway.
+#: leaves it off its wake list, not touching it at all, until mail or a
+#: halt notice arrives, so its per-round cost follows woken vertices,
+#: not active ones; the reference engine and the asynchronous executor
+#: step it anyway.
 WAIT = _Wait()
 
 

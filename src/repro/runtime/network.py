@@ -21,10 +21,11 @@ Vertex programs are generator coroutines created by a *program factory*
   ``ctx.halted[v]`` from the next round onward.  Afterwards the vertex
   neither sends nor receives.
 
-The engine advances only active vertices, so the per-round work is
-proportional to the number of active vertices -- the same quantity the
-vertex-averaged measure sums.  Execution is deterministic given the graph,
-the ID assignment, the seed and the program.
+The engine advances only active vertices, so the per-round work is at
+most proportional to the number of active vertices -- the same quantity
+the vertex-averaged measure sums (the fast path below skips the active
+vertices that have nothing to do).  Execution is deterministic given the
+graph, the ID assignment, the seed and the program.
 
 Implementation notes (the fast path)
 ------------------------------------
@@ -39,15 +40,21 @@ in ``tests/runtime/test_equivalence.py`` checks the two produce identical
   fan-out and broadcast routing;
 * routes messages at send time into pooled, double-buffered per-vertex
   mail slots (no per-round dict allocation): a vertex reads its slot in
-  place as ``ctx.mail``, and the grouped ``ctx.inbox`` dict is built only
-  when a program reads it;
+  place as ``ctx.mail`` and the engine empties it right after the step
+  (only a crashed receiver's slot is emptied at the round's end), and
+  the grouped ``ctx.inbox`` dict is built only when a program reads it;
 * maintains per-vertex active-neighbor lists with O(1) swap-removal so
   ``ctx.broadcast`` never re-filters halted neighbors;
-* does not resume a vertex whose last yield was ``yield WAIT`` until its
-  mail slot is non-empty (delayed fault copies included) or a halt notice
-  reaches it.  The vertex stays in the active list, so the active trace,
-  crash draws and the watchdog are unchanged, and the ascending stepping
-  order keeps send and mail order unchanged;
+* steps only a *wake list* each round: the vertices whose last yield was
+  bare, plus the vertices asleep on ``yield WAIT`` that mail (delayed
+  fault copies included) or a halt notice just reached.  A sleeper that
+  is not woken is not touched at all, so the per-round cost follows the
+  woken vertices, not the active ones.  Sleepers stay in the active
+  list, which is filtered only in rounds where a vertex halted or
+  crashed, so the active trace, crash draws and the watchdog are
+  unchanged; the wake list is stepped in ascending order, which keeps
+  send and mail order unchanged.  When no vertex is asleep the running
+  list is stepped as-is;
 * drops messages addressed to a vertex that terminated in the same round
   at routing time: they can never be delivered (the receiver performs no
   further computation), so they neither linger in the mail buffers nor
@@ -82,7 +89,7 @@ from typing import Any, Callable, Generator, Mapping, Sequence
 import repro.obs as obs
 from repro.graphs.graph import Graph
 from repro.obs.events import Drop
-from repro.runtime.context import _EMPTY_FROZENSET, WAIT, Context, RouterState
+from repro.runtime.context import _EMPTY_FROZENSET, Context, RouterState
 from repro.runtime.metrics import RoundMetrics, TimeMetrics
 from repro.runtime.scheduler import SyncBarrierScheduler
 
@@ -464,22 +471,35 @@ class SyncNetwork:
         dirty_next: list[int] = []
         router.slots_next = slots_next
         router.dirty = dirty_next
-        # 1 while a vertex's last yield was ``yield WAIT``
+        # 1 while a vertex's last yield was ``yield WAIT`` and nothing has
+        # woken it since
         asleep = bytearray(n)
 
         # The barrier scheduler owns the round progression: crash
         # application, watchdog, active/message traces, halt bookkeeping.
-        # This engine supplies only the mail mechanics (pooled slots).
+        # This engine supplies only the mail mechanics (pooled slots) and
+        # the choice of which active vertices to resume.
         sched = SyncBarrierScheduler(
             contexts, gens, max_rounds, emit, injector, collect_messages
         )
         sched.begin_run()
+        halt = sched.halt
+        check_yield = sched.check_yield
+        # The live vertices whose last yield was bare, ascending; every
+        # other active vertex is asleep.  Vertices crashed in an earlier
+        # run of the fault session are already out of ``sched.active``.
+        running: list[int] = sched.active
+        n_live = len(running)
 
         while True:
             nxt = sched.next_round()
             if nxt is None:
                 break
             rnd, due, halted = nxt
+            if len(sched.active) != n_live:
+                # the adversary crashed vertices at this round's start
+                n_live = len(sched.active)
+                running = [v for v in running if gens[v] is not None]
             # Delayed copies due now join this round's mail.
             for src, dst, payload in due:
                 slots_cur[dst].append((src, payload))
@@ -488,9 +508,11 @@ class SyncNetwork:
                 _t0 = perf_counter()
 
             # Deliver termination notices from the previous round (fan-out
-            # over the terminated vertices' CSR rows).
+            # over the terminated vertices' CSR rows).  The vertices that
+            # halted in one round are distinct, so the lists hold no
+            # duplicates.
+            notice_for: dict[int, list[int]] = {}
             if halted:
-                notice_for: dict[int, set[int]] = {}
                 for v, out in halted:
                     for u in rows[v]:
                         cu = contexts[u]
@@ -498,11 +520,11 @@ class SyncNetwork:
                         cu._halted_set.add(v)
                         if gens[u] is None:
                             continue
-                        s = notice_for.get(u)
-                        if s is None:
-                            notice_for[u] = {v}
+                        vs = notice_for.get(u)
+                        if vs is None:
+                            notice_for[u] = [v]
                         else:
-                            s.add(v)
+                            vs.append(v)
                         # O(1) swap-removal of v from u's active-neighbor
                         # list (copy-on-write off the shared CSR row).
                         pos = cu._act_pos
@@ -519,33 +541,57 @@ class SyncNetwork:
                             pos[last] = i
                 for u, vs in notice_for.items():
                     contexts[u].newly_halted = frozenset(vs)
-                cleared: set[int] | tuple = set(notice_for)
+
+            # The wake list: the running vertices plus the sleepers woken
+            # by mail (delayed copies included) or a halt notice, in
+            # ascending order so send and mail order match a full scan.
+            # A sleeper that is not woken is not touched at all.
+            if len(running) == n_live:
+                wake = running
             else:
-                cleared = ()
+                woken: list[int] = []
+                for u in dirty_cur:
+                    if asleep[u] and gens[u] is not None:
+                        asleep[u] = 0
+                        woken.append(u)
+                for u in notice_for:
+                    if asleep[u]:
+                        asleep[u] = 0
+                        woken.append(u)
+                if woken:
+                    wake = running + woken
+                    wake.sort()
+                else:
+                    wake = running
 
             if prof is not None:
                 _t1 = perf_counter()
                 prof.add("deliver", _t1 - _t0)
                 _t0 = _t1
 
-            still_active: list[int] = []
-            for v in sched.active:
-                # A vertex that yielded WAIT sleeps through quiet rounds:
-                # it stays active but is resumed only for mail (delayed
-                # copies included) or a halt notice.
-                if asleep[v] and not slots_cur[v] and v not in cleared:
-                    still_active.append(v)
-                    continue
+            running = []
+            run_append = running.append
+            for v in wake:
                 ctx = contexts[v]
-                ctx._mail = slots_cur[v]
+                mail = ctx._mail = slots_cur[v]
                 ctx._inbox_d = None
                 ctx._round = rnd
-                if ctx.newly_halted and v not in cleared:
+                if ctx.newly_halted and v not in notice_for:
                     ctx.newly_halted = _EMPTY_FROZENSET
-                state = sched.step_vertex(v)
-                if state:
-                    still_active.append(v)
-                    asleep[v] = state is WAIT
+                try:
+                    yielded = next(gens[v])
+                except StopIteration as stop:
+                    mail.clear()
+                    halt(v, stop.value)
+                    continue
+                # the round's mail is read; empty the pooled slot now
+                if mail:
+                    mail.clear()
+                if yielded is None:
+                    run_append(v)
+                else:
+                    check_yield(v, yielded)  # WAIT, or raises
+                    asleep[v] = 1
 
             if prof is not None:
                 _t1 = perf_counter()
@@ -572,13 +618,18 @@ class SyncNetwork:
             )
             sched.end_round(router.msgs, receivers)
             router.msgs = 0
-            sched.active = still_active
+            if sched.newly_halted:
+                sched.active = [v for v in sched.active if gens[v] is not None]
+                n_live = len(sched.active)
 
-            # Rotate the pooled mail buffers: clear the slots read this
-            # round (dirty_cur may contain duplicates; clearing twice is
-            # harmless) and swap current/next.
-            for u in dirty_cur:
-                slots_cur[u].clear()
+            # Rotate the pooled mail buffers and swap current/next.  Every
+            # live receiver was stepped and emptied its slot; only a
+            # crashed receiver's slot is left to clear (dirty_cur may
+            # contain duplicates; clearing twice is harmless).
+            if injector is not None:
+                for u in dirty_cur:
+                    if gens[u] is None:
+                        slots_cur[u].clear()
             dirty_cur.clear()
             slots_cur, slots_next = slots_next, slots_cur
             dirty_cur, dirty_next = dirty_next, dirty_cur

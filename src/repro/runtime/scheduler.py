@@ -108,6 +108,9 @@ class SyncBarrierScheduler:
             sched.end_round(routed, receivers)
         return sched.finish()
 
+    (The fast engine steps only its wake list instead of every active
+    vertex, resumes generators inline and calls :meth:`halt` itself.)
+
     The scheduler owns exactly the state both engines used to duplicate:
     the round counter, the active list, per-vertex round counts, outputs,
     halt notices, the active/message traces, and the fault-injector
@@ -231,26 +234,30 @@ class SyncBarrierScheduler:
     def step_vertex(self, v: int):
         """Advance vertex ``v`` one round.
 
-        Returns ``False`` when it terminated, else ``True`` after a bare
-        ``yield`` and :data:`~repro.runtime.context.WAIT` after ``yield
-        WAIT`` (both truthy: the vertex stays active).  A StopIteration
-        return becomes the vertex's output (see :meth:`output_of`), its
-        running time r(v) = this round, and a halt notice queued for next
-        round.
+        Returns ``False`` when it terminated (see :meth:`halt`), else
+        ``True`` after a bare ``yield`` and
+        :data:`~repro.runtime.context.WAIT` after ``yield WAIT`` (both
+        truthy: the vertex stays active).
         """
         try:
             yielded = next(self.gens[v])
         except StopIteration as stop:
-            out = self.outputs[v] = self.output_of(
-                v, self.contexts[v], stop.value
-            )
-            self.rounds[v] = self.rnd
-            self.gens[v] = None
-            self.newly_halted.append((v, out))
-            if self.emit is not None:
-                self.emit(Halt(self.rnd, v))
+            self.halt(v, stop.value)
             return False
         return True if yielded is None else self.check_yield(v, yielded)
+
+    def halt(self, v: int, value: Any) -> None:
+        """Terminate vertex ``v``, whose program returned ``value`` this
+        round: record its output (see :meth:`output_of`) and running time
+        r(v) = this round, and queue its halt notice for next round.  The
+        fast engine resumes generators inline and calls this on
+        StopIteration; :meth:`step_vertex` calls it too."""
+        out = self.outputs[v] = self.output_of(v, self.contexts[v], value)
+        self.rounds[v] = self.rnd
+        self.gens[v] = None
+        self.newly_halted.append((v, out))
+        if self.emit is not None:
+            self.emit(Halt(self.rnd, v))
 
     @staticmethod
     def check_yield(v: int, yielded: Any):

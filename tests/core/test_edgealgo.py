@@ -3,8 +3,12 @@ maximal matching (Corollaries 8.6 / 8.8)."""
 
 import pytest
 
+from repro import faults, obs
 from repro.core.edgealgo import run_edge_coloring, run_maximal_matching
+from repro.faults import FaultPlan, MessageFaults
 from repro.graphs import generators as gen
+from repro.obs import MemorySink
+from repro.runtime import engine_session
 from repro.verify import assert_maximal_matching, assert_proper_edge_coloring
 
 
@@ -48,6 +52,28 @@ class TestEdgeColoring:
             run_edge_coloring(g, a=2).edge_colors
             == run_edge_coloring(g, a=2).edge_colors
         )
+
+
+    def test_delayed_stale_cursor_does_not_deadlock(self):
+        # A delayed PROG snapshot carrying an older cursor used to
+        # overwrite a newer one at the head, which then waited on the
+        # stale cursor until the watchdog fired, on both engines.
+        g = gen.union_of_forests(100, 3, seed=0)
+        ids = gen.random_ids(g.n, seed=1000)
+        plan = FaultPlan(seed=9, messages=MessageFaults(delay=0.1, max_delay=2))
+        runs = {}
+        for engine in ("fast", "reference"):
+            sink = MemorySink()
+            with engine_session(engine), faults.session(plan), obs.session(sink):
+                res = run_edge_coloring(g, a=3, ids=ids)
+            assert_proper_edge_coloring(g, res.edge_colors, max_colors=res.palette_bound)
+            assert set(res.edge_colors) == set(g.edges())
+            runs[engine] = (res, sink.events)
+        (fast, ev_fast), (ref, ev_ref) = runs["fast"], runs["reference"]
+        assert any(e.kind == "fault_delay" for e in ev_fast)
+        assert fast.edge_colors == ref.edge_colors
+        assert fast.metrics == ref.metrics
+        assert ev_fast == ev_ref
 
 
 class TestMaximalMatching:
