@@ -111,6 +111,22 @@ def message_fates(
     return fates
 
 
+def narrate_fates(
+    emit, rnd: int, src: int, dst: int, fates: tuple[int, ...]
+) -> None:
+    """Emit the fault events of one routed copy whose draw was ``fates``
+    (see :func:`message_fates`): ``fault_drop`` for a drop, else
+    ``fault_delay`` for a delayed first copy and ``fault_dup`` for a
+    duplicate, in that order.  Normal delivery narrates nothing."""
+    if not fates:
+        emit(FaultDrop(rnd, src, dst))
+        return
+    if fates[0]:
+        emit(FaultDelay(rnd, src, dst, fates[0]))
+    if len(fates) > 1:
+        emit(FaultDup(rnd, src, dst))
+
+
 def drop_fate(seed: int, rnd: int, src: int, dst: int, k: int, drop: float) -> bool:
     """The counter-based drop draw: is copy ``k`` of ``src -> dst`` in
     session round ``rnd`` dropped?
@@ -410,15 +426,8 @@ class FaultInjector:
         k = self._pair_k.get(key, 0)
         self._pair_k[key] = k + 1
         fates = message_fates(mf, self.plan.seed, self._round, src, dst, k)
-        emit = self._emit
-        if emit is not None:
-            if not fates:
-                emit(FaultDrop(rnd, src, dst))
-            else:
-                if fates[0]:
-                    emit(FaultDelay(rnd, src, dst, fates[0]))
-                if len(fates) > 1:
-                    emit(FaultDup(rnd, src, dst))
+        if self._emit is not None:
+            narrate_fates(self._emit, rnd, src, dst, fates)
         return fates
 
     def hold(self, extra: int, src: int, dst: int, payload: Any) -> None:

@@ -229,10 +229,9 @@ class Graph:
         """Per-vertex neighbor rows sliced out of the CSR arrays.
 
         A cached list-of-lists mirror of the CSR arrays holding plain
-        Python ints, which is what the engine's object-level loops
-        (broadcast fan-out, halt-notice delivery) iterate: indexing
-        containers with native ints is markedly faster than with numpy
-        scalars.  The rows are shared -- callers must treat them as
+        Python ints, which is what the engine's halt-notice fan-out
+        iterates: indexing containers with native ints is markedly faster
+        than with numpy scalars.  The rows are shared -- callers must treat them as
         immutable and copy before mutating.
         """
         if self._csr_rows is None:

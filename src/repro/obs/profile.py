@@ -4,9 +4,9 @@
 generator engines time three sections of every round when a profiler
 rides on the bus (``EventBus(..., profiler=PhaseProfiler())``):
 
-* ``deliver`` -- fanning out last round's termination notices (and, in
-  the fast engine, the active-neighbor-list maintenance that rides on
-  them);
+* ``deliver`` -- fanning out last round's termination notices into the
+  receivers' ``ctx.halted`` (and, in the fast engine, building the wake
+  list);
 * ``step`` -- advancing the vertex generators.  The fast engine routes
   messages *inside* this section (at ``ctx.send`` time), the reference
   engine routes ``_outgoing`` batches here too, so ``step`` is the bulk

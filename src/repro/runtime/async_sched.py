@@ -61,20 +61,17 @@ from typing import Any, Callable, Mapping
 import numpy as np
 
 from repro import rng
-from repro.faults.plan import message_fates
+from repro.faults.plan import message_fates, narrate_fates
 from repro.obs.events import (
     Delivery,
     Drop,
     FaultCrash,
-    FaultDelay,
-    FaultDrop,
-    FaultDup,
     Halt,
     RoundEnd,
     RoundStart,
 )
 from repro.runtime.context import _EMPTY_FROZENSET
-from repro.runtime.metrics import RoundMetrics, TimeMetrics
+from repro.runtime.metrics import TimeMetrics
 
 __all__ = ["DELAY_DISTS", "DelaySpec", "run_async"]
 
@@ -171,7 +168,6 @@ def run_async(
     net,
     program,
     max_rounds: int | None = None,
-    collect_messages: bool = True,
     bus=None,
     faults=None,
     delays: DelaySpec | None = None,
@@ -185,12 +181,12 @@ def run_async(
     session's :func:`~repro.runtime.scheduler.current_delays`, falling
     back to the fixed unit-delay model.
     """
-    from repro.runtime.network import (
-        RoundLimitExceeded,
-        RunResult,
-        default_max_rounds,
+    from repro.runtime.network import RoundLimitExceeded, default_max_rounds
+    from repro.runtime.scheduler import (
+        SyncBarrierScheduler,
+        assemble_result,
+        current_delays,
     )
-    from repro.runtime.scheduler import SyncBarrierScheduler, current_delays
 
     if delays is None:
         delays = current_delays()
@@ -352,7 +348,6 @@ def run_async(
                     mail += pairs
                 if halt:
                     ctx.halted[u] = out
-                    ctx._halted_set.add(u)
                     if new_halts is None:
                         new_halts = []
                     new_halts.append(u)
@@ -408,13 +403,7 @@ def run_async(
                     pair_k[u] = k + 1
                     fates = message_fates(mf, fseed, base + rnd, v, u, k)
                     if emit is not None:
-                        if not fates:
-                            emit(FaultDrop(rnd, v, u))
-                        else:
-                            if fates[0]:
-                                emit(FaultDelay(rnd, v, u, fates[0]))
-                            if len(fates) > 1:
-                                emit(FaultDup(rnd, v, u))
+                        narrate_fates(emit, rnd, v, u, fates)
                 else:
                     fates = (0,)
                 for d in fates:
@@ -471,10 +460,10 @@ def run_async(
         # Emit this round's tokens.  Neighbors v knows have halted need
         # no pulse (they are done); everyone else gets one, carrying the
         # payloads and -- in v's final round -- the halt notice.
-        halted_set = ctx._halted_set
+        halted = ctx.halted
         a = arc0[v]
         for i, u in enumerate(g.neighbors(v)):
-            if u in halted_set:
+            if u in halted:
                 continue
             push(
                 (
@@ -544,7 +533,7 @@ def run_async(
         else:
             _marker(entry[0], entry[3], entry[4], entry[5])
 
-    # -- result assembly (mirrors SyncBarrierScheduler.finish) ---------
+    # -- result assembly (shared with SyncBarrierScheduler.finish) -------
     total_rounds = max(rounds, default=0)
     counts = [0] * (total_rounds + 1)
     for r in rounds:
@@ -556,11 +545,7 @@ def run_async(
         alive += counts[r]
         active_trace.append(alive)
     active_trace.reverse()
-    msg_trace = (
-        tuple(msgs.get(r, 0) for r in range(1, total_rounds + 1))
-        if collect_messages
-        else ()
-    )
+    msg_trace = [msgs.get(r, 0) for r in range(1, total_rounds + 1)]
     if emit is not None:
         # Synthesize the barrier-equivalent per-round aggregates.  The
         # trace collector keys records by round number, not stream
@@ -581,32 +566,18 @@ def run_async(
                     halts_per_round[r],
                 )
             )
-    metrics = RoundMetrics(
-        rounds=tuple(rounds),
-        active_trace=tuple(active_trace),
-        messages_per_round=msg_trace,
-    )
-    output_rounds = tuple(
-        ctx._commit_round if ctx._commit_round is not None else rounds[v]
-        for v, ctx in enumerate(contexts)
-    )
-    output_times = tuple(
-        commit_t.get(v, times[v]) for v in range(n)
-    )
-    crashed: tuple[int, ...] = ()
     if injector is not None:
         injector.absorb_rounds(max_round_seen, crashed_now)
-        if injector.crashed:
-            crashed = tuple(sorted(v for v in injector.crashed if v < n))
-    return RunResult(
-        outputs=outputs,
-        metrics=metrics,
-        contexts=tuple(contexts),
-        output_rounds=output_rounds,
-        crashed=crashed,
+    return assemble_result(
+        contexts,
+        outputs,
+        rounds,
+        active_trace,
+        msg_trace,
+        injector,
         times=TimeMetrics(
             times=tuple(times),
-            output_times=output_times,
+            output_times=tuple(commit_t.get(v, times[v]) for v in range(n)),
             mean_delay=delays.mean_delay,
         ),
     )

@@ -426,6 +426,5 @@ def bulk_broadcast_kernel(graph: Graph, rounds: int = 10) -> RunResult:
     return RunResult(
         outputs=dict.fromkeys(range(n)),
         metrics=metrics,
-        contexts=(),
         output_rounds=metrics.rounds,
     )

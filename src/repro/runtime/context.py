@@ -24,7 +24,9 @@ Unwired contexts -- as driven by
 :class:`repro.runtime.reference.ReferenceSyncNetwork`, the executable
 specification of the round semantics -- fall back to accumulating
 ``(target, payload)`` tuples in ``_outgoing`` for the engine to route.
-Both regimes produce bit-identical executions; the differential tests in
+Both regimes share one routing path (``_route``) and the same targets:
+the neighbors not in ``ctx.halted``, in neighbor order.  They produce
+bit-identical executions; the differential tests in
 ``tests/runtime/test_equivalence.py`` enforce it.
 
 Reading the round's messages
@@ -65,9 +67,9 @@ class RouterState:
 
     ``slots_next`` holds one mail list per vertex (messages for the *next*
     round, as ``(sender, payload)`` tuples), ``dirty`` the receivers whose
-    slot was touched this round (possibly with duplicates -- it is only
-    used to clear slots cheaply), and ``msgs`` the running message count
-    for the current round.
+    slot went from empty to non-empty this round (so each receiver is
+    listed once), and ``msgs`` the running message count for the current
+    round.
     """
 
     __slots__ = ("slots_next", "dirty", "msgs")
@@ -118,12 +120,9 @@ class Context:
         "_inbox_d",
         "_round",
         "_outgoing",
-        "_halted_set",
         "_commit_round",
         "_commit_value",
         "_router",
-        "_act",
-        "_act_pos",
         "_bus",
         "_faults",
     )
@@ -152,7 +151,8 @@ class Context:
         #: the network seed; ``ctx.rng`` keys a VertexRng with it lazily
         #: on first use (most deterministic programs never touch it)
         self._rng = seed
-        #: final outputs of terminated neighbors (accumulated)
+        #: final outputs of terminated neighbors (accumulated); also the
+        #: one record of which neighbors ``send``/``broadcast`` skip
         self.halted: dict[int, Any] = {}
         #: neighbors whose termination notice arrived this round
         self.newly_halted: frozenset[int] = _EMPTY_FROZENSET
@@ -160,12 +160,9 @@ class Context:
         self._inbox_d: dict[int, list[Any]] | None = None
         self._round = 0
         self._outgoing: list[tuple[int, Any]] = []
-        self._halted_set: set[int] = set()
         self._commit_round: int | None = None
         self._commit_value: Any = None
         self._router: RouterState | None = None
-        self._act: list[int] | None = None
-        self._act_pos: dict[int, int] | None = None
         #: the engine wires an active EventBus here; None (the default)
         #: keeps send/broadcast/commit entirely event-free
         self._bus = None
@@ -242,12 +239,12 @@ class Context:
 
     def active_neighbors(self) -> list[int]:
         """Neighbors that have not terminated yet (in neighbor order)."""
-        halted = self._halted_set
+        halted = self.halted
         return [u for u in self.neighbors if u not in halted]
 
     def active_degree(self) -> int:
         """The number of not-yet-terminated neighbors."""
-        return len(self.neighbors) - len(self._halted_set)
+        return len(self.neighbors) - len(self.halted)
 
     # ------------------------------------------------------------------
     def commit(self, value: Any) -> None:
@@ -286,102 +283,66 @@ class Context:
                 f"vertex {self.v} tried to message non-neighbor {u}: "
                 "communication must follow the graph's links"
             )
-        if u in self._halted_set:
+        if u in self.halted:
             return
         b = self._bus
         if b is not None:
             b.emit(_SendEvent(self._round, self.v, u))
-        fi = self._faults
-        if fi is not None:
-            self._route_faulted(u, payload, fi)
-            return
-        rt = self._router
-        if rt is None:
-            self._outgoing.append((u, payload))
-        else:
-            slot = rt.slots_next[u]
-            if not slot:
-                rt.dirty.append(u)
-            slot.append((self.v, payload))
-            rt.msgs += 1
+        self._route((u,), payload)
 
     def send_many(self, targets: Iterable[int], payload: Any) -> None:
         for u in targets:
             self.send(u, payload)
 
-    def _route_faulted(self, u: int, payload: Any, fi) -> None:
-        """Route one logical message to ``u`` through the fault adversary.
-
-        The injector decides the copies (normal, dropped, duplicated,
-        delayed); normal copies take the regular wired/unwired path,
-        delayed ones go to the injector's hold buffer.  Shared by both
-        engines -- this is the route half of the single injection hook.
-        """
-        for d in fi.fate(self._round, self.v, u):
-            if d:
-                fi.hold(d, self.v, u, payload)
-                continue
-            rt = self._router
-            if rt is None:
-                self._outgoing.append((u, payload))
-            else:
-                slot = rt.slots_next[u]
-                if not slot:
-                    rt.dirty.append(u)
-                slot.append((self.v, payload))
-                rt.msgs += 1
-
     def broadcast(self, payload: Any) -> None:
         """Send ``payload`` to every active neighbor."""
-        fi = self._faults
-        if fi is not None:
-            # Canonical neighbor order in BOTH routing regimes: the wired
-            # ``_act`` list is reordered by swap-removal, and the fault
-            # adversary's event stream and delay-buffer order must not
-            # depend on that bookkeeping order (the engines' faulted
-            # executions are compared event-for-event).
-            halted = self._halted_set
-            targets = [u for u in self.neighbors if u not in halted]
-            if not targets:
-                return
-            b = self._bus
-            if b is not None:
-                # the broadcast *intent*: per-copy deviations are narrated
-                # by the injector's fault_* events
-                b.emit(_BroadcastEvent(self._round, self.v, len(targets)))
-            for u in targets:
-                self._route_faulted(u, payload, fi)
+        halted = self.halted
+        targets = (
+            [u for u in self.neighbors if u not in halted]
+            if halted
+            else self.neighbors
+        )
+        if not targets:
             return
-        rt = self._router
-        if rt is None:
-            halted = self._halted_set
-            out = self._outgoing
-            sent = 0
-            for u in self.neighbors:
-                if u not in halted:
-                    out.append((u, payload))
-                    sent += 1
-            if sent:
-                b = self._bus
-                if b is not None:
-                    b.emit(_BroadcastEvent(self._round, self.v, sent))
-            return
-        act = self._act
-        if not act:
-            return
-        # One tuple shared across all receivers (tuples are immutable and
-        # the per-receiver payload lists are built lazily per receiver),
-        # one append per receiver: the broadcast fast path.
-        t = (self.v, payload)
-        slots = rt.slots_next
-        for u in act:
-            slots[u].append(t)
-        rt.dirty.extend(act)
-        k = len(act)
-        rt.msgs += k
         b = self._bus
         if b is not None:
-            b.emit(_BroadcastEvent(self._round, self.v, k))
+            # the broadcast *intent*: per-copy deviations are narrated
+            # by the injector's fault_* events
+            b.emit(_BroadcastEvent(self._round, self.v, len(targets)))
+        self._route(targets, payload)
+
+    def _route(self, targets, payload: Any) -> None:
+        """Route one copy of ``payload`` to each of ``targets``, in order.
+
+        The fault adversary, when wired, decides each copy's fate first:
+        dropped, held for late delivery, or duplicated.  The copies left
+        go into the pooled slots (wired: one shared ``(sender, payload)``
+        tuple per receiver) or onto ``_outgoing`` (unwired).
+        """
+        fi = self._faults
+        if fi is not None:
+            rnd, v = self._round, self.v
+            normal = []
+            for u in targets:
+                for d in fi.fate(rnd, v, u):
+                    if d:
+                        fi.hold(d, v, u, payload)
+                    else:
+                        normal.append(u)
+            targets = normal
+        rt = self._router
+        if rt is None:
+            self._outgoing.extend([(u, payload) for u in targets])
+            return
+        t = (self.v, payload)
+        slots = rt.slots_next
+        dirty = rt.dirty
+        for u in targets:
+            slot = slots[u]
+            if not slot:
+                dirty.append(u)
+            slot.append(t)
+        rt.msgs += len(targets)
 
     # ------------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -37,14 +37,12 @@ in ``tests/runtime/test_equivalence.py`` checks the two produce identical
 
 * iterates adjacency through the graph's cached CSR view
   (:meth:`repro.graphs.graph.Graph.csr` / ``csr_rows``) for halt-notice
-  fan-out and broadcast routing;
+  fan-out;
 * routes messages at send time into pooled, double-buffered per-vertex
   mail slots (no per-round dict allocation): a vertex reads its slot in
   place as ``ctx.mail`` and the engine empties it right after the step
   (only a crashed receiver's slot is emptied at the round's end), and
   the grouped ``ctx.inbox`` dict is built only when a program reads it;
-* maintains per-vertex active-neighbor lists with O(1) swap-removal so
-  ``ctx.broadcast`` never re-filters halted neighbors;
 * steps only a *wake list* each round: the vertices whose last yield was
   bare, plus the vertices asleep on ``yield WAIT`` that mail (delayed
   fault copies included) or a halt notice just reached.  A sleeper that
@@ -151,7 +149,6 @@ class RunResult:
 
     outputs: dict[int, Any]
     metrics: RoundMetrics
-    contexts: tuple[Context, ...]
     #: per-vertex round at which the output was fixed; equals the
     #: termination round unless the program called ``ctx.commit`` earlier
     #: (Feuilloley's first definition, paper Section 2).
@@ -395,7 +392,6 @@ class SyncNetwork:
         self,
         program: ProgramFactory,
         max_rounds: int | None = None,
-        collect_messages: bool = True,
         bus=None,
         faults=None,
     ) -> RunResult:
@@ -423,15 +419,13 @@ class SyncNetwork:
                 # async executor has exactly one implementation).
                 from repro.runtime.async_sched import run_async
 
-                return run_async(
-                    self, program, max_rounds, collect_messages, bus, faults
-                )
+                return run_async(self, program, max_rounds, bus, faults)
             eng = current_engine()
             if eng == "reference":
                 from repro.runtime.reference import ReferenceSyncNetwork
 
                 return ReferenceSyncNetwork.run(
-                    self, program, max_rounds, collect_messages, bus, faults
+                    self, program, max_rounds, bus, faults
                 )
             if eng == "bulk":
                 # The bulk engine does not step generator programs at all:
@@ -460,10 +454,8 @@ class SyncNetwork:
         # Wire every context into the shared routing state: sends and
         # broadcasts deliver straight into the pooled mail slots below.
         router = RouterState()
-        for v, ctx in enumerate(contexts):
+        for ctx in contexts:
             ctx._router = router
-            # shared CSR row; copied on first halted-neighbor removal
-            ctx._act = rows[v]
 
         slots_cur: list[list[tuple[int, Any]]] = [[] for _ in range(n)]
         slots_next: list[list[tuple[int, Any]]] = [[] for _ in range(n)]
@@ -479,9 +471,7 @@ class SyncNetwork:
         # application, watchdog, active/message traces, halt bookkeeping.
         # This engine supplies only the mail mechanics (pooled slots) and
         # the choice of which active vertices to resume.
-        sched = SyncBarrierScheduler(
-            contexts, gens, max_rounds, emit, injector, collect_messages
-        )
+        sched = SyncBarrierScheduler(contexts, gens, max_rounds, emit, injector)
         sched.begin_run()
         halt = sched.halt
         check_yield = sched.check_yield
@@ -502,8 +492,10 @@ class SyncNetwork:
                 running = [v for v in running if gens[v] is not None]
             # Delayed copies due now join this round's mail.
             for src, dst, payload in due:
-                slots_cur[dst].append((src, payload))
-                dirty_cur.append(dst)
+                slot = slots_cur[dst]
+                if not slot:
+                    dirty_cur.append(dst)
+                slot.append((src, payload))
             if prof is not None:
                 _t0 = perf_counter()
 
@@ -515,9 +507,7 @@ class SyncNetwork:
             if halted:
                 for v, out in halted:
                     for u in rows[v]:
-                        cu = contexts[u]
-                        cu.halted[v] = out
-                        cu._halted_set.add(v)
+                        contexts[u].halted[v] = out
                         if gens[u] is None:
                             continue
                         vs = notice_for.get(u)
@@ -525,20 +515,6 @@ class SyncNetwork:
                             notice_for[u] = [v]
                         else:
                             vs.append(v)
-                        # O(1) swap-removal of v from u's active-neighbor
-                        # list (copy-on-write off the shared CSR row).
-                        pos = cu._act_pos
-                        act = cu._act
-                        if pos is None:
-                            act = cu._act = list(act)
-                            pos = cu._act_pos = {
-                                w: i for i, w in enumerate(act)
-                            }
-                        i = pos.pop(v)
-                        last = act.pop()
-                        if last != v:
-                            act[i] = last
-                            pos[last] = i
                 for u, vs in notice_for.items():
                     contexts[u].newly_halted = frozenset(vs)
 
@@ -612,7 +588,7 @@ class SyncNetwork:
 
             # distinct receivers only feed the round_end event
             receivers = (
-                len({u for u in dirty_next if slots_next[u]})
+                sum(1 for u in dirty_next if slots_next[u])
                 if emit is not None
                 else 0
             )
@@ -624,8 +600,7 @@ class SyncNetwork:
 
             # Rotate the pooled mail buffers and swap current/next.  Every
             # live receiver was stepped and emptied its slot; only a
-            # crashed receiver's slot is left to clear (dirty_cur may
-            # contain duplicates; clearing twice is harmless).
+            # crashed receiver's slot is left to clear.
             if injector is not None:
                 for u in dirty_cur:
                     if gens[u] is None:

@@ -52,7 +52,6 @@ class ReferenceSyncNetwork(SyncNetwork):
         self,
         program: ProgramFactory,
         max_rounds: int | None = None,
-        collect_messages: bool = True,
         bus=None,
         faults=None,
     ) -> RunResult:
@@ -77,9 +76,7 @@ class ReferenceSyncNetwork(SyncNetwork):
         # The *same* barrier scheduler the fast engine uses drives the
         # round progression; this loop supplies only the specification
         # mail mechanics (per-round dicts, explicit ``_outgoing`` routing).
-        sched = SyncBarrierScheduler(
-            contexts, gens, max_rounds, emit, injector, collect_messages
-        )
+        sched = SyncBarrierScheduler(contexts, gens, max_rounds, emit, injector)
         sched.begin_run()
         pending: dict[int, dict[int, Any]] = {}
 
@@ -104,7 +101,6 @@ class ReferenceSyncNetwork(SyncNetwork):
                 for v, out in halted:
                     for u in g.neighbors(v):
                         contexts[u].halted[v] = out
-                        contexts[u]._halted_set.add(v)
                         notice_for.setdefault(u, set()).add(v)
                 for u, vs in notice_for.items():
                     contexts[u].newly_halted = frozenset(vs)

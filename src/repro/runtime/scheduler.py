@@ -95,7 +95,7 @@ class SyncBarrierScheduler:
     One instance drives one run.  The engine loop becomes::
 
         sched = SyncBarrierScheduler(contexts, gens, max_rounds, emit,
-                                     injector, collect_messages)
+                                     injector)
         sched.begin_run()
         while True:
             nxt = sched.next_round()        # crashes, watchdog, round_start
@@ -127,7 +127,6 @@ class SyncBarrierScheduler:
         "max_rounds",
         "emit",
         "injector",
-        "collect_messages",
         "outputs",
         "rounds",
         "active",
@@ -144,14 +143,12 @@ class SyncBarrierScheduler:
         max_rounds: int,
         emit,
         injector,
-        collect_messages: bool = True,
     ) -> None:
         self.contexts = contexts
         self.gens = gens
         self.max_rounds = max_rounds
         self.emit = emit
         self.injector = injector
-        self.collect_messages = collect_messages
         n = len(contexts)
         self.outputs: dict[int, Any] = {}
         self.rounds = [0] * n
@@ -298,33 +295,49 @@ class SyncBarrierScheduler:
             self.emit(
                 RoundEnd(self.rnd, msgs_total, receivers, len(self.newly_halted))
             )
-        if self.collect_messages:
-            self.msg_trace.append(msgs_total)
+        self.msg_trace.append(msgs_total)
 
     def finish(self):
         """Assemble the :class:`~repro.runtime.network.RunResult`."""
-        from repro.runtime.network import RunResult
+        return assemble_result(
+            self.contexts,
+            self.outputs,
+            self.rounds,
+            self.active_trace,
+            self.msg_trace,
+            self.injector,
+        )
 
-        contexts = self.contexts
-        rounds = self.rounds
-        metrics = RoundMetrics(
+
+def assemble_result(
+    contexts, outputs, rounds, active_trace, msg_trace, injector, times=None
+):
+    """The :class:`~repro.runtime.network.RunResult` of one generator run.
+
+    Shared by the barrier (:meth:`SyncBarrierScheduler.finish`) and the
+    asynchronous executor, which also passes its virtual-time accounting
+    as ``times``.  A vertex's output round is its commit round when it
+    called ``ctx.commit``, else its termination round; ``crashed`` lists
+    the session's crashed vertices that belong to this graph.
+    """
+    from repro.runtime.network import RunResult
+
+    output_rounds = tuple(
+        ctx._commit_round if ctx._commit_round is not None else rounds[v]
+        for v, ctx in enumerate(contexts)
+    )
+    crashed: tuple[int, ...] = ()
+    if injector is not None and injector.crashed:
+        n = len(contexts)
+        crashed = tuple(sorted(v for v in injector.crashed if v < n))
+    return RunResult(
+        outputs=outputs,
+        metrics=RoundMetrics(
             rounds=tuple(rounds),
-            active_trace=tuple(self.active_trace),
-            messages_per_round=tuple(self.msg_trace),
-        )
-        output_rounds = tuple(
-            ctx._commit_round if ctx._commit_round is not None else rounds[v]
-            for v, ctx in enumerate(contexts)
-        )
-        crashed: tuple[int, ...] = ()
-        injector = self.injector
-        if injector is not None and injector.crashed:
-            n = len(contexts)
-            crashed = tuple(sorted(v for v in injector.crashed if v < n))
-        return RunResult(
-            outputs=self.outputs,
-            metrics=metrics,
-            contexts=tuple(contexts),
-            output_rounds=output_rounds,
-            crashed=crashed,
-        )
+            active_trace=tuple(active_trace),
+            messages_per_round=tuple(msg_trace),
+        ),
+        output_rounds=output_rounds,
+        crashed=crashed,
+        times=times,
+    )

@@ -354,10 +354,8 @@ def check_registry() -> list[str]:
        historical ``ka2``/``one-plus-eta``/``aloglogn`` gap);
     6. paper-row tables are 1, 2 or None and row ids are unique;
     7. ``bulk_capable`` flags mirror ``repro.core.bulk.BULK_DRIVERS``
-       exactly, every bulk-driver entry names a public export, and the
-       zoo's engine tuple matches the runtime's;
-    8. every ``workloads`` restriction names real bench workloads, and
-       the zoo's execution-mode tuple matches the scheduler's.
+       exactly, and every bulk-driver entry names a public export;
+    8. every ``workloads`` restriction names real bench workloads.
     """
     import repro
 
@@ -439,16 +437,9 @@ def check_registry() -> list[str]:
         )
 
     # bulk drift: the bulk_capable flags must mirror the columnar-driver
-    # registry, and the zoo's engine list must match the runtime's.
+    # registry.
     from repro.core.bulk import BULK_DRIVERS
-    from repro.runtime.network import ENGINES as _RUNTIME_ENGINES
-    from repro.zoo.spec import ENGINES as _ZOO_ENGINES
 
-    if _ZOO_ENGINES != _RUNTIME_ENGINES:
-        problems.append(
-            f"zoo ENGINES {_ZOO_ENGINES!r} != runtime ENGINES "
-            f"{_RUNTIME_ENGINES!r}"
-        )
     for spec in all_specs():
         has_bulk = (
             spec.driver.fn is None and spec.driver.func in BULK_DRIVERS
@@ -469,15 +460,9 @@ def check_registry() -> list[str]:
         )
 
     # workload drift: topology restrictions must name real bench
-    # workloads, and the zoo's mode tuple must match the scheduler's.
+    # workloads.
     from repro.bench.workloads import WORKLOADS
-    from repro.runtime.scheduler import MODES as _RUNTIME_MODES
-    from repro.zoo.spec import MODES as _ZOO_MODES
 
-    if _ZOO_MODES != _RUNTIME_MODES:
-        problems.append(
-            f"zoo MODES {_ZOO_MODES!r} != scheduler MODES {_RUNTIME_MODES!r}"
-        )
     for spec in all_specs():
         for wl in spec.workloads:
             if wl not in WORKLOADS:

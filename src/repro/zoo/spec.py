@@ -21,6 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
+# re-exported: the engines and execution modes `execute()` accepts (see
+# repro.runtime.engine_session and repro.runtime.mode_session)
+from repro.runtime import ENGINES, MODES  # noqa: F401
+
 #: the problem taxonomy of the paper's result tables (Table 1 is all
 #: vertex coloring; Table 2 is MIS / edge-coloring / matching; the
 #: H-partition of Section 6 underlies them all), plus the related-work
@@ -35,16 +39,6 @@ PROBLEM_KINDS = (
     "leader-election",
     "consensus",
 )
-
-#: engines `execute()` accepts (see repro.runtime.engine_session);
-#: kept in sync with ``repro.runtime.ENGINES`` (check_registry verifies)
-ENGINES = ("fast", "reference", "bulk")
-
-#: execution modes `execute()` accepts (see repro.runtime.mode_session):
-#: the synchronous global-round barrier or the event-driven asynchronous
-#: executor; kept in sync with ``repro.runtime.scheduler.MODES``
-#: (check_registry verifies)
-MODES = ("sync", "async")
 
 
 @dataclass(frozen=True)

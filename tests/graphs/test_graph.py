@@ -153,8 +153,8 @@ class TestCSR:
         g = Graph(5, [(0, 1), (0, 2), (3, 4)])
         rows = g.csr_rows()
         assert rows == [list(g.neighbors(v)) for v in range(5)]
-        # cached: same objects on repeated access (the engine relies on
-        # sharing these rows copy-on-write)
+        # cached: same objects on repeated access (the engine's
+        # halt-notice fan-out reads these shared rows)
         assert g.csr_rows() is rows
         assert g.csr() is g.csr()
 

@@ -343,3 +343,91 @@ def test_fast_and_reference_count_identically_under_churn():
     fast = SyncNetwork(g).run(program)
     ref = ReferenceSyncNetwork(g).run(program)
     assert fast.metrics.messages_per_round == ref.metrics.messages_per_round
+
+
+# ---------------------------------------------------------------------------
+# The wired routing state: each receiver is listed once per round
+# ---------------------------------------------------------------------------
+
+def test_router_lists_each_receiver_once_and_counts_every_copy():
+    """Two wired broadcasts and a wired send reaching the same receivers
+    append each receiver to ``RouterState.dirty`` once (when its slot
+    goes from empty to non-empty), while ``msgs`` counts every copy."""
+    from repro.runtime.context import RouterState
+
+    g = gen.complete(3)
+    rt = RouterState()
+    rt.slots_next = [[] for _ in range(g.n)]
+    contexts = SyncNetwork(g).make_contexts()
+    for ctx in contexts:
+        ctx._router = rt
+    contexts[1].broadcast("b")  # to 0 and 2
+    contexts[2].broadcast("c")  # to 0 and 1
+    contexts[2].send(0, "s")
+    assert rt.dirty == [0, 2, 1]
+    assert rt.msgs == 5
+    assert rt.slots_next[0] == [(1, "b"), (2, "c"), (2, "s")]
+    assert rt.slots_next[1] == [(2, "c")]
+    assert rt.slots_next[2] == [(1, "b")]
+
+
+def test_delayed_copy_joins_a_listed_receiver_once(monkeypatch):
+    """A broadcast, a send and an adversary-delayed copy all reach vertex 0
+    in round 3 of a fast-engine run: the round's receiver list holds 0
+    once, its mail holds all three copies, and the traffic trace counts
+    every copy in its send round."""
+    import repro.runtime.network as network
+    from repro.faults import FaultInjector, FaultPlan, MessageFaults
+    from repro.runtime.context import RouterState
+
+    routers = []
+
+    class RecordingRouter(RouterState):
+        """Remembers every list the engine installs as ``dirty``."""
+
+        def __init__(self):
+            self.installed = []
+            super().__init__()
+            routers.append(self)
+
+        @property
+        def dirty(self):
+            return RouterState.dirty.__get__(self)
+
+        @dirty.setter
+        def dirty(self, lst):
+            self.installed.append(lst)
+            RouterState.dirty.__set__(self, lst)
+
+    class DelayEarly(FaultInjector):
+        """Delays 2 -> 0 in round 1 by one extra round; delivers the rest."""
+
+        def fate(self, rnd, src, dst):
+            return (1,) if (rnd, src, dst) == (1, 2, 0) else (0,)
+
+    monkeypatch.setattr(network, "RouterState", RecordingRouter)
+    seen = {}
+
+    def program(ctx):
+        if ctx.v == 2:
+            ctx.send(0, "early")  # held; due in round 3
+        yield
+        if ctx.v == 1:
+            ctx.broadcast("b")
+        if ctx.v == 2:
+            ctx.send(0, "s")
+        yield
+        if ctx.v == 0:
+            # the receiver list of this round's mail (delayed copies
+            # included) is the one installed before the current one
+            seen["dirty"] = list(routers[0].installed[-2])
+            seen["mail"] = list(ctx.mail)
+        return None
+
+    injector = DelayEarly(FaultPlan(seed=0, messages=MessageFaults(delay=0.5)))
+    res = SyncNetwork(gen.complete(3)).run(program, faults=injector)
+    assert seen["dirty"] == [0, 2]
+    assert seen["mail"] == [(1, "b"), (2, "s"), (2, "early")]
+    # round 1: the held copy; round 2: the broadcast's two copies and
+    # the send; round 3: the three halt notices
+    assert res.metrics.messages_per_round == (1, 3, 3)
