@@ -74,9 +74,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="sync",
         choices=MODES,
         help="execution mode: the synchronous global-round barrier "
-        "(default) or the event-driven asynchronous executor with "
-        "seeded per-edge delivery times (outputs are identical; async "
-        "additionally reports virtual-time metrics)",
+        "(default) or asynchrony under seeded per-edge link delays "
+        "(outputs are identical; async additionally reports "
+        "virtual-time metrics)",
     )
     run.add_argument(
         "--delay-dist",

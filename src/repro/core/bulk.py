@@ -64,6 +64,7 @@ from repro.runtime.bulk import (
     profiled,
     resolve_ids,
     row_positions,
+    run_times,
 )
 from repro.runtime.metrics import RoundMetrics
 from repro.runtime.network import RoundLimitExceeded
@@ -308,7 +309,12 @@ def bulk_partition(
             active = active[~join]
 
     metrics = _finish(injector, fp, rnd, watchdog, max_rounds, acct, term)
-    return PartitionResult(h_index=ColumnMap(term, term > 0), A=A, metrics=metrics)
+    return PartitionResult(
+        h_index=ColumnMap(term, term > 0),
+        A=A,
+        metrics=metrics,
+        times=run_times(graph, term, fp.crash_log),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +423,12 @@ def bulk_luby_mis(
     del view, lastp, rand, inbox
     metrics = _finish(injector, fp, rnd, watchdog, max_rounds, acct, term)
     in_mis, h_index = luby_outputs(term)
-    return MISResult(in_mis=in_mis, h_index=h_index, metrics=metrics)
+    return MISResult(
+        in_mis=in_mis,
+        h_index=h_index,
+        metrics=metrics,
+        times=run_times(graph, term, fp.crash_log),
+    )
 
 
 def _win_check(fp, rnd, offsets, indices, vs, term, lastp, view, rand, ids_arr):

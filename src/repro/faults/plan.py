@@ -92,10 +92,10 @@ def message_fates(
 
     ``()`` is a drop, ``(0,)`` normal delivery, ``(d,)`` a delay by ``d``
     extra rounds, ``(0, 0)``/``(d, 0)`` a duplication.  This is the draw
-    :meth:`FaultInjector.fate` makes, factored out so executors that
-    evaluate fates outside an injector -- the fault-aware bulk kernels and
-    the asynchronous event-queue scheduler, where ``rnd`` is the sender's
-    *local* round -- replay the identical fault stream.  The draws are
+    :meth:`FaultInjector.fate` makes, factored out so an executor that
+    evaluates fates outside an injector (the event-queue oracle of the
+    test suite, where ``rnd`` is the sender's *local* round) replays the
+    identical fault stream.  The draws are
     successive counters of one key ``(seed, MESSAGE, rnd, src, dst, k)``
     in a fixed order: drop, then delay, then its length, then duplicate.
     This order is part of the determinism contract; do not reorder.
@@ -109,22 +109,6 @@ def message_fates(
     if mf.duplicate and rng.to_u01(rng.fold(h, _DUP)) < mf.duplicate:
         fates = fates + (0,)
     return fates
-
-
-def narrate_fates(
-    emit, rnd: int, src: int, dst: int, fates: tuple[int, ...]
-) -> None:
-    """Emit the fault events of one routed copy whose draw was ``fates``
-    (see :func:`message_fates`): ``fault_drop`` for a drop, else
-    ``fault_delay`` for a delayed first copy and ``fault_dup`` for a
-    duplicate, in that order.  Normal delivery narrates nothing."""
-    if not fates:
-        emit(FaultDrop(rnd, src, dst))
-        return
-    if fates[0]:
-        emit(FaultDelay(rnd, src, dst, fates[0]))
-    if len(fates) > 1:
-        emit(FaultDup(rnd, src, dst))
 
 
 def drop_fate(seed: int, rnd: int, src: int, dst: int, k: int, drop: float) -> bool:
@@ -395,7 +379,7 @@ class FaultInjector:
         return crashes, due
 
     def absorb_rounds(self, rounds: int, crashed) -> None:
-        """Fold a bulk or async execution's outcome into the session state.
+        """Fold a bulk execution's outcome into the session state.
 
         The fault-aware bulk kernels evaluate the adversary's pure draws
         themselves instead of driving :meth:`on_round`/:meth:`fate`;
@@ -419,15 +403,25 @@ class FaultInjector:
         Returns the extra-delay values of the copies to route: ``(0,)``
         is normal delivery, ``()`` a drop, ``(d,)`` a delay by ``d``
         extra rounds, ``(0, 0)``/``(d, 0)`` a duplication.  Pure function
-        of ``(plan.seed, session round, src, dst, copy index)``.
+        of ``(plan.seed, session round, src, dst, copy index)``.  A live
+        bus hears ``fault_drop`` for a drop, else ``fault_delay`` for a
+        delayed first copy and ``fault_dup`` for a duplicate, in that
+        order; normal delivery narrates nothing.
         """
         mf = self.plan.messages
         key = (src, dst)
         k = self._pair_k.get(key, 0)
         self._pair_k[key] = k + 1
         fates = message_fates(mf, self.plan.seed, self._round, src, dst, k)
-        if self._emit is not None:
-            narrate_fates(self._emit, rnd, src, dst, fates)
+        emit = self._emit
+        if emit is not None:
+            if not fates:
+                emit(FaultDrop(rnd, src, dst))
+            else:
+                if fates[0]:
+                    emit(FaultDelay(rnd, src, dst, fates[0]))
+                if len(fates) > 1:
+                    emit(FaultDup(rnd, src, dst))
         return fates
 
     def hold(self, extra: int, src: int, dst: int, payload: Any) -> None:

@@ -174,23 +174,6 @@ class FaultDelay(Event):
     delay: int
 
 
-@dataclass(frozen=True, slots=True)
-class Delivery(Event):
-    """Asynchronous-mode token delivery: the round-``round`` token on the
-    directed edge ``src -> dst`` arrived at virtual time ``t``.
-
-    Only the event-queue scheduler (:mod:`repro.runtime.async_sched`)
-    emits these -- the synchronous barrier has no per-edge delivery times.
-    ``round`` is the *sender's* local round; the receiver observes the
-    token's payloads during its local round ``round + 1``.
-    """
-
-    kind: ClassVar[str] = "delivery"
-    src: int
-    dst: int
-    t: float
-
-
 #: kind string -> event class, for deserialisation
 EVENT_TYPES: dict[str, type[Event]] = {
     cls.kind: cls
@@ -207,7 +190,6 @@ EVENT_TYPES: dict[str, type[Event]] = {
         FaultDrop,
         FaultDup,
         FaultDelay,
-        Delivery,
     )
 }
 

@@ -121,7 +121,7 @@ class RunManifest:
     experiment on a different engine is the same result.
 
     The execution *mode* straddles the line: outputs and round counts
-    are mode-invariant (the async executor is an alpha-synchronizer),
+    are mode-invariant (asynchrony is an alpha-synchronizer),
     but an async run additionally measures virtual time under a specific
     link-delay model, so ``mode`` and ``delays`` join the identity
     **only when the mode is not "sync"** -- every key minted before the

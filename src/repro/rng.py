@@ -17,9 +17,10 @@ There are two forms with bit-identical results: the scalar one over
 Python ints (:func:`hash64`, :func:`u01`) drives the generator engines,
 and the numpy one over ``uint64`` arrays (:func:`hash64_many`,
 :func:`u01_many`; words broadcast against each other) drives the
-columnar kernels.  Because every engine calls the same function, the
-fast, reference, async and bulk engines see the same draws by
-construction, in whatever order they evaluate them.
+columnar kernels and the asynchronous timing pass.  Because every
+engine calls the same function, the fast, reference and bulk engines
+see the same draws by construction, in whatever order they evaluate
+them.
 
 The ``stream`` word separates the users: :data:`VERTEX` (per-vertex
 program draws, words ``(id, k)`` for the k-th draw, k from 0),
@@ -42,9 +43,11 @@ __all__ = [
     "VERTEX",
     "VertexRng",
     "fold",
+    "fold_many",
     "hash64",
     "hash64_many",
     "to_u01",
+    "to_u01_many",
     "u01",
     "u01_many",
 ]
@@ -128,15 +131,25 @@ def hash64_many(seed: int, stream: int, *words: Any) -> np.ndarray:
     # fold the leading scalar words once, in Python ints
     while i < len(words) and not isinstance(words[i], np.ndarray):
         i += 1
-    h = np.atleast_1d(np.uint64(fold(0, *words[:i])))
-    for w in words[i:]:
+    return fold_many(np.atleast_1d(np.uint64(fold(0, *words[:i]))), *words[i:])
+
+
+def fold_many(h: np.ndarray, *words: Any) -> np.ndarray:
+    """Vectorised :func:`fold`: continue the ``uint64`` hash states
+    ``h`` by folding ``words`` (ints or integer arrays, broadcast)."""
+    for w in words:
         h = _fold_many(h, _as_u64(w))
     return h
 
 
+def to_u01_many(h: np.ndarray) -> np.ndarray:
+    """Vectorised :func:`to_u01` (``float64`` array, bit-identical)."""
+    return (h >> _U11).astype(np.float64) * _INV53
+
+
 def u01_many(seed: int, stream: int, *words: Any) -> np.ndarray:
     """Vectorised :func:`u01` (``float64`` array, bit-identical)."""
-    return (hash64_many(seed, stream, *words) >> _U11).astype(np.float64) * _INV53
+    return to_u01_many(hash64_many(seed, stream, *words))
 
 
 class VertexRng:

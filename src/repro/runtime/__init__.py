@@ -13,7 +13,7 @@ communication round (see :mod:`repro.runtime.program`); ``yield WAIT``
 additionally lets the fast engine skip the vertex until mail arrives.
 """
 
-from repro.runtime.async_sched import DELAY_DISTS, DelaySpec, run_async
+from repro.runtime.async_sched import DELAY_DISTS, DelaySpec
 from repro.runtime.bulk import BulkUnsupported, bulk_broadcast_kernel
 from repro.runtime.context import WAIT, Context, RouterState
 from repro.runtime.network import (
@@ -59,7 +59,6 @@ __all__ = [
     "default_max_rounds",
     "engine_session",
     "mode_session",
-    "run_async",
     "wait_rounds",
     "wait_until_round",
 ]

@@ -44,6 +44,10 @@ computation).  :class:`repro.obs.collect.MetricsCollector` accepts this
 aggregate granularity; per-vertex ``halt``/``commit`` events are simply
 absent from bulk traces.
 
+Asynchronous mode: inside ``mode_session("async")`` a kernel's result
+also carries the timing pass's virtual times (:func:`run_times`), fed by
+the termination and crash rounds :func:`finalize_run` reads too.
+
 Fault injection: the algorithm kernels in :mod:`repro.core.bulk` step
 one round per iteration and replay crash-stop and message-drop plans
 themselves; a clean run is the empty plan, and every run finishes
@@ -71,8 +75,10 @@ from repro.obs.events import (
     RoundSends,
     RoundStart,
 )
-from repro.runtime.metrics import RoundMetrics
+from repro.runtime.async_sched import time_run
+from repro.runtime.metrics import RoundMetrics, TimeMetrics
 from repro.runtime.network import RunResult
+from repro.runtime.scheduler import current_mode
 
 
 class BulkUnsupported(RuntimeError):
@@ -363,6 +369,28 @@ def finalize_run(
             active_trace=tuple(active.tolist()),
             messages_per_round=tuple(map(int, msgs)),
         )
+
+
+def run_times(
+    graph: Graph, term: np.ndarray, crash_log: Sequence[tuple[int, int]]
+) -> TimeMetrics | None:
+    """The asynchronous times of a bulk run inside
+    ``mode_session("async")``, ``None`` in sync mode.
+
+    The timing pass (:func:`repro.runtime.async_sched.time_run`) is fed
+    the run's ``term`` and its crashes as ``(round, v)`` pairs: a vertex
+    signals up to its termination round, or up to the round at whose
+    start it crashed; a pre-crashed vertex (``term`` 0, no crash) never
+    signals.  Bulk kernels have no commits.  Timed as the ``async``
+    phase.
+    """
+    if current_mode() != "async":
+        return None
+    with profiled("async"):
+        last = term.copy()
+        for rnd, v in crash_log:
+            last[v] = rnd
+        return time_run(graph, last)
 
 
 def bulk_broadcast_kernel(graph: Graph, rounds: int = 10) -> RunResult:

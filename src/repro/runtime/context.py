@@ -33,8 +33,8 @@ Reading the round's messages
 ----------------------------
 ``ctx.mail`` is the read path: the round's messages as ``(sender,
 payload)`` pairs in delivery order.  The fast engine hands over its
-pooled slot unchanged, the asynchronous executor builds one list per
-local round, and the reference engine flattens its per-round dict.
+pooled slot unchanged, and the reference engine flattens its per-round
+dict.
 ``ctx.inbox`` is the same mail grouped by sender (``sender -> list of
 payloads``), built lazily on first access, for the few programs that
 need per-sender grouping or a processing order that does not depend on
@@ -42,8 +42,8 @@ the engine.
 
 Delivery order is the same on every engine except in one case: a
 sender's normal copy and an adversary-delayed copy (:mod:`repro.faults`)
-arriving in the same round.  ``ctx.mail`` on the fast and asynchronous
-engines lists every delayed copy after all normal ones, while grouping
+arriving in the same round.  ``ctx.mail`` on the fast engine lists
+every delayed copy after all normal ones, while grouping
 (and so the reference engine's flattened mail) puts it next to its
 sender's normal copies.  Per sender, both orders agree.
 
@@ -98,8 +98,7 @@ class _Wait:
 #: then keeps the vertex active (it is still charged every round) but
 #: leaves it off its wake list, not touching it at all, until mail or a
 #: halt notice arrives, so its per-round cost follows woken vertices,
-#: not active ones; the reference engine and the asynchronous executor
-#: step it anyway.
+#: not active ones; the reference engine steps it anyway.
 WAIT = _Wait()
 
 
@@ -115,6 +114,8 @@ class Context:
         "config",
         "halted",
         "newly_halted",
+        "_targets",
+        "_targets_at",
         "_rng",
         "_mail",
         "_inbox_d",
@@ -156,6 +157,10 @@ class Context:
         self.halted: dict[int, Any] = {}
         #: neighbors whose termination notice arrived this round
         self.newly_halted: frozenset[int] = _EMPTY_FROZENSET
+        #: ``broadcast``'s targets, rebuilt when ``len(halted)`` moves
+        #: off ``_targets_at`` (``halted`` only ever grows)
+        self._targets = neighbors
+        self._targets_at = 0
         self._mail: list[tuple[int, Any]] | None = None
         self._inbox_d: dict[int, list[Any]] | None = None
         self._round = 0
@@ -297,11 +302,13 @@ class Context:
     def broadcast(self, payload: Any) -> None:
         """Send ``payload`` to every active neighbor."""
         halted = self.halted
-        targets = (
-            [u for u in self.neighbors if u not in halted]
-            if halted
-            else self.neighbors
-        )
+        if not halted:
+            targets = self.neighbors
+        else:
+            if len(halted) != self._targets_at:
+                self._targets = [u for u in self.neighbors if u not in halted]
+                self._targets_at = len(halted)
+            targets = self._targets
         if not targets:
             return
         b = self._bus

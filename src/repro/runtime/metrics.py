@@ -90,8 +90,8 @@ class RoundMetrics:
 class TimeMetrics:
     """Virtual-time accounting of one *asynchronous* execution.
 
-    The event-queue scheduler (:mod:`repro.runtime.async_sched`) assigns
-    every token a seeded per-edge delivery time; a vertex's completion
+    The timing pass (:func:`repro.runtime.async_sched.time_run`) delays
+    every signal by a seeded per-edge link delay; a vertex's completion
     time t(v) is the virtual time at which it executed its final local
     round (its crash point, for adversary-crashed vertices).  Times are
     *normalized* to round-equivalents by ``1 + t / mean_delay`` so they

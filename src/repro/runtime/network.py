@@ -158,8 +158,8 @@ class RunResult:
     #: is the number of rounds they were active before crashing.
     crashed: tuple[int, ...] = ()
     #: virtual-time accounting (:class:`~repro.runtime.metrics
-    #: .TimeMetrics`); only the asynchronous executor fills this in --
-    #: synchronous runs have no per-edge delivery times and leave it None.
+    #: .TimeMetrics`); only asynchronous-mode runs fill this in --
+    #: synchronous runs have no link delays and leave it None.
     times: "TimeMetrics | None" = None
 
     @property
@@ -408,18 +408,11 @@ class SyncNetwork:
         An active :func:`engine_session` override redirects the run to
         the selected engine (``ReferenceSyncNetwork`` only overrides
         ``run``, so invoking its implementation on this instance is the
-        whole delegation).
+        whole delegation).  Inside ``mode_session("async")`` either
+        engine's run ends with the timing pass that fills
+        ``RunResult.times`` (:meth:`SyncBarrierScheduler.finish`).
         """
         if type(self) is SyncNetwork:
-            from repro.runtime.scheduler import current_mode
-
-            if current_mode() == "async":
-                # The event-queue scheduler replaces the global-round
-                # barrier entirely; engine selection does not apply (the
-                # async executor has exactly one implementation).
-                from repro.runtime.async_sched import run_async
-
-                return run_async(self, program, max_rounds, bus, faults)
             eng = current_engine()
             if eng == "reference":
                 from repro.runtime.reference import ReferenceSyncNetwork
@@ -471,7 +464,9 @@ class SyncNetwork:
         # application, watchdog, active/message traces, halt bookkeeping.
         # This engine supplies only the mail mechanics (pooled slots) and
         # the choice of which active vertices to resume.
-        sched = SyncBarrierScheduler(contexts, gens, max_rounds, emit, injector)
+        sched = SyncBarrierScheduler(
+            contexts, gens, max_rounds, emit, injector, g, prof
+        )
         sched.begin_run()
         halt = sched.halt
         check_yield = sched.check_yield

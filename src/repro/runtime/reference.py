@@ -76,7 +76,9 @@ class ReferenceSyncNetwork(SyncNetwork):
         # The *same* barrier scheduler the fast engine uses drives the
         # round progression; this loop supplies only the specification
         # mail mechanics (per-round dicts, explicit ``_outgoing`` routing).
-        sched = SyncBarrierScheduler(contexts, gens, max_rounds, emit, injector)
+        sched = SyncBarrierScheduler(
+            contexts, gens, max_rounds, emit, injector, g, prof
+        )
         sched.begin_run()
         pending: dict[int, dict[int, Any]] = {}
 

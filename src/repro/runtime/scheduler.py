@@ -5,28 +5,27 @@ engines: each carried its own copy of the round-advance bookkeeping
 (fault-adversary crash application, watchdog, active-trace accounting,
 ``round_start``/``round_end`` narration, and the StopIteration protocol
 that turns a generator return into an output + halt notice).  This module
-lifts that shared skeleton into an explicit scheduler object so that
-"when vertices step" is a pluggable policy:
+lifts that shared skeleton into :class:`SyncBarrierScheduler`, the
+global-round barrier used by both the fast engine
+(:class:`repro.runtime.network.SyncNetwork`) and the reference engine
+(:class:`repro.runtime.reference.ReferenceSyncNetwork`).  Mail mechanics
+(pooled slots vs. per-round dicts) stay engine-specific; everything the
+differential suites compare -- event order, fault injection points,
+metrics accounting -- lives here once, so the two engines cannot drift
+apart.
 
-* :class:`SyncBarrierScheduler` -- the global-round barrier, used by both
-  the fast engine (:class:`repro.runtime.network.SyncNetwork`) and the
-  reference engine (:class:`repro.runtime.reference
-  .ReferenceSyncNetwork`).  Mail mechanics (pooled slots vs. per-round
-  dicts) stay engine-specific; everything the differential suites compare
-  -- event order, fault injection points, metrics accounting -- lives
-  here once, so the two engines cannot drift apart.
-* the event-queue scheduler of :mod:`repro.runtime.async_sched` -- no
-  global round: each vertex advances its own local round as soon as the
-  tokens it is waiting for arrive, with seeded per-edge delivery times.
-
-Mode selection mirrors :func:`repro.runtime.network.engine_session`:
-drivers construct networks internally, so the execution *mode* is a
-process-wide session too (``mode_session("async")`` /
-``zoo.execute(mode="async")`` / ``repro run --mode async``).
+The execution *mode* is orthogonal to the engine.  Drivers construct
+networks internally, so it is a process-wide session like
+:func:`repro.runtime.network.engine_session` (``mode_session("async")``
+/ ``zoo.execute(mode="async")`` / ``repro run --mode async``).  An
+asynchronous run is the synchronous run plus a timing pass
+(:func:`repro.runtime.async_sched.time_run`): the alpha-synchronizer
+replays the same content, and only the per-vertex times are new.
 """
 
 from __future__ import annotations
 
+from time import perf_counter
 from typing import Any, Generator
 
 from repro.obs.events import Halt, RoundEnd, RoundStart
@@ -34,9 +33,8 @@ from repro.runtime.context import WAIT
 from repro.runtime.metrics import RoundMetrics
 
 #: the selectable execution modes: the synchronous global-round barrier
-#: (today's three engines) and the event-driven asynchronous executor
-#: (per-edge delivery times, no global round -- see
-#: :mod:`repro.runtime.async_sched`)
+#: and asynchrony under seeded per-edge link delays (the same run plus
+#: virtual times -- see :mod:`repro.runtime.async_sched`)
 MODES = ("sync", "async")
 
 #: process-wide (mode, delays) override stack (see :class:`mode_session`)
@@ -52,20 +50,20 @@ def current_mode() -> str:
 def current_delays():
     """The :class:`~repro.runtime.async_sched.DelaySpec` the innermost
     :class:`mode_session` selected, or ``None`` (the unit-delay default).
-    Only consulted by the asynchronous executor."""
+    Only consulted by the asynchronous timing pass."""
     return _MODE_STACK[-1][1] if _MODE_STACK else None
 
 
 class mode_session:
     """Context manager selecting the execution mode for enclosed runs.
 
-    Inside ``mode_session("async")`` every ``SyncNetwork.run`` executes on
-    the event-queue scheduler (:func:`repro.runtime.async_sched.run_async`)
-    instead of the global-round barrier.  Sessions nest; the innermost
-    wins.  Outputs and per-vertex round counts are mode-invariant (the
-    asynchronous executor is an alpha-synchronizer over the same
-    computation); what changes is the *time* dimension the async mode
-    adds.
+    Inside ``mode_session("async")`` every run -- on whichever engine --
+    is followed by the timing pass
+    (:func:`repro.runtime.async_sched.time_run`), which fills
+    ``RunResult.times``.  Sessions nest; the innermost wins.  Outputs and
+    per-vertex round counts are mode-invariant (the asynchronous model is
+    an alpha-synchronizer over the same computation); what the mode adds
+    is the *time* dimension.
 
     ``delays`` optionally carries the link-delay model
     (:class:`~repro.runtime.async_sched.DelaySpec`) down to runs whose
@@ -95,7 +93,7 @@ class SyncBarrierScheduler:
     One instance drives one run.  The engine loop becomes::
 
         sched = SyncBarrierScheduler(contexts, gens, max_rounds, emit,
-                                     injector)
+                                     injector, graph, profiler)
         sched.begin_run()
         while True:
             nxt = sched.next_round()        # crashes, watchdog, round_start
@@ -134,6 +132,9 @@ class SyncBarrierScheduler:
         "active_trace",
         "msg_trace",
         "newly_halted",
+        "crash_rounds",
+        "graph",
+        "prof",
     )
 
     def __init__(
@@ -143,6 +144,8 @@ class SyncBarrierScheduler:
         max_rounds: int,
         emit,
         injector,
+        graph,
+        prof,
     ) -> None:
         self.contexts = contexts
         self.gens = gens
@@ -159,6 +162,11 @@ class SyncBarrierScheduler:
         #: vertices that terminated this round, as ``(v, output)`` -- their
         #: notices are handed to the engine at the start of the next round
         self.newly_halted: list[tuple[int, Any]] = []
+        #: vertex -> the round at whose start the adversary crashed it
+        self.crash_rounds: dict[int, int] = {}
+        #: the run's graph and phase profiler, for the timing pass
+        self.graph = graph
+        self.prof = prof
 
     # ------------------------------------------------------------------
     def begin_run(self) -> None:
@@ -208,6 +216,7 @@ class SyncBarrierScheduler:
                     gens[v].close()
                     gens[v] = None
                     rounds[v] = rnd - 1
+                    self.crash_rounds[v] = rnd
                 self.active = [v for v in self.active if gens[v] is not None]
                 if not self.active:
                     return None
@@ -259,8 +268,8 @@ class SyncBarrierScheduler:
     @staticmethod
     def check_yield(v: int, yielded: Any):
         """The round-ending value of a non-bare ``yield``: ``WAIT``, or a
-        ``RuntimeError`` for anything else.  Every engine, the
-        asynchronous executor included, checks yields here."""
+        ``RuntimeError`` for anything else.  Every engine checks yields
+        here."""
         if yielded is WAIT:
             return WAIT
         raise RuntimeError(
@@ -298,46 +307,43 @@ class SyncBarrierScheduler:
         self.msg_trace.append(msgs_total)
 
     def finish(self):
-        """Assemble the :class:`~repro.runtime.network.RunResult`."""
-        return assemble_result(
-            self.contexts,
-            self.outputs,
-            self.rounds,
-            self.active_trace,
-            self.msg_trace,
-            self.injector,
+        """Assemble the :class:`~repro.runtime.network.RunResult`.
+
+        A vertex's output round is its commit round when it called
+        ``ctx.commit``, else its termination round; ``crashed`` lists the
+        session's crashed vertices that belong to this graph.  Inside
+        ``mode_session("async")`` the timing pass fills ``times`` (timed
+        as the ``async`` phase when a profiler is attached).
+        """
+        from repro.runtime.network import RunResult
+
+        contexts, rounds, injector = self.contexts, self.rounds, self.injector
+        commits = [ctx._commit_round for ctx in contexts]
+        crashed: tuple[int, ...] = ()
+        if injector is not None and injector.crashed:
+            n = len(contexts)
+            crashed = tuple(sorted(v for v in injector.crashed if v < n))
+        times = None
+        if current_mode() == "async":
+            from repro.runtime.async_sched import time_run
+
+            t0 = perf_counter()
+            last = list(rounds)
+            for v, c in self.crash_rounds.items():
+                last[v] = c
+            times = time_run(self.graph, last, commits)
+            if self.prof is not None:
+                self.prof.add("async", perf_counter() - t0)
+        return RunResult(
+            outputs=self.outputs,
+            metrics=RoundMetrics(
+                rounds=tuple(rounds),
+                active_trace=tuple(self.active_trace),
+                messages_per_round=tuple(self.msg_trace),
+            ),
+            output_rounds=tuple(
+                r if c is None else c for r, c in zip(rounds, commits)
+            ),
+            crashed=crashed,
+            times=times,
         )
-
-
-def assemble_result(
-    contexts, outputs, rounds, active_trace, msg_trace, injector, times=None
-):
-    """The :class:`~repro.runtime.network.RunResult` of one generator run.
-
-    Shared by the barrier (:meth:`SyncBarrierScheduler.finish`) and the
-    asynchronous executor, which also passes its virtual-time accounting
-    as ``times``.  A vertex's output round is its commit round when it
-    called ``ctx.commit``, else its termination round; ``crashed`` lists
-    the session's crashed vertices that belong to this graph.
-    """
-    from repro.runtime.network import RunResult
-
-    output_rounds = tuple(
-        ctx._commit_round if ctx._commit_round is not None else rounds[v]
-        for v, ctx in enumerate(contexts)
-    )
-    crashed: tuple[int, ...] = ()
-    if injector is not None and injector.crashed:
-        n = len(contexts)
-        crashed = tuple(sorted(v for v in injector.crashed if v < n))
-    return RunResult(
-        outputs=outputs,
-        metrics=RoundMetrics(
-            rounds=tuple(rounds),
-            active_trace=tuple(active_trace),
-            messages_per_round=tuple(msg_trace),
-        ),
-        output_rounds=output_rounds,
-        crashed=crashed,
-        times=times,
-    )

@@ -132,15 +132,15 @@ def execute(
         Run the spec's worst-case baseline driver instead of the
         averaged algorithm.
     engine:
-        ``"fast"`` (default) or ``"reference"`` -- selects the round
-        engine for every network the driver builds.
+        ``"fast"`` (default), ``"reference"`` or ``"bulk"`` -- selects
+        the round engine for every network the driver builds.
     mode:
         ``"sync"`` (default, the global-round barrier) or ``"async"``
-        (the event-queue scheduler of
-        :mod:`repro.runtime.async_sched`: per-edge delivery times, no
-        global round).  Outputs and round counts are mode-invariant;
-        async runs additionally report virtual-time metrics on results
-        that carry a ``times`` field.  Requires the fast engine.
+        (seeded per-edge link delays, no global round: the same run
+        followed by the timing pass of
+        :mod:`repro.runtime.async_sched`, on any engine).  Outputs and
+        round counts are mode-invariant; async runs additionally report
+        virtual-time metrics on results that carry a ``times`` field.
     delays:
         A :class:`repro.runtime.async_sched.DelaySpec` selecting the
         link-delay distribution for ``mode="async"`` (``None`` = fixed
@@ -165,11 +165,6 @@ def execute(
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    if mode == "async" and engine != "fast":
-        raise ValueError(
-            f"mode='async' runs on the fast engine only (the event-queue "
-            f"scheduler replaces the round loop), got engine={engine!r}"
-        )
     if mode == "sync" and delays is not None:
         raise ValueError(
             "delays is an async-mode parameter; sync runs have no "

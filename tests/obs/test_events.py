@@ -10,7 +10,6 @@ from repro.obs.events import (
     EVENT_TYPES,
     Broadcast,
     Commit,
-    Delivery,
     Drop,
     EventBus,
     FaultCrash,
@@ -37,7 +36,6 @@ def _sample_events():
         Commit(1, 4),
         Halt(1, 4),
         Drop(1, 4, 2),
-        Delivery(2, 0, 1, 1.5),
         FaultCrash(1, 4),
         FaultDrop(2, 0, 1),
         FaultDup(2, 0, 1),
@@ -75,7 +73,6 @@ def test_registry_covers_the_issue_event_vocabulary():
         "fault_drop",
         "fault_dup",
         "fault_delay",
-        "delivery",
     }
 
 

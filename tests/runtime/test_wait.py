@@ -4,7 +4,7 @@ A program that yields :data:`repro.runtime.WAIT` promises that resuming
 it in a round with an empty inbox and no new halt notice would change
 nothing.  The fast engine therefore resumes it only when mail (delayed
 fault copies included) or a halt notice arrives; the reference engine
-and the asynchronous executor step it every round.  The skip must be
+and the event-queue oracle (``async_oracle.py``) step it every round.  The skip must be
 unobservable: both sync engines produce equal :class:`RunResult`\\ s.
 """
 
@@ -14,12 +14,9 @@ from repro.faults import CrashSpec, FaultPlan, MessageFaults
 from repro.graphs import generators as gen
 from repro.graphs.graph import Graph
 from repro.obs import EventBus, MemorySink
-from repro.runtime import (
-    WAIT,
-    ReferenceSyncNetwork,
-    SyncNetwork,
-    run_async,
-)
+from repro.runtime import WAIT, ReferenceSyncNetwork, SyncNetwork
+
+from tests.runtime.async_oracle import run_async
 
 N = 6
 #: rounds in which vertex 0 sends a tick down the path
