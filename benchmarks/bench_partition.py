@@ -3,7 +3,7 @@ of active vertices), Theorem 6.3 (Partition: O(1) average vs Theta(log n)
 worst case) and Corollary 6.4 (composition) -- DESIGN.md L6.1 / T6.3 / C6.4."""
 
 import repro
-from repro import obs
+from repro import obs, zoo
 from repro.bench import make_workload, render_table, sweep
 from repro.runtime.program import wait_rounds
 from _common import SWEEP_FAST, emit, time_once
@@ -107,8 +107,7 @@ def test_partition_avg_vs_worst(benchmark):
         "partition_theorem63",
         render_rows("Theorem 6.3: Partition avg vs worst-case schedule", ours, base),
     )
-    assert ours.fit_avg().at_most("O(log* n)")
-    assert base.fit_avg().grows_at_least("O(log log n)")
+    assert zoo.get("partition").claim.fits(ours.fit_avg(), base.fit_avg())
     assert base.points[-1].avg_mean / ours.points[-1].avg_mean > 8
     g, a = WL(SWEEP_FAST[-1], 0)
     time_once(benchmark, lambda: repro.run_partition(g, a=a, eps=0.5))

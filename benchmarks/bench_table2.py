@@ -3,6 +3,7 @@ vertex-averaged O(a + log* n)-flavoured algorithms vs the worst-case
 schedules of previous work (DESIGN.md T2.R1 - T2.R3)."""
 
 import repro
+from repro import zoo
 from repro.bench import make_workload, render_rows, sweep
 from repro.verify import (
     assert_maximal_independent_set,
@@ -46,8 +47,7 @@ def test_row_mis(benchmark):
         + "\n\n"
         + render_rows("reference: Luby (randomized, worst case O(log n))", luby),
     )
-    assert ours.fit_avg().at_most("O(log log n)")
-    assert base.fit_avg().grows_at_least("O(log log n)")
+    assert zoo.get("mis").claim.fits(ours.fit_avg(), base.fit_avg())
     assert base.points[-1].avg_mean > 2 * ours.points[-1].avg_mean
     # Luby's *worst case* grows; our average stays flat.
     assert luby.points[-1].worst_mean > luby.points[0].worst_mean
@@ -80,8 +80,7 @@ def test_row_edge_coloring(benchmark):
         "table2_row_edge_coloring",
         render_rows("Table 2 row: (2Delta-1)-edge-coloring", ours, base),
     )
-    assert ours.fit_avg().at_most("O(log log n)")
-    assert base.fit_avg().grows_at_least("O(log log n)")
+    assert zoo.get("edge-coloring").claim.fits(ours.fit_avg(), base.fit_avg())
     assert base.points[-1].avg_mean > ours.points[-1].avg_mean
     g, a = WL(SWEEP_MED[-1], 0)
     res = repro.run_edge_coloring(g, a=a, eps=EPS)
@@ -106,8 +105,7 @@ def test_row_mm(benchmark):
         SWEEP_MED,
     )
     emit("table2_row_mm", render_rows("Table 2 row: maximal matching", ours, base))
-    assert ours.fit_avg().at_most("O(log log n)")
-    assert base.fit_avg().grows_at_least("O(log log n)")
+    assert zoo.get("matching").claim.fits(ours.fit_avg(), base.fit_avg())
     assert base.points[-1].avg_mean > ours.points[-1].avg_mean
     g, a = WL(SWEEP_MED[-1], 0)
     res = repro.run_maximal_matching(g, a=a, eps=EPS)

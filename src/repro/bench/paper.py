@@ -7,7 +7,8 @@ comparison tables without any hand-maintained row list.  ``repro compare
 ALGO`` renders one row; ``repro compare --all`` renders every registered
 row of both tables; the row id and theorem reference in each table title
 come straight from :class:`~repro.zoo.spec.PaperRow`, making the output
-directly citable against PAPER.md.
+directly citable against PAPER.md, and each row's claimed shapes from
+its :class:`~repro.zoo.spec.Claim` print under the fitted ones.
 """
 
 from __future__ import annotations
@@ -73,12 +74,18 @@ def render_spec_comparison(
         if spec.has_baseline
         else None
     )
-    return render_rows(
+    text = render_rows(
         f"{spec.name} on {workload}: vertex-averaged vs worst-case",
         ours,
         base,
         row_id=spec.paper_row.cite() if spec.paper_row else None,
     )
+    if spec.claim is None:
+        return text
+    claimed = f"claimed shape: ours = {spec.claim.avg}"
+    if base is not None:
+        claimed += f"; baseline = {spec.claim.baseline}"
+    return f"{text}\n{claimed}"
 
 
 def paper_tables(

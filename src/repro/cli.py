@@ -249,11 +249,12 @@ def cmd_list(args=None, out=None) -> int:
                 s.name,
                 s.problem,
                 s.describe_row(),
+                f"{s.claim.avg} vs {s.claim.baseline}" if s.claim else "-",
                 "yes" if s.has_baseline else "-",
                 ",".join(flags) or "-",
             )
         )
-    header = ("name", "problem", "paper row", "baseline", "flags")
+    header = ("name", "problem", "paper row", "claim", "baseline", "flags")
     widths = [
         max(len(header[i]), *(len(r[i]) for r in rows)) for i in range(len(header))
     ]

@@ -287,6 +287,7 @@ def palette_schedule(
     return schedule
 
 
+@lru_cache(maxsize=None)
 def fixpoint_palette(A: int) -> int:
     """The palette size at the iteration fixpoint: final O(A^2) bound."""
     sched = palette_schedule(1 << 62, A)

@@ -120,30 +120,31 @@ class TimeMetrics:
         m = self.mean_delay or 1.0
         return tuple(1.0 + t / m for t in ts)
 
-    @property
+    # cached: each read would otherwise be a Python pass over all n times
+    @cached_property
     def normalized_times(self) -> tuple[float, ...]:
         """Per-vertex completion times in round-equivalents."""
         return self._normalize(self.times)
 
-    @property
+    @cached_property
     def vertex_averaged_time(self) -> float:
         """T-bar over virtual time: mean normalized completion time."""
         if not self.times:
             return 0.0
         return sum(self.normalized_times) / len(self.times)
 
-    @property
+    @cached_property
     def worst_case_time(self) -> float:
         """Max normalized completion time (0.0 for the empty graph)."""
         return max(self.normalized_times, default=0.0)
 
-    @property
+    @cached_property
     def averaged_output_time(self) -> float:
         """Vertex-averaged normalized *output* time -- the asynchronous
         analogue of the commit-based averaged measure."""
-        ts = self.output_times or self.times
-        if not ts:
-            return 0.0
+        if not self.output_times:
+            return self.vertex_averaged_time
+        ts = self.output_times
         return sum(self._normalize(ts)) / len(ts)
 
     def summary(self) -> str:

@@ -6,8 +6,9 @@ Table 2: MIS, edge-coloring, matching).  This package encodes that
 taxonomy once:
 
 * :mod:`repro.zoo.spec` -- :class:`AlgorithmSpec`: driver, problem kind,
-  worst-case baseline, paper row (table / row id / theorem), randomized
-  and crash-safety flags, default parameters.
+  worst-case baseline, paper row (table / row id / theorem), the paper's
+  claim (averaged and baseline shapes, palette formula), randomized and
+  crash-safety flags, default parameters.
 * :mod:`repro.zoo.registry` -- one spec per algorithm, typed views
   (:func:`all_specs`, :func:`with_baseline`, :func:`crash_safe`,
   :func:`by_problem`, :func:`by_table`) and the :func:`check_registry`
@@ -46,7 +47,9 @@ from repro.zoo.spec import (
     ENGINES,
     PROBLEM_KINDS,
     AlgorithmSpec,
+    Claim,
     DriverRef,
+    Instance,
     PaperRow,
 )
 
@@ -57,8 +60,10 @@ __all__ = [
     "PROBLEM_KINDS",
     "SURVIVOR_CHECKS",
     "AlgorithmSpec",
+    "Claim",
     "DriverRef",
     "Execution",
+    "Instance",
     "PaperRow",
     "all_specs",
     "by_problem",

@@ -18,7 +18,8 @@ scripts a third.  :func:`execute` threads all of it through one pipeline:
   surfaced as :attr:`Execution.watchdog` instead of a traceback;
 * **validation** -- :meth:`Execution.validate` picks the full validator
   on clean runs and the survivor-restricted safety check under an active
-  fault plan, both keyed by the spec's problem kind.
+  fault plan, both keyed by the spec's problem kind; clean runs are also
+  held to the palette the spec's :class:`~repro.zoo.spec.Claim` allows.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from repro.verify import VerificationError
 from repro.zoo.checks import full_validator, survivor_check
 from repro.zoo.registry import get
 from repro.zoo.spec import ENGINES, MODES, AlgorithmSpec
@@ -47,6 +49,7 @@ class Execution:
     watchdog: Exception | None = None  # RoundLimitExceeded, if it fired
     error: BaseException | None = None  # captured driver exception
     manifest: Any = None  # RunManifest, always built (see telemetry)
+    palette_claim: int | None = None  # the claim's colour bound, if any
 
     @property
     def completed(self) -> bool:
@@ -64,9 +67,10 @@ class Execution:
     def validate(self, g) -> str:
         """Validate the solution; returns a one-line summary.
 
-        Fault-free runs get the full problem validator; runs under an
-        active fault plan get the survivor-restricted safety check
-        (completeness around crashed vertices is legitimately lost).
+        Fault-free runs get the full problem validator, and may use at
+        most :attr:`palette_claim` colours; runs under an active fault
+        plan get the survivor-restricted safety check (completeness
+        around crashed vertices is legitimately lost).
         Raises :class:`repro.verify.VerificationError` on failure and
         ``RuntimeError`` when there is no result to validate.
         """
@@ -76,7 +80,14 @@ class Execution:
                 f"({'watchdog fired' if self.watchdog else self.error})"
             )
         if not self.faulted:
-            return full_validator(self.spec.problem)(g, self.result)
+            summary = full_validator(self.spec.problem)(g, self.result)
+            cap = self.palette_claim
+            if cap is not None and self.result.colors_used > cap:
+                raise VerificationError(
+                    f"{self.result.colors_used} colors exceed the "
+                    f"{cap} that {self.spec.name}'s claim allows"
+                )
+            return summary
         live = np.ones(g.n, dtype=bool)
         crashed = np.array(self.crashed, dtype=np.int64)
         live[crashed[(crashed >= 0) & (crashed < g.n)]] = False
@@ -251,6 +262,8 @@ def execute(
             stack.enter_context(obs.session(*sinks, profiler=profiler))
         _drive()
     wall = perf_counter() - t0
+    if ex.completed and not baseline and spec.claim is not None:
+        ex.palette_claim = spec.claim.palette_bound(graph, a, ids)
 
     # Every execution gets a manifest; runs that wrote a trace also get
     # it persisted next to the trace (<trace>.manifest.jsonl) so

@@ -31,10 +31,8 @@ silently.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from repro.zoo.checks import FULL_VALIDATORS, SURVIVOR_CHECKS
-from repro.zoo.spec import AlgorithmSpec, DriverRef, PaperRow
+from repro.zoo.spec import AlgorithmSpec, Claim, DriverRef, PaperRow
 
 _D = DriverRef.make
 
@@ -53,6 +51,7 @@ _SPECS: tuple[AlgorithmSpec, ...] = (
             label="H-partition, O(1) avg vs Theta(log n) worst",
             ref="Theorem 6.3",
         ),
+        claim=Claim("O(1)"),
         bulk_capable=True,
     ),
     AlgorithmSpec(
@@ -77,6 +76,7 @@ _SPECS: tuple[AlgorithmSpec, ...] = (
             ref="Section 7.2",
             table=1,
         ),
+        claim=Claim("O(1)", palette=lambda i: i.one_step),
     ),
     AlgorithmSpec(
         name="a2",
@@ -88,6 +88,7 @@ _SPECS: tuple[AlgorithmSpec, ...] = (
             label="O(a^2) colors, O(log log n) avg",
             ref="Section 7.3",
         ),
+        claim=Claim("O(log log n)", palette=lambda i: 2 * i.fixpoint),
     ),
     AlgorithmSpec(
         name="oa",
@@ -99,6 +100,7 @@ _SPECS: tuple[AlgorithmSpec, ...] = (
             label="O(a) colors, O(a log log n) avg",
             ref="Section 7.4",
         ),
+        claim=Claim("O(log log n)", palette=lambda i: 2 * (i.A + 1)),
     ),
     AlgorithmSpec(
         name="ka2",
@@ -111,6 +113,7 @@ _SPECS: tuple[AlgorithmSpec, ...] = (
             ref="Corollary 7.14",
             table=1,
         ),
+        claim=Claim("O(log* n)", palette=lambda i: i.k * i.fixpoint),
     ),
     AlgorithmSpec(
         name="ka",
@@ -123,6 +126,7 @@ _SPECS: tuple[AlgorithmSpec, ...] = (
             ref="Corollary 7.17",
             table=1,
         ),
+        claim=Claim("O(log log n)", palette=lambda i: i.k * (i.A + 1)),
     ),
     AlgorithmSpec(
         name="one-plus-eta",
@@ -134,6 +138,8 @@ _SPECS: tuple[AlgorithmSpec, ...] = (
             ref="Theorem 7.21",
             table=1,
         ),
+        # O(a^(1+eta)) colours has no closed form to check
+        claim=Claim("O(log log n)"),
     ),
     AlgorithmSpec(
         name="delta-plus-one",
@@ -146,6 +152,7 @@ _SPECS: tuple[AlgorithmSpec, ...] = (
             ref="Section 8 (Det.)",
             table=1,
         ),
+        claim=Claim("O(log log n)", palette=lambda i: i.delta + 1),
     ),
     AlgorithmSpec(
         name="rand-delta-plus-one",
@@ -157,6 +164,9 @@ _SPECS: tuple[AlgorithmSpec, ...] = (
             ref="Theorem 9.1",
             table=1,
         ),
+        # O(1) w.h.p.; log* n is indistinguishable from it at any n a
+        # sweep reaches
+        claim=Claim("O(log* n)", palette=lambda i: i.delta + 1),
         randomized=True,
     ),
     AlgorithmSpec(
@@ -170,6 +180,7 @@ _SPECS: tuple[AlgorithmSpec, ...] = (
             ref="Theorem 9.2",
             table=1,
         ),
+        claim=Claim("O(log* n)", palette=lambda i: (i.t + 1) * (i.A + 1)),
         randomized=True,
     ),
     AlgorithmSpec(
@@ -183,6 +194,7 @@ _SPECS: tuple[AlgorithmSpec, ...] = (
             ref="Section 8.4",
             table=2,
         ),
+        claim=Claim("O(log log n)"),
     ),
     AlgorithmSpec(
         name="edge-coloring",
@@ -195,6 +207,7 @@ _SPECS: tuple[AlgorithmSpec, ...] = (
             ref="Corollary 8.6",
             table=2,
         ),
+        claim=Claim("O(log log n)", palette=lambda i: max(2 * i.delta - 1, 1)),
     ),
     AlgorithmSpec(
         name="matching",
@@ -209,6 +222,7 @@ _SPECS: tuple[AlgorithmSpec, ...] = (
             ref="Section 8",
             table=2,
         ),
+        claim=Claim("O(log log n)"),
     ),
     AlgorithmSpec(
         name="leader-election",
@@ -313,10 +327,6 @@ def unregister(name: str) -> None:
     del _REGISTRY[name]
 
 
-def __iter__() -> Iterator[AlgorithmSpec]:  # pragma: no cover - convenience
-    return iter(all_specs())
-
-
 # ---------------------------------------------------------------------------
 # consistency gate (`repro list --check`)
 # ---------------------------------------------------------------------------
@@ -355,7 +365,9 @@ def check_registry() -> list[str]:
     6. paper-row tables are 1, 2 or None and row ids are unique;
     7. ``bulk_capable`` flags mirror ``repro.core.bulk.BULK_DRIVERS``
        exactly, and every bulk-driver entry names a public export;
-    8. every ``workloads`` restriction names real bench workloads.
+    8. every ``workloads`` restriction names real bench workloads;
+    9. every Table 1/2 row states a claim, and every claimed shape is a
+       name of :data:`repro.analysis.fitting.SHAPES`.
     """
     import repro
 
@@ -469,5 +481,25 @@ def check_registry() -> list[str]:
                 problems.append(
                     f"{spec.name}: workload restriction {wl!r} is not a "
                     "registered bench workload"
+                )
+
+    # claim drift: the table rows promise shapes the fitter can test.
+    from repro.analysis.fitting import SHAPES
+
+    shapes = {name for name, _ in SHAPES}
+    for spec in all_specs():
+        claim = spec.claim
+        if claim is None:
+            if spec.paper_row is not None and spec.paper_row.table in (1, 2):
+                problems.append(
+                    f"{spec.name}: Table {spec.paper_row.table} row states "
+                    "no claim"
+                )
+            continue
+        for role, shape in (("avg", claim.avg), ("baseline", claim.baseline)):
+            if shape not in shapes:
+                problems.append(
+                    f"{spec.name}: claimed {role} shape {shape!r} is not in "
+                    "analysis.fitting.SHAPES"
                 )
     return problems

@@ -3,8 +3,9 @@
 An :class:`AlgorithmSpec` is the single registration point for one
 algorithm of the paper's zoo: which driver runs it, which problem it
 solves (and therefore which validator and survivor-safety check apply),
-which worst-case baseline it is compared against, and where it lives in
-the paper (Table 1/2 row, theorem reference).  The registry in
+which worst-case baseline it is compared against, where it lives in
+the paper (Table 1/2 row, theorem reference) and what the paper promises
+for it (averaged and baseline shapes, palette formula).  The registry in
 :mod:`repro.zoo.registry` holds one spec per algorithm; every consumer --
 the CLI, the fault fuzzer, the bench tables, the test parametrizations --
 derives its view from the registry instead of keeping its own list.
@@ -13,13 +14,17 @@ Drivers are referenced *by name* (attributes of the top-level ``repro``
 package) and resolved lazily: importing the full algorithm stack at spec
 definition time would recreate the import cycle the old
 ``faults.harness.zoo()`` lazy dict existed to avoid
-(``repro -> runtime -> faults``).
+(``repro -> runtime -> faults``).  Claim formulas import their helpers
+when called, for the same reason.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import floor
 from typing import Any, Callable, Mapping, Sequence
+
+import numpy as np
 
 # re-exported: the engines and execution modes `execute()` accepts (see
 # repro.runtime.engine_session and repro.runtime.mode_session)
@@ -60,6 +65,91 @@ class PaperRow:
     def cite(self) -> str:
         """Short citable id: ``"T1.R5 (Theorem 7.13)"``."""
         return f"{self.row} ({self.ref})"
+
+
+@dataclass(frozen=True)
+class Instance:
+    """The quantities the paper states palettes in, for one call at the
+    drivers' defaults: eps = 1 and k = rho(n)."""
+
+    n: int
+    a: int | None
+    delta: int
+    id_space: int  # max ID + 1, as every network computes it
+
+    @property
+    def A(self) -> int:
+        """The H-set degree bound (2 + eps) a."""
+        from repro.core.common import degree_bound
+
+        return degree_bound(self.a, 1.0)
+
+    @property
+    def k(self) -> int:
+        from repro.analysis.logstar import rho
+
+        return rho(self.n)
+
+    @property
+    def t(self) -> int:
+        """The H-sets Theorem 9.2 colours by random trials."""
+        from repro.analysis.logstar import ilog
+
+        return max(1, floor(2 * ilog(self.n, 2)))
+
+    @property
+    def one_step(self) -> int:
+        """Colours after one cover-free step from the IDs: O(A^2 log n)."""
+        from repro.core.coverfree import colors_after_one_step
+
+        return colors_after_one_step(self.id_space, self.A)
+
+    @property
+    def fixpoint(self) -> int:
+        """The palette the iterated steps settle at: O(A^2)."""
+        from repro.core.coverfree import fixpoint_palette
+
+        return fixpoint_palette(self.A)
+
+
+@dataclass(frozen=True)
+class Claim:
+    """What the paper promises for one row.
+
+    ``avg`` is the vertex-averaged shape and ``baseline`` the prior
+    work's worst-case shape, both names from
+    :data:`repro.analysis.fitting.SHAPES`.  ``palette`` is the a-priori
+    colour bound as a formula of the :class:`Instance`, written from the
+    paper and independent of the drivers' own ``palette_bound`` code
+    (``None`` when the paper states no closed form).
+    """
+
+    avg: str
+    baseline: str = "O(log n)"
+    palette: Callable[[Instance], int] | None = field(
+        default=None, repr=False, compare=False
+    )
+
+    def palette_bound(self, g, a, ids) -> int | None:
+        """The formula on one ``(graph, a, ids)`` call, or ``None``."""
+        if self.palette is None:
+            return None
+        space = int(np.max(ids)) + 1 if ids is not None and len(ids) else max(g.n, 1)
+        return self.palette(Instance(g.n, a, g.max_degree(), space))
+
+    def fits(self, avg_fit=None, baseline_fit=None) -> bool:
+        """Whether fitted series (:class:`repro.analysis.ShapeFit`) keep
+        the claim at the n a sweep can reach.  There an O(1) claim is
+        checked as at most O(log* n), and an O(log n) baseline as
+        growing at least like O(log log n)."""
+        ok = True
+        if avg_fit is not None:
+            most = "O(log* n)" if self.avg == "O(1)" else self.avg
+            ok &= avg_fit.at_most(most)
+        if baseline_fit is not None:
+            least = "O(log log n)" if self.baseline == "O(log n)" else self.baseline
+            ok &= baseline_fit.grows_at_least(least)
+        return ok
 
 
 @dataclass(frozen=True)
@@ -142,6 +232,9 @@ class AlgorithmSpec:
         excluded from ``repro compare``).
     paper_row:
         Table/row/theorem anchor (see :class:`PaperRow`).
+    claim:
+        The row's paper promise (see :class:`Claim`); every Table 1/2
+        row states one (``check_registry``).
     randomized:
         Whether the driver draws randomness (its seed matters).
     crash_safe:
@@ -170,6 +263,7 @@ class AlgorithmSpec:
     driver: DriverRef
     baseline: DriverRef | None = None
     paper_row: PaperRow | None = None
+    claim: Claim | None = None
     randomized: bool = False
     crash_safe: bool = True
     bulk_capable: bool = False

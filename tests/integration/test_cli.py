@@ -16,14 +16,15 @@ def test_list(capsys):
 
 
 def test_list_shows_registry_metadata(capsys):
-    """`repro list` is registry-driven: problem kind, paper row and
-    baseline presence appear for every algorithm."""
+    """`repro list` is registry-driven: problem kind, paper row, claim
+    and baseline presence appear for every algorithm."""
     assert main(["list"]) == 0
     out = capsys.readouterr().out
     for spec in zoo.all_specs():
         assert spec.name in out
-    assert "paper row" in out
+    assert "paper row" in out and "claim" in out
     assert "T2.R1" in out  # mis row anchor
+    assert "O(1) vs O(log n)" in out  # partition / a2logn claims
     assert "rand" in out  # randomized flag column
 
 
@@ -52,6 +53,7 @@ def test_compare(capsys):
     out = capsys.readouterr().out
     assert "fitted shape" in out
     assert "win at n=400" in out
+    assert "claimed shape: ours = O(1); baseline = O(log n)" in out
 
 
 def test_unknown_algorithm_rejected():

@@ -1,10 +1,12 @@
-"""Scaling tests: the paper's headline quantitative claims, asserted on
-n-sweeps.  These are the test-suite versions of the benchmark assertions
-(smaller sweeps; the benchmarks run the full ones)."""
+"""Scaling tests: the paper's headline quantitative claims, as each
+spec's claim states them, asserted on n-sweeps.  These are the
+test-suite versions of the benchmark assertions (smaller sweeps; the
+benchmarks run the full ones)."""
 
 import pytest
 
 import repro
+from repro import zoo
 from repro.analysis.fitting import fit_shape
 from repro.graphs import generators as gen
 
@@ -25,7 +27,7 @@ def _avg_series(algo, a=3, eps=0.5, seeds=(0,)):
 def test_partition_average_is_constant_shaped():
     ys = _avg_series(lambda g, n, s: repro.run_partition(g, a=3, eps=0.5))
     fit = fit_shape(SWEEP, ys)
-    assert fit.at_most("O(log* n)"), (ys, fit)
+    assert zoo.get("partition").claim.fits(fit), (ys, fit)
 
 
 def test_partition_worstcase_baseline_is_log_shaped():
@@ -34,14 +36,14 @@ def test_partition_worstcase_baseline_is_log_shaped():
         g = gen.union_of_forests(n, 3, seed=0)
         ys.append(repro.run_worstcase_forest_decomposition(g, a=3).metrics.vertex_averaged)
     fit = fit_shape(SWEEP, ys)
-    assert fit.grows_at_least("O(log log n)"), (ys, fit)
+    assert zoo.get("partition").claim.fits(baseline_fit=fit), (ys, fit)
 
 
 def test_a2logn_average_constant_vs_worstcase_log():
     ours = _avg_series(lambda g, n, s: repro.run_a2logn_coloring(g, a=3, eps=0.5))
     base = _avg_series(lambda g, n, s: repro.run_arb_linial_worstcase(g, a=3, eps=0.5))
-    assert fit_shape(SWEEP, ours).at_most("O(log* n)"), ours
-    assert fit_shape(SWEEP, base).grows_at_least("O(log log n)"), base
+    claim = zoo.get("a2logn").claim
+    assert claim.fits(fit_shape(SWEEP, ours), fit_shape(SWEEP, base)), (ours, base)
     # who wins, by what factor: ours beats the baseline increasingly
     assert base[-1] / ours[-1] > base[0] / ours[0]
     assert base[-1] / ours[-1] > 3
@@ -50,19 +52,19 @@ def test_a2logn_average_constant_vs_worstcase_log():
 def test_mis_average_flat_vs_worstcase_growing():
     ours = _avg_series(lambda g, n, s: repro.run_mis(g, a=3))
     fit = fit_shape(SWEEP, ours)
-    assert fit.at_most("O(log log n)"), (ours, fit)
+    assert zoo.get("mis").claim.fits(fit), (ours, fit)
 
 
 def test_mm_average_flat():
     ours = _avg_series(lambda g, n, s: repro.run_maximal_matching(g, a=3))
-    assert fit_shape(SWEEP, ours).at_most("O(log log n)"), ours
+    assert zoo.get("matching").claim.fits(fit_shape(SWEEP, ours)), ours
 
 
 def test_randomized_delta_plus_one_average_constant():
     ours = _avg_series(
         lambda g, n, s: repro.run_rand_delta_plus_one(g, seed=s), seeds=(0, 1, 2)
     )
-    assert fit_shape(SWEEP, ours).at_most("O(log* n)"), ours
+    assert zoo.get("rand-delta-plus-one").claim.fits(fit_shape(SWEEP, ours)), ours
 
 
 def test_randomized_worst_case_grows():

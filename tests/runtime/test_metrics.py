@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.runtime.metrics import RoundMetrics, merge_metrics
+from repro.runtime.metrics import RoundMetrics, TimeMetrics, merge_metrics
 
 
 def test_empty_metrics():
@@ -86,3 +86,17 @@ def test_frozen():
     m = RoundMetrics(rounds=(1,))
     with pytest.raises(AttributeError):
         m.rounds = (2,)
+
+
+def test_time_summaries_are_pinned_bit_for_bit():
+    """The summaries sum and take the max of the normalised times in
+    vertex order; any other reduction (a numpy pairwise sum, say) moves
+    the last bits.  Without output times the output average is T-bar."""
+    times = tuple((i * 0.37) % 5.3 for i in range(1000))
+    tm = TimeMetrics(times, tuple(t / 3 for t in times), mean_delay=0.7)
+    assert tm.vertex_averaged_time.hex() == "0x1.31329d6747186p+2"
+    assert tm.worst_case_time.hex() == "0x1.11d41d41d41d8p+3"
+    assert tm.averaged_output_time.hex() == "0x1.20cc68ef84bb0p+1"
+    bare = TimeMetrics(times, mean_delay=0.7)
+    assert bare.averaged_output_time.hex() == "0x1.31329d6747186p+2"
+    assert bare.normalized_times is bare.normalized_times  # normalised once

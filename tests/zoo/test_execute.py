@@ -339,6 +339,44 @@ class TestErrors:
         assert not ex.completed
 
 
+class TestClaims:
+    def test_palette_above_the_claim_is_rejected(self):
+        """A proper colouring that self-reports a generous bound still
+        fails when it uses more colours than the spec's claim allows."""
+        from repro.core.coloring import ColoringResult
+        from repro.runtime.metrics import RoundMetrics
+
+        def all_distinct(g, ids=None, a=None):
+            return ColoringResult(
+                colors={v: v for v in g.vertices()},
+                h_index={v: 1 for v in g.vertices()},
+                metrics=RoundMetrics(rounds=(1,) * g.n),
+                palette_bound=10**6,
+            )
+
+        zoo.register(
+            zoo.AlgorithmSpec(
+                name="_lavish",
+                problem="coloring",
+                driver=zoo.DriverRef.make(fn=all_distinct),
+                claim=zoo.Claim("O(1)", palette=lambda i: i.delta + 1),
+            )
+        )
+        try:
+            g, a, ids = _instance(n=40)
+            ex = zoo.execute("_lavish", g, a, ids, 0)
+        finally:
+            zoo.unregister("_lavish")
+        assert ex.palette_claim == g.max_degree() + 1
+        with pytest.raises(VerificationError, match="claim allows"):
+            ex.validate(g)
+
+    def test_baseline_runs_are_not_held_to_the_claim(self):
+        g, a, ids = _instance(n=40)
+        assert zoo.execute("a2logn", g, a, ids, 0).palette_claim is not None
+        assert zoo.execute("a2logn", g, a, ids, 0, baseline=True).palette_claim is None
+
+
 class TestObs:
     def test_trace_written_with_registry_meta(self, tmp_path):
         g, a, ids = _instance(n=40)

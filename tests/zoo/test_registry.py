@@ -47,6 +47,29 @@ class TestCompleteness:
             del zoo.EXEMPT_DRIVERS["run_does_not_exist"]
         assert any("run_does_not_exist" in p and "stale" in p for p in problems)
 
+    def test_claim_drift_is_reported(self):
+        silent = zoo.AlgorithmSpec(
+            name="_silent",
+            problem="coloring",
+            driver=zoo.DriverRef.make("run_a2_coloring"),
+            paper_row=zoo.PaperRow(row="T1.X", label="x", ref="x", table=1),
+        )
+        odd = zoo.AlgorithmSpec(
+            name="_odd",
+            problem="coloring",
+            driver=zoo.DriverRef.make("run_a2_coloring"),
+            claim=zoo.Claim("O(log^2 n)"),
+        )
+        zoo.register(silent)
+        zoo.register(odd)
+        try:
+            problems = zoo.check_registry()
+        finally:
+            zoo.unregister("_silent")
+            zoo.unregister("_odd")
+        assert "_silent: Table 1 row states no claim" in problems
+        assert any(p.startswith("_odd: claimed avg shape 'O(log^2 n)'") for p in problems)
+
     def test_every_problem_kind_has_both_checks(self):
         for spec in zoo.all_specs():
             assert spec.problem in zoo.FULL_VALIDATORS
