@@ -14,6 +14,7 @@ import repro
 from repro.bench import baseline, make_workload, render_table
 from repro.graphs import generators as gen
 from repro.runtime.network import SyncNetwork
+from repro.runtime.session import session
 from _common import emit, time_once
 
 
@@ -111,7 +112,8 @@ def test_null_sink_overhead(benchmark):
 
     bus = EventBus(NullSink())
     ping = baseline.broadcast_program()
-    time_once(benchmark, lambda: SyncNetwork(g).run(ping, bus=bus))
+    with session(bus=bus):
+        time_once(benchmark, lambda: SyncNetwork(g).run(ping))
 
 
 def test_algorithm_wallclock_scaling(benchmark):

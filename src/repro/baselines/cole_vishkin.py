@@ -27,7 +27,8 @@ from repro.core.coloring import ColoringResult
 from repro.core.common import LocalView
 from repro.graphs.graph import Graph
 from repro.runtime.context import Context
-from repro.runtime.network import SyncNetwork, current_engine
+from repro.runtime.network import SyncNetwork
+from repro.runtime.session import current
 
 
 def _cv_steps(id_space: int) -> int:
@@ -89,7 +90,7 @@ def run_ring_three_coloring(
     if successor is None:
         successor = np.roll(np.arange(n, dtype=np.int64), -1)
     succ = _check_successor(graph, successor)
-    if current_engine() == "bulk":
+    if current().engine == "bulk":
         from repro.core.bulk import bulk_ring_three_coloring
 
         return bulk_ring_three_coloring(graph, succ, ids=ids, seed=seed)

@@ -18,7 +18,8 @@ from repro.core.common import LocalView
 from repro.core.extension import MISResult
 from repro.graphs.graph import Graph
 from repro.runtime.context import Context
-from repro.runtime.network import SyncNetwork, current_engine
+from repro.runtime.network import SyncNetwork
+from repro.runtime.session import current
 
 PRIO = "lp"
 STATE = "ls"  # payload: True (joined MIS) / False (left: neighbor joined)
@@ -32,7 +33,7 @@ def run_luby_mis(
 ) -> MISResult:
     """Run Luby's randomized MIS; returns the MIS with round accounting
     (worst case O(log n) w.h.p. -- the Table 2 randomized reference)."""
-    if current_engine() == "bulk":
+    if current().engine == "bulk":
         from repro.core.bulk import bulk_luby_mis
 
         return bulk_luby_mis(graph, ids=ids, seed=seed, max_rounds=max_rounds)

@@ -169,9 +169,9 @@ def measure_null_sink_overhead(
     :class:`repro.obs.NullSink` attached -- in adjacent pairs
     (alternating which arm goes first), in CPU time
     (``time.process_time``, so scheduler preemption stays out of the
-    measurement).  The bulk arm installs the bus as the process default
-    (:func:`repro.obs.install`), which is how real callers attach it;
-    with no live sink the bulk path pays one ``obs.current()`` lookup
+    measurement).  Both arms attach the bus through the run session
+    (:func:`repro.runtime.session.session`), which is how real callers
+    attach it; with no live sink the bulk path pays one session lookup
     per run plus the ``finalize`` skip.  Two statistics come back:
 
     * ``overhead_pct`` -- the *median* of the per-pair ratios: the best
@@ -190,8 +190,8 @@ def measure_null_sink_overhead(
     With no live sink the engine never constructs an event, so the
     expected overhead is a handful of per-round branches -- truly ~0%.
     """
-    import repro.obs as obs
     from repro.obs import EventBus, NullSink
+    from repro.runtime.session import session
 
     g = gen.union_of_forests(n, 3, seed=0)
     bus = EventBus(NullSink())
@@ -199,33 +199,26 @@ def measure_null_sink_overhead(
     if engine == "bulk":
         from repro.runtime.bulk import bulk_broadcast_kernel
 
-        def timed(with_bus: bool) -> float:
-            previous = obs.install(bus) if with_bus else None
-            t0 = time.process_time()
-            try:
-                bulk_broadcast_kernel(g, rounds=rounds)
-            finally:
-                dt = time.process_time() - t0
-                if with_bus:
-                    obs.install(previous)
-            return dt
+        def work() -> None:
+            bulk_broadcast_kernel(g, rounds=rounds)
 
     elif engine == "fast":
         g.edges()  # build the object layer and CSR rows outside the timed region
         program = broadcast_program(rounds)
 
-        def timed(with_bus: bool) -> float:
-            t0 = time.process_time()
-            if with_bus:
-                SyncNetwork(g).run(program, bus=bus)
-            else:
-                SyncNetwork(g).run(program)
-            return time.process_time() - t0
+        def work() -> None:
+            SyncNetwork(g).run(program)
 
     else:
         raise ValueError(
             f"overhead measurement supports 'fast' and 'bulk', got {engine!r}"
         )
+
+    def timed(with_bus: bool) -> float:
+        with session(bus=bus if with_bus else None):
+            t0 = time.process_time()
+            work()
+            return time.process_time() - t0
 
     timed(False)  # one untimed warm-up for allocator/cache state
     ratios = []

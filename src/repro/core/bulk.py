@@ -12,10 +12,11 @@ One kernel per algorithm, one fault model
 -----------------------------------------
 Procedure Partition, Luby MIS, Cole-Vishkin and defective coloring each
 have exactly one kernel.  It steps one engine round per iteration and
-replays an installed :func:`repro.faults.session`'s crash-stop and
-message-drop plan bit-identically to the fast engine; **a clean run is
-the empty plan** (:class:`FaultParams` with no strikes, no drop draws,
-offset 0 and no pre-crashed vertices), not a separate code path.
+replays the run session's crash-stop and message-drop adversary
+(:mod:`repro.runtime.session`) bit-identically to the fast engine; **a
+clean run is the empty plan** (:class:`FaultParams` with no strikes, no
+drop draws, offset 0 and no pre-crashed vertices), not a separate code
+path.
 Duplicate/delay plans are refused up front with
 :class:`~repro.runtime.bulk.BulkUnsupported`: they need multi-round
 message buffering, which the kernels do not keep.  A kernel returns its
@@ -31,8 +32,10 @@ senders' CSR rows, route each copy to a neighbor not yet *known* halted
 (termination round 0/unset -- running or crashed -- or ``== r``,
 same-round: routed then dropped), apply the drop draw per copy when the
 plan drops, then bucket by the receiver's termination round.  The
-round's message total is the delivered copies plus one halt notice per
-vertex terminating this round.  Fault draws (crash hazard, message drop)
+round's ``sent`` is every routed copy, dropped or not (the generator
+engines narrate a send before the adversary decides its fate); its
+message total is the delivered copies plus one halt notice per vertex
+terminating this round.  Fault draws (crash hazard, message drop)
 are pure counter-based functions of ``(seed, session round, vertex)`` /
 ``(..., src, dst, k)`` (:mod:`repro.faults.plan`), so a kernel may
 evaluate them in any order, a whole round at a time, and still inject
@@ -50,9 +53,8 @@ from typing import Sequence
 
 import numpy as np
 
-import repro.obs as obs
 from repro import rng
-from repro.faults.plan import CrashSpec, current, drop_many
+from repro.faults.plan import CrashSpec, drop_many
 from repro.graphs.graph import Graph
 from repro.runtime.bulk import (
     BULK_CHUNK,
@@ -68,11 +70,12 @@ from repro.runtime.bulk import (
 )
 from repro.runtime.metrics import RoundMetrics
 from repro.runtime.network import RoundLimitExceeded
+from repro.runtime.session import current
 
 
 @dataclass
 class FaultParams:
-    """An installed fault plan as the kernels consume it, plus the
+    """The session's fault plan as the kernels consume it, plus the
     crashes and drops a run logs against it.  The defaults are the empty
     plan a clean run uses."""
 
@@ -123,11 +126,12 @@ class FaultParams:
 
 
 def _session(n: int, name: str):
-    """The installed fault injector (or ``None``) and the
+    """The session's fault injector (or ``None``) and the
     :class:`FaultParams` a kernel replays: the empty plan on a clean run.
     Duplicate/delay plans are refused: replaying them needs copies held
     across rounds, which the kernels do not buffer."""
-    injector = current()
+    run = current()
+    injector = run.injector
     if injector is None:
         return None, FaultParams()
     plan = injector.plan
@@ -139,7 +143,7 @@ def _session(n: int, name: str):
         )
     crashes = plan.crashes
     drop = mf.drop if mf is not None else 0.0
-    bus = obs.current()
+    bus = run.bus
     return injector, FaultParams(
         seed=plan.seed,
         offset=injector._round,
@@ -173,7 +177,7 @@ def _broadcast(
     each entry's copy index for the drop draw (0 otherwise).
     """
     n = term.size
-    counted = same = 0
+    counted = same = dropped = 0
     inbox = np.zeros(n, dtype=np.int64)
     # until some vertex terminates, every copy is routed and delivered
     halted = bool(term.any())
@@ -193,6 +197,7 @@ def _broadcast(
                 k = k if copy is None else k[routed]
             lost = drop_many(fp.seed, fp.offset + rnd, us, ws, k, fp.drop)
             fp.log_drops(rnd, us, ws, lost)
+            dropped += int(np.count_nonzero(lost))
             ws = ws[~lost]
             t = t[~lost] if halted else None
         if halted:
@@ -203,7 +208,9 @@ def _broadcast(
         inbox += np.bincount(ws, minlength=n)
     # distinct receivers straight off the arrival counts: numpy 2.4's
     # hash-based np.unique costs ~50x a scatter at n = 10^6
-    acct.append((counted + same, counted + halts, int(np.count_nonzero(inbox))))
+    acct.append(
+        (counted + same + dropped, counted + halts, int(np.count_nonzero(inbox)))
+    )
     return inbox
 
 

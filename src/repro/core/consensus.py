@@ -27,8 +27,8 @@ d from the nearest zero commits in round d + 1, while *termination* of
 the all-ones listeners takes the full Theta(n) horizon -- another
 instance of the committed-output average (Feuilloley's first definition,
 :meth:`repro.runtime.context.Context.commit`) being exponentially
-smaller than the worst case.  Under the asynchronous executor
-(``mode_session("async")``) the same program yields the vertex-averaged
+smaller than the worst case.  In an async run session
+(``session(mode="async")``) the same program yields the vertex-averaged
 *output time* analogue via :attr:`repro.runtime.network.RunResult.times`.
 """
 

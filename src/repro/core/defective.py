@@ -49,7 +49,8 @@ from repro.core.coverfree import PolyFamily, build_family, palette_schedule
 from repro.graphs.graph import Graph
 from repro.runtime.context import Context
 from repro.runtime.metrics import RoundMetrics
-from repro.runtime.network import SyncNetwork, current_engine
+from repro.runtime.network import SyncNetwork
+from repro.runtime.session import current
 from repro.verify.colorings import color_count
 
 
@@ -189,7 +190,7 @@ def run_defective_coloring(
     """Standalone d-defective coloring of a whole graph (degree bound
     ``degree_limit``, default Delta): the building block Procedure
     Partial-Orientation invokes on each H-set."""
-    if current_engine() == "bulk":
+    if current().engine == "bulk":
         from repro.core.bulk import bulk_defective_coloring
 
         return bulk_defective_coloring(

@@ -25,7 +25,8 @@ from repro.graphs.graph import Graph
 from repro.runtime.bulk import ColumnMap
 from repro.runtime.context import Context
 from repro.runtime.metrics import RoundMetrics, TimeMetrics
-from repro.runtime.network import RunResult, SyncNetwork, current_engine
+from repro.runtime.network import RunResult, SyncNetwork
+from repro.runtime.session import current
 
 
 def join_h_set(
@@ -102,7 +103,7 @@ def run_partition(
     """Execute pure Procedure Partition: each vertex terminates the moment
     it joins its H-set (this is the O(1) vertex-averaged primitive that
     Theorem 6.3 analyses)."""
-    if current_engine() == "bulk":
+    if current().engine == "bulk":
         from repro.core.bulk import bulk_partition
 
         return bulk_partition(graph, a, eps=eps, ids=ids, seed=seed)

@@ -20,11 +20,12 @@ Three layers:
 Quick use::
 
     from repro import faults
+    from repro.runtime.session import session
 
     plan = faults.FaultPlan(seed=7, crashes=faults.CrashSpec(hazard=0.01))
-    with faults.session(plan):
+    with session(faults=plan) as run:
         res = repro.run_partition(g, a=3)      # both phases see the plan
-    res.crashed                                # who the adversary killed
+    run.injector.crashed                       # who the adversary killed
 
 See ``docs/faults.md`` for the fault model and its determinism contract.
 """
@@ -34,9 +35,6 @@ from repro.faults.plan import (
     FaultInjector,
     FaultPlan,
     MessageFaults,
-    current,
-    install,
-    session,
 )
 from repro.faults.harness import (
     OUTCOME_ERROR,
@@ -63,12 +61,9 @@ __all__ = [
     "OUTCOME_NONTERMINATION",
     "OUTCOME_VALID",
     "OUTCOME_VIOLATION",
-    "current",
-    "install",
     "load_artifact",
     "replay_artifact",
     "run_case",
-    "session",
     "shrink_case",
     "write_artifact",
 ]

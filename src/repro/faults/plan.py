@@ -55,17 +55,19 @@ hook both engines drive at the deliver/route boundary:
 
 Each injection emits a typed ``fault_*`` event on the run's
 :class:`~repro.obs.events.EventBus`, so traces and ``repro inspect`` show
-exactly what was injected.  An injector is stateful (crashed set, delay
-buffer): never share one between two engine runs you want to compare --
-pass the *plan* and let each run compile its own.
+exactly what was injected.  The run session
+(:func:`repro.runtime.session.session`) carries the injector: ``faults=``
+takes a plan, compiled once when the session is entered, or a live
+injector.  An injector is stateful (crashed set, delay buffer): never
+share one between two engine runs you want to compare -- give each its
+own session over the *plan*.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Any, Iterator, Mapping
+from typing import Any, Mapping
 
 import numpy as np
 
@@ -218,7 +220,7 @@ class FaultPlan:
 
     The plan is pure data: it serialises losslessly via
     :meth:`to_dict`/:meth:`from_dict` (the fuzz artifacts), and compiles
-    into a fresh stateful :class:`FaultInjector` per run/session via
+    into a fresh stateful :class:`FaultInjector` per session via
     :meth:`injector`.
     """
 
@@ -436,47 +438,3 @@ class FaultInjector:
             f"FaultInjector({self.plan.describe()}, round={self._round}, "
             f"crashed={sorted(self.crashed)})"
         )
-
-
-# ---------------------------------------------------------------------------
-# process-wide default injector (mirrors repro.obs.install / session)
-# ---------------------------------------------------------------------------
-
-#: the default injector the engines fall back to (usually None).  Needed
-#: because algorithm drivers construct their networks internally, exactly
-#: like the default EventBus in :mod:`repro.obs`.
-_default_injector: FaultInjector | None = None
-
-
-def install(injector: FaultInjector | None) -> FaultInjector | None:
-    """Set the default injector; returns the previous one (for restoring)."""
-    global _default_injector
-    previous = _default_injector
-    _default_injector = injector
-    return previous
-
-
-def current() -> FaultInjector | None:
-    """The currently-installed default injector, if any."""
-    return _default_injector
-
-
-@contextmanager
-def session(plan_or_injector: FaultPlan | FaultInjector) -> Iterator[FaultInjector]:
-    """Install a fault adversary for every engine run in the ``with`` body.
-
-    Accepts a :class:`FaultPlan` (compiled into a fresh injector) or an
-    existing :class:`FaultInjector`.  Crash-stop state persists across
-    the runs inside one session -- that is the point: multi-phase drivers
-    see a consistent adversary.
-    """
-    injector = (
-        plan_or_injector.injector()
-        if isinstance(plan_or_injector, FaultPlan)
-        else plan_or_injector
-    )
-    previous = install(injector)
-    try:
-        yield injector
-    finally:
-        install(previous)

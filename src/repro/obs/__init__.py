@@ -11,9 +11,16 @@ with a stable content address, and the ``--timeline`` renderer).
 
 Attaching a bus
 ---------------
-Both engines accept ``bus=`` on :meth:`~repro.runtime.network.SyncNetwork
-.run`.  Because algorithm drivers construct their networks internally,
-there is also a process-wide *default bus* the engines fall back to::
+The engines narrate to the bus of the current run session
+(:mod:`repro.runtime.session`); algorithm drivers construct their
+networks internally, so that is the one way in::
+
+    from repro.runtime.session import session
+
+    with session(bus=EventBus(MemorySink())):
+        repro.run_partition(g, a=3)          # events land in the sink
+
+Two helpers wrap the common cases::
 
     from repro import obs
 
@@ -24,10 +31,8 @@ there is also a process-wide *default bus* the engines fall back to::
         repro.run_partition(g, a=3)
     col.check_decay(warmup=2, ratio=0.5)     # Lemma 6.1 shape, measured
 
-The default bus is plain module state, not a thread-local: install it
-from the driving thread before fanning out work, or pass ``bus=``
-explicitly per engine.  When no bus is installed (the normal state) the
-engines skip all event construction; ``repro.bench.baseline`` gates the
+When the session has no bus (the normal state) the engines skip all
+event construction; ``repro.bench.baseline`` gates the
 instrumented-but-null-sink path to within 5% of that.
 """
 
@@ -78,43 +83,19 @@ __all__ = [
     "Sink",
     "capture",
     "collecting",
-    "current",
     "from_record",
-    "install",
     "render_timeline",
-    "session",
 ]
-
-#: the process-wide default bus the engines fall back to (usually None)
-_default_bus: EventBus | None = None
-
-
-def install(bus: EventBus | None) -> EventBus | None:
-    """Set the default bus; returns the previous one (for restoring)."""
-    global _default_bus
-    previous = _default_bus
-    _default_bus = bus
-    return previous
-
-
-def current() -> EventBus | None:
-    """The currently-installed default bus, if any."""
-    return _default_bus
 
 
 @contextmanager
-def session(*sinks: Sink, profiler: PhaseProfiler | None = None) -> Iterator[EventBus]:
-    """Install an :class:`EventBus` over ``sinks`` for the ``with`` body.
+def _bus_session(*sinks: Sink, profiler: PhaseProfiler | None) -> Iterator[EventBus]:
+    """Run the ``with`` body with a bus over ``sinks`` as the session's;
+    the sinks are closed on exit."""
+    from repro.runtime.session import session
 
-    The previous default bus is restored and the sinks closed on exit.
-    """
-    bus = EventBus(*sinks, profiler=profiler)
-    previous = install(bus)
-    try:
+    with EventBus(*sinks, profiler=profiler) as bus, session(bus=bus):
         yield bus
-    finally:
-        install(previous)
-        bus.close()
 
 
 @contextmanager
@@ -124,7 +105,7 @@ def capture(
     profiler: PhaseProfiler | None = None,
 ) -> Iterator[EventBus]:
     """Record every engine event in the ``with`` body to a JSONL file."""
-    with session(JsonlSink(path, meta=meta), profiler=profiler) as bus:
+    with _bus_session(JsonlSink(path, meta=meta), profiler=profiler) as bus:
         yield bus
 
 
@@ -134,5 +115,5 @@ def collecting(
 ) -> Iterator[MetricsCollector]:
     """Aggregate every engine event in the ``with`` body in memory."""
     collector = MetricsCollector()
-    with session(collector, profiler=profiler):
+    with _bus_session(collector, profiler=profiler):
         yield collector

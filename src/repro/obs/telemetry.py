@@ -9,9 +9,9 @@ tooling can consume:
   the run's identity (spec hash, workload, n, seed, fault-plan hash),
   its mechanics (engine, mode, env/dtype info), and a digest of its
   results (timing, metrics).  The identity fields are
-  folded into a stable content-address :attr:`RunManifest.key` -- the
-  lookup key the sweep server (ROADMAP item 5) needs: two runs with the
-  same key are the same experiment and may share a cached result;
+  folded into a stable content-address :attr:`RunManifest.key`, which
+  ``repro run`` and ``repro inspect`` print: two runs with the same key
+  are the same experiment;
 
 * a **timeline renderer** -- :func:`render_timeline` turns the
   per-phase timings a :class:`~repro.obs.profile.PhaseProfiler` recorded

@@ -17,23 +17,16 @@ from repro.runtime.async_sched import DELAY_DISTS, DelaySpec
 from repro.runtime.bulk import BulkUnsupported, bulk_broadcast_kernel
 from repro.runtime.context import WAIT, Context, RouterState
 from repro.runtime.network import (
-    ENGINES,
     MaxRoundsExceeded,
     RoundLimitExceeded,
     RunResult,
     SyncNetwork,
-    current_engine,
     default_max_rounds,
-    engine_session,
 )
 from repro.runtime.metrics import RoundMetrics, TimeMetrics
 from repro.runtime.program import wait_rounds, wait_until_round
-from repro.runtime.scheduler import (
-    MODES,
-    SyncBarrierScheduler,
-    current_mode,
-    mode_session,
-)
+from repro.runtime.scheduler import SyncBarrierScheduler
+from repro.runtime.session import ENGINES, MODES, RunSession
 from repro.runtime.reference import ReferenceSyncNetwork
 
 __all__ = [
@@ -49,16 +42,13 @@ __all__ = [
     "RoundMetrics",
     "RouterState",
     "RunResult",
+    "RunSession",
     "SyncBarrierScheduler",
     "SyncNetwork",
     "TimeMetrics",
     "WAIT",
     "bulk_broadcast_kernel",
-    "current_engine",
-    "current_mode",
     "default_max_rounds",
-    "engine_session",
-    "mode_session",
     "wait_rounds",
     "wait_until_round",
 ]

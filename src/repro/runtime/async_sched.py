@@ -6,9 +6,10 @@ arrived, each after a seeded per-edge link delay (:class:`DelaySpec`).
 That is the alpha-synchronizer: every vertex sees the barrier's inboxes,
 so outputs, rounds, commit rounds, traffic and crash sets equal the
 synchronous run's, and the virtual times depend only on when each vertex
-stops signalling.  ``mode_session("async")`` therefore runs the selected
-engine's synchronous run and then :func:`time_run`, one numpy pass over
-the CSR arcs per round, which fills ``RunResult.times``.  The argument
+stops signalling.  An async session (``session(mode="async")``)
+therefore runs the selected engine's synchronous run and then
+:func:`time_run`, one numpy pass over the CSR arcs per round, which
+fills ``RunResult.times``.  The argument
 is spelled out in ``docs/model.md``; the event-queue executor the pass
 replaced is the test suite's oracle (``tests/runtime/async_oracle.py``).
 """
@@ -23,6 +24,7 @@ import numpy as np
 
 from repro import rng
 from repro.runtime.metrics import TimeMetrics
+from repro.runtime.session import current
 
 __all__ = ["DELAY_DISTS", "DelaySpec", "time_run"]
 
@@ -143,13 +145,10 @@ def time_run(graph, last, commit=None) -> TimeMetrics:
 
     for ``r <= last[v]``; ``times[v] = T(v, last[v])`` and
     ``output_times[v]`` is ``T(v, commit[v])`` for a vertex that
-    committed, ``times[v]`` otherwise.  The delays are the session's
-    :func:`~repro.runtime.scheduler.current_delays`, fixed unit delays
-    when it has none.
+    committed, ``times[v]`` otherwise.  The delays are the current
+    session's, fixed unit delays when it has none.
     """
-    from repro.runtime.scheduler import current_delays
-
-    delays = current_delays() or DelaySpec()
+    delays = current().delays or DelaySpec()
     n = graph.n
     last = np.asarray(last, dtype=np.int64)
     offsets, indices = graph.csr(dtype="auto")

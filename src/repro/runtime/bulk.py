@@ -13,7 +13,7 @@ handful of vectorized array operations over the graph's cached CSR view
 There is no generic bulk interpreter for arbitrary vertex programs --
 vectorization requires knowing the algorithm's data flow -- so bulk
 execution is opt-in per algorithm: a driver with a columnar variant
-dispatches to it when ``current_engine() == "bulk"``
+dispatches to it when the session's engine is ``"bulk"``
 (:data:`repro.core.bulk.BULK_DRIVERS` is the registry; the zoo mirrors it
 via ``AlgorithmSpec.bulk_capable``).  A program without one raises
 :class:`BulkUnsupported` instead of silently running on the fast path.
@@ -44,17 +44,22 @@ computation).  :class:`repro.obs.collect.MetricsCollector` accepts this
 aggregate granularity; per-vertex ``halt``/``commit`` events are simply
 absent from bulk traces.
 
-Asynchronous mode: inside ``mode_session("async")`` a kernel's result
-also carries the timing pass's virtual times (:func:`run_times`), fed by
-the termination and crash rounds :func:`finalize_run` reads too.
+Session settings: a bulk run reads the current
+:class:`~repro.runtime.session.RunSession` like the generator engines
+do -- its bus (for :func:`finalize_run`'s events and :func:`profiled`'s
+phases), its fault injector (replayed by the kernels, refused by
+:func:`require_no_faults`) and its mode.  In an async session a
+kernel's result also carries the timing pass's virtual times
+(:func:`run_times`), fed by the termination and crash rounds
+:func:`finalize_run` reads too.
 
 Fault injection: the algorithm kernels in :mod:`repro.core.bulk` step
 one round per iteration and replay crash-stop and message-drop plans
 themselves; a clean run is the empty plan, and every run finishes
 through the one :func:`finalize_run` (its crash log empty on a clean
 run).  Only :func:`bulk_broadcast_kernel` has no fault model; it calls
-:func:`require_no_faults` so an installed fault session fails loudly
-rather than being ignored.
+:func:`require_no_faults` so a session's adversary fails loudly rather
+than being ignored.
 """
 
 from __future__ import annotations
@@ -66,7 +71,6 @@ from typing import Any, Sequence
 
 import numpy as np
 
-import repro.obs as obs
 from repro.graphs.graph import Graph
 from repro.obs.events import (
     FaultCrash,
@@ -78,7 +82,7 @@ from repro.obs.events import (
 from repro.runtime.async_sched import time_run
 from repro.runtime.metrics import RoundMetrics, TimeMetrics
 from repro.runtime.network import RunResult
-from repro.runtime.scheduler import current_mode
+from repro.runtime.session import current
 
 
 class BulkUnsupported(RuntimeError):
@@ -101,11 +105,11 @@ def profiled(phase: str):
     ``prof.add`` hooks: each driver wraps its vectorized round loop in
     ``with profiled("kernel")`` and :func:`finalize_run` times itself as
     ``"finalize"``.  When no :class:`~repro.obs.profile.PhaseProfiler`
-    rides the process bus this returns :func:`~contextlib.nullcontext`
+    rides the session's bus this returns :func:`~contextlib.nullcontext`
     -- one attribute lookup per *run* (not per round), so the
     telemetry-off path stays inside the null-sink overhead budget.
     """
-    bus = obs.current()
+    bus = current().bus
     prof = bus.profiler if bus is not None else None
     if prof is None:
         return nullcontext()
@@ -226,19 +230,17 @@ def id_space(ids_arr: np.ndarray) -> int:
 
 
 def require_no_faults(name: str) -> None:
-    """Refuse to run under an installed fault session.
+    """Refuse to run in a session with a fault adversary.
 
     The vectorized rounds have no per-message hook for the adversary, so
-    silently ignoring an active :func:`repro.faults.session` would make a
-    fault sweep report clean runs that were never actually attacked.
+    silently ignoring the session's injector would make a fault sweep
+    report clean runs that were never actually attacked.
     """
-    from repro.faults.plan import current
-
-    if current() is not None:
+    if current().injector is not None:
         raise BulkUnsupported(
             f"bulk driver {name!r} does not support fault injection; "
             "run it on the 'fast' or 'reference' engine, or drop the "
-            "fault session"
+            "session's faults"
         )
 
 
@@ -281,7 +283,6 @@ def finalize_run(
     sent: Sequence[int],
     msgs: Sequence[int],
     receivers: Sequence[int],
-    bus=None,
     *,
     crash_rounds: dict[int, int] | None = None,
     pre_crashed: Sequence[int] = (),
@@ -310,9 +311,9 @@ def finalize_run(
     the fast engine drops copies during routing, after the round has
     started).
 
-    When an event bus is live (explicit ``bus`` or the process-wide
-    default), one ``round_start`` / ``round_sends`` / ``round_end``
-    triple per round is emitted -- the aggregate tracing granularity.
+    When the session's event bus is live, one ``round_start`` /
+    ``round_sends`` / ``round_end`` triple per round is emitted -- the
+    aggregate tracing granularity.
     """
     with profiled("finalize"):
         n = int(term.size)
@@ -345,8 +346,7 @@ def finalize_run(
         for r, src, dst in drops:
             drops_by_round.setdefault(r, []).append((src, dst))
 
-        if bus is None:
-            bus = obs.current()
+        bus = current().bus
         if bus is not None and bus.active:
             for i in range(rounds_run):
                 rnd = i + 1
@@ -374,8 +374,8 @@ def finalize_run(
 def run_times(
     graph: Graph, term: np.ndarray, crash_log: Sequence[tuple[int, int]]
 ) -> TimeMetrics | None:
-    """The asynchronous times of a bulk run inside
-    ``mode_session("async")``, ``None`` in sync mode.
+    """The asynchronous times of a bulk run in an async session,
+    ``None`` in sync mode.
 
     The timing pass (:func:`repro.runtime.async_sched.time_run`) is fed
     the run's ``term`` and its crashes as ``(round, v)`` pairs: a vertex
@@ -384,7 +384,7 @@ def run_times(
     signals.  Bulk kernels have no commits.  Timed as the ``async``
     phase.
     """
-    if current_mode() != "async":
+    if current().mode != "async":
         return None
     with profiled("async"):
         last = term.copy()

@@ -67,13 +67,14 @@ terminated -- either dropped at the sender once the notice has arrived, or
 dropped by the engine in the one-round window where sender and receiver
 act simultaneously.
 
-Instrumentation
----------------
-``run(bus=...)`` (or a process-wide bus installed via
-:func:`repro.obs.install`) attaches the :mod:`repro.obs` event layer:
-typed round/send/broadcast/commit/halt/drop events to pluggable sinks,
-plus per-round ``deliver``/``step``/``route`` wall-clock phases when the
-bus carries a :class:`repro.obs.PhaseProfiler`.  Without a live sink the
+Session settings
+----------------
+Everything a run takes besides the program -- engine, mode, link
+delays, event bus, fault adversary -- comes from the current
+:class:`~repro.runtime.session.RunSession` (``with session(...)``).
+A live bus gets typed round/send/broadcast/commit/halt/drop events,
+plus per-round ``deliver``/``step``/``route`` wall-clock phases when it
+carries a :class:`repro.obs.PhaseProfiler`.  Without a live sink the
 engine never constructs an event, so the uninstrumented fast path is
 unchanged (gated to < 5% overhead by ``repro.bench.baseline``).
 """
@@ -84,63 +85,14 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Any, Callable, Generator, Mapping, Sequence
 
-import repro.obs as obs
 from repro.graphs.graph import Graph
 from repro.obs.events import Drop
 from repro.runtime.context import _EMPTY_FROZENSET, Context, RouterState
 from repro.runtime.metrics import RoundMetrics, TimeMetrics
 from repro.runtime.scheduler import SyncBarrierScheduler
+from repro.runtime.session import current
 
 ProgramFactory = Callable[[Context], Generator[None, None, Any]]
-
-# ---------------------------------------------------------------------------
-# engine selection
-# ---------------------------------------------------------------------------
-
-#: the selectable round engines: the throughput-optimised fast path, the
-#: executable-specification reference implementation, and the columnar
-#: bulk engine (numpy arrays over the CSR view; only algorithms with a
-#: registered bulk driver can run on it -- see :mod:`repro.runtime.bulk`)
-ENGINES = ("fast", "reference", "bulk")
-
-#: process-wide engine override stack (see :func:`engine_session`)
-_ENGINE_STACK: list[str] = []
-
-
-def current_engine() -> str:
-    """The engine new :class:`SyncNetwork` runs will use: ``"fast"``
-    unless an :func:`engine_session` override is active."""
-    return _ENGINE_STACK[-1] if _ENGINE_STACK else "fast"
-
-
-class engine_session:
-    """Context manager selecting the round engine for enclosed runs.
-
-    Drivers construct their networks internally (``SyncNetwork(g, ...)``)
-    so callers cannot pass an engine explicitly; this is the same
-    process-wide-session seam :func:`repro.obs.session` and
-    :func:`repro.faults.session` use.  Inside
-    ``engine_session("reference")`` every ``SyncNetwork.run`` executes on
-    the reference engine (:class:`repro.runtime.reference
-    .ReferenceSyncNetwork`) instead of the fast path; both produce
-    bit-identical results (the differential suite pins this), so the
-    override changes *how* the rounds are simulated, never what they
-    compute.  Sessions nest; the innermost wins.
-    """
-
-    def __init__(self, engine: str) -> None:
-        if engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; expected one of {ENGINES}"
-            )
-        self.engine = engine
-
-    def __enter__(self) -> "engine_session":
-        _ENGINE_STACK.append(self.engine)
-        return self
-
-    def __exit__(self, *exc) -> None:
-        _ENGINE_STACK.pop()
 
 
 @dataclass(frozen=True)
@@ -345,81 +297,24 @@ class SyncNetwork:
             gens.append(gen)
         return gens
 
-    @staticmethod
-    def _resolve_bus(bus, contexts: list[Context]):
-        """Resolve instrumentation for one run: ``(emit, profiler)``.
-
-        ``bus=None`` falls back to the process-wide default installed via
-        :func:`repro.obs.install` (usually absent).  Contexts are wired to
-        the bus -- making ``send``/``broadcast``/``commit`` emit events --
-        only when some sink is live, so a bus holding only a ``NullSink``
-        leaves the whole event path disabled and costs one branch per
-        engine section.  The profiler rides along independently.
-        """
-        if bus is None:
-            bus = obs.current()
-        if bus is None:
-            return None, None
-        emit = None
-        if bus.active:
-            emit = bus.emit
-            for ctx in contexts:
-                ctx._bus = bus
-        return emit, bus.profiler
-
-    @staticmethod
-    def _resolve_faults(faults):
-        """Resolve the fault adversary for one run: a live injector or None.
-
-        ``faults=None`` falls back to the process-wide default installed
-        via :func:`repro.faults.session` (usually absent); a
-        :class:`~repro.faults.FaultPlan` compiles into a fresh injector
-        (so every run replays the plan from round 1); an injector is used
-        as-is (its crash/round state persists across runs -- the session
-        semantics multi-phase drivers need).
-        """
-        if faults is None:
-            from repro.faults.plan import current
-
-            return current()
-        from repro.faults.plan import FaultPlan
-
-        if isinstance(faults, FaultPlan):
-            return None if faults.empty else faults.injector()
-        return faults
-
     def run(
-        self,
-        program: ProgramFactory,
-        max_rounds: int | None = None,
-        bus=None,
-        faults=None,
+        self, program: ProgramFactory, max_rounds: int | None = None
     ) -> RunResult:
         """Execute ``program`` on every vertex until all terminate.
 
-        ``bus`` optionally attaches a :class:`repro.obs.EventBus`; when
-        omitted the process-wide default (``repro.obs.install``) is used,
-        and when neither exists the run is entirely uninstrumented.
-        ``faults`` optionally attaches a fault adversary
-        (:class:`repro.faults.FaultPlan` or a live injector); when omitted
-        the process-wide default (``repro.faults.session``) is used, and
-        when neither exists the run is entirely fault-free.
-
-        An active :func:`engine_session` override redirects the run to
-        the selected engine (``ReferenceSyncNetwork`` only overrides
-        ``run``, so invoking its implementation on this instance is the
-        whole delegation).  Inside ``mode_session("async")`` either
-        engine's run ends with the timing pass that fills
-        ``RunResult.times`` (:meth:`SyncBarrierScheduler.finish`).
+        The run uses the current :class:`~repro.runtime.session.RunSession`:
+        its engine (``ReferenceSyncNetwork`` only overrides ``run``, so
+        invoking its implementation on this instance is the whole
+        delegation), its bus and fault injector (resolved once, by the
+        :class:`SyncBarrierScheduler`), and in async mode the timing pass
+        that fills ``RunResult.times`` (:meth:`SyncBarrierScheduler.finish`).
         """
         if type(self) is SyncNetwork:
-            eng = current_engine()
+            eng = current().engine
             if eng == "reference":
                 from repro.runtime.reference import ReferenceSyncNetwork
 
-                return ReferenceSyncNetwork.run(
-                    self, program, max_rounds, bus, faults
-                )
+                return ReferenceSyncNetwork.run(self, program, max_rounds)
             if eng == "bulk":
                 # The bulk engine does not step generator programs at all:
                 # algorithms opt in by dispatching to a columnar driver
@@ -428,7 +323,7 @@ class SyncNetwork:
                 from repro.runtime.bulk import BulkUnsupported
 
                 raise BulkUnsupported(
-                    "engine_session('bulk') is active but this program has "
+                    "the session's engine is 'bulk' but this program has "
                     "no columnar driver; bulk execution is only available "
                     "for algorithms with a registered bulk driver "
                     "(repro.core.bulk.BULK_DRIVERS)"
@@ -441,8 +336,13 @@ class SyncNetwork:
         contexts = self.make_contexts()
         gens = self._spawn(program, contexts)
         rows = g.csr_rows()
-        emit, prof = self._resolve_bus(bus, contexts)
-        injector = self._resolve_faults(faults)
+        # The barrier scheduler owns the round progression: crash
+        # application, watchdog, active/message traces, halt bookkeeping,
+        # and the session's bus and injector.  This engine supplies only
+        # the mail mechanics (pooled slots) and the choice of which
+        # active vertices to resume.
+        sched = SyncBarrierScheduler(contexts, gens, max_rounds, g)
+        emit, prof, injector = sched.emit, sched.prof, sched.injector
 
         # Wire every context into the shared routing state: sends and
         # broadcasts deliver straight into the pooled mail slots below.
@@ -460,13 +360,6 @@ class SyncNetwork:
         # woken it since
         asleep = bytearray(n)
 
-        # The barrier scheduler owns the round progression: crash
-        # application, watchdog, active/message traces, halt bookkeeping.
-        # This engine supplies only the mail mechanics (pooled slots) and
-        # the choice of which active vertices to resume.
-        sched = SyncBarrierScheduler(
-            contexts, gens, max_rounds, emit, injector, g, prof
-        )
         sched.begin_run()
         halt = sched.halt
         check_yield = sched.check_yield

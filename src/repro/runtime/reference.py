@@ -49,11 +49,7 @@ class ReferenceSyncNetwork(SyncNetwork):
     """
 
     def run(
-        self,
-        program: ProgramFactory,
-        max_rounds: int | None = None,
-        bus=None,
-        faults=None,
+        self, program: ProgramFactory, max_rounds: int | None = None
     ) -> RunResult:
         """Execute ``program`` on every vertex until all terminate."""
         g = self.graph
@@ -65,20 +61,14 @@ class ReferenceSyncNetwork(SyncNetwork):
         gens: list[Generator[None, None, Any] | None] = self._spawn(
             program, contexts
         )
-        # Same instrumentation contract as the fast engine: the emitted
-        # event stream must be identical (the differential suite checks).
-        emit, prof = self._resolve_bus(bus, contexts)
-        # Same fault contract as the fast engine: the injector is driven
-        # at the same deliver/route boundaries, so a seeded FaultPlan
-        # perturbs both engines bit-identically.
-        injector = self._resolve_faults(faults)
-
         # The *same* barrier scheduler the fast engine uses drives the
-        # round progression; this loop supplies only the specification
-        # mail mechanics (per-round dicts, explicit ``_outgoing`` routing).
-        sched = SyncBarrierScheduler(
-            contexts, gens, max_rounds, emit, injector, g, prof
-        )
+        # round progression and resolves the session's bus and injector,
+        # so the emitted event stream and the fault injection points are
+        # identical (the differential suites check); this loop supplies
+        # only the specification mail mechanics (per-round dicts,
+        # explicit ``_outgoing`` routing).
+        sched = SyncBarrierScheduler(contexts, gens, max_rounds, g)
+        emit, prof = sched.emit, sched.prof
         sched.begin_run()
         pending: dict[int, dict[int, Any]] = {}
 

@@ -14,10 +14,9 @@ differential suites compare -- event order, fault injection points,
 metrics accounting -- lives here once, so the two engines cannot drift
 apart.
 
-The execution *mode* is orthogonal to the engine.  Drivers construct
-networks internally, so it is a process-wide session like
-:func:`repro.runtime.network.engine_session` (``mode_session("async")``
-/ ``zoo.execute(mode="async")`` / ``repro run --mode async``).  An
+The scheduler is also where a generator-engine run reads its
+:class:`~repro.runtime.session.RunSession`, once: the bus it narrates
+to, the profiler on that bus, the fault injector, and the mode.  An
 asynchronous run is the synchronous run plus a timing pass
 (:func:`repro.runtime.async_sched.time_run`): the alpha-synchronizer
 replays the same content, and only the per-vertex times are new.
@@ -31,60 +30,7 @@ from typing import Any, Generator
 from repro.obs.events import Halt, RoundEnd, RoundStart
 from repro.runtime.context import WAIT
 from repro.runtime.metrics import RoundMetrics
-
-#: the selectable execution modes: the synchronous global-round barrier
-#: and asynchrony under seeded per-edge link delays (the same run plus
-#: virtual times -- see :mod:`repro.runtime.async_sched`)
-MODES = ("sync", "async")
-
-#: process-wide (mode, delays) override stack (see :class:`mode_session`)
-_MODE_STACK: list[tuple[str, Any]] = []
-
-
-def current_mode() -> str:
-    """The execution mode new runs will use: ``"sync"`` unless a
-    :class:`mode_session` override is active."""
-    return _MODE_STACK[-1][0] if _MODE_STACK else "sync"
-
-
-def current_delays():
-    """The :class:`~repro.runtime.async_sched.DelaySpec` the innermost
-    :class:`mode_session` selected, or ``None`` (the unit-delay default).
-    Only consulted by the asynchronous timing pass."""
-    return _MODE_STACK[-1][1] if _MODE_STACK else None
-
-
-class mode_session:
-    """Context manager selecting the execution mode for enclosed runs.
-
-    Inside ``mode_session("async")`` every run -- on whichever engine --
-    is followed by the timing pass
-    (:func:`repro.runtime.async_sched.time_run`), which fills
-    ``RunResult.times``.  Sessions nest; the innermost wins.  Outputs and
-    per-vertex round counts are mode-invariant (the asynchronous model is
-    an alpha-synchronizer over the same computation); what the mode adds
-    is the *time* dimension.
-
-    ``delays`` optionally carries the link-delay model
-    (:class:`~repro.runtime.async_sched.DelaySpec`) down to runs whose
-    networks are constructed internally by algorithm drivers -- the same
-    reason the mode itself is a session.  Ignored in sync mode.
-    """
-
-    def __init__(self, mode: str, delays=None) -> None:
-        if mode not in MODES:
-            raise ValueError(
-                f"unknown mode {mode!r}; expected one of {MODES}"
-            )
-        self.mode = mode
-        self.delays = delays
-
-    def __enter__(self) -> "mode_session":
-        _MODE_STACK.append((self.mode, self.delays))
-        return self
-
-    def __exit__(self, *exc) -> None:
-        _MODE_STACK.pop()
+from repro.runtime.session import current
 
 
 class SyncBarrierScheduler:
@@ -92,8 +38,7 @@ class SyncBarrierScheduler:
 
     One instance drives one run.  The engine loop becomes::
 
-        sched = SyncBarrierScheduler(contexts, gens, max_rounds, emit,
-                                     injector, graph, profiler)
+        sched = SyncBarrierScheduler(contexts, gens, max_rounds, graph)
         sched.begin_run()
         while True:
             nxt = sched.next_round()        # crashes, watchdog, round_start
@@ -112,7 +57,11 @@ class SyncBarrierScheduler:
     The scheduler owns exactly the state both engines used to duplicate:
     the round counter, the active list, per-vertex round counts, outputs,
     halt notices, the active/message traces, and the fault-injector
-    driving points.  Event order is pinned by the differential suites
+    driving points.  It resolves the current session once, at
+    construction: ``emit`` is the bus's emitter when some sink is live
+    (contexts are then wired to the bus, making ``send``/``broadcast``/
+    ``commit`` narrate), ``prof`` the bus's profiler, ``injector`` the
+    session's adversary.  Event order is pinned by the differential suites
     (``tests/runtime/test_equivalence.py`` and
     ``test_fault_equivalence.py``): fault crashes narrate before the
     watchdog fires, ``round_start`` before any delivery, ``halt`` at step
@@ -135,6 +84,7 @@ class SyncBarrierScheduler:
         "crash_rounds",
         "graph",
         "prof",
+        "mode",
     )
 
     def __init__(
@@ -142,16 +92,25 @@ class SyncBarrierScheduler:
         contexts,
         gens: list[Generator[None, None, Any] | None],
         max_rounds: int,
-        emit,
-        injector,
         graph,
-        prof,
     ) -> None:
         self.contexts = contexts
         self.gens = gens
         self.max_rounds = max_rounds
-        self.emit = emit
-        self.injector = injector
+        run = current()
+        bus = run.bus
+        self.emit = None
+        self.prof = None
+        if bus is not None:
+            # a bus holding only a NullSink leaves the event path disabled
+            # and costs one branch per engine section
+            if bus.active:
+                self.emit = bus.emit
+                for ctx in contexts:
+                    ctx._bus = bus
+            self.prof = bus.profiler
+        self.injector = run.injector
+        self.mode = run.mode
         n = len(contexts)
         self.outputs: dict[int, Any] = {}
         self.rounds = [0] * n
@@ -164,15 +123,14 @@ class SyncBarrierScheduler:
         self.newly_halted: list[tuple[int, Any]] = []
         #: vertex -> the round at whose start the adversary crashed it
         self.crash_rounds: dict[int, int] = {}
-        #: the run's graph and phase profiler, for the timing pass
+        #: the run's graph, for the timing pass
         self.graph = graph
-        self.prof = prof
 
     # ------------------------------------------------------------------
     def begin_run(self) -> None:
-        """Start the session: remove vertices already crashed in earlier
-        runs (crash-stop persists across a fault session) and wire the
-        route-side fault hook into the contexts."""
+        """Start the run: remove vertices already crashed in earlier
+        runs of the session (crash-stop persists across them) and wire
+        the route-side fault hook into the contexts."""
         injector = self.injector
         if injector is None:
             return
@@ -311,9 +269,9 @@ class SyncBarrierScheduler:
 
         A vertex's output round is its commit round when it called
         ``ctx.commit``, else its termination round; ``crashed`` lists the
-        session's crashed vertices that belong to this graph.  Inside
-        ``mode_session("async")`` the timing pass fills ``times`` (timed
-        as the ``async`` phase when a profiler is attached).
+        session's crashed vertices that belong to this graph.  In an
+        async session the timing pass fills ``times`` (timed as the
+        ``async`` phase when a profiler is attached).
         """
         from repro.runtime.network import RunResult
 
@@ -324,7 +282,7 @@ class SyncBarrierScheduler:
             n = len(contexts)
             crashed = tuple(sorted(v for v in injector.crashed if v < n))
         times = None
-        if current_mode() == "async":
+        if self.mode == "async":
             from repro.runtime.async_sched import time_run
 
             t0 = perf_counter()

@@ -1,17 +1,20 @@
 """The one execution seam: ``execute(spec, graph, ...)``.
 
 Before this module existed every caller re-wired the same concerns by
-hand: the CLI stacked ``obs.session`` / fault sessions / validator lookups
+hand: the CLI stacked event-bus and fault sessions and validator lookups
 around its lambda tables, the fault harness had its own copy, and bench
 scripts a third.  :func:`execute` threads all of it through one pipeline:
 
-* **engine selection** -- ``engine="fast"`` (default) or ``"reference"``
-  runs the driver under :func:`repro.runtime.engine_session`, so the
-  spec-driven path can replay any algorithm on the executable
-  specification engine without touching driver code;
+* **one run session** -- the driver runs inside one
+  :func:`repro.runtime.session.session` that sets the engine
+  (``"fast"``, ``"reference"`` or ``"bulk"``), the mode and link delays,
+  and the fault adversary, so no setting of an enclosing session leaks
+  into the run; the spec-driven path can replay any algorithm on the
+  executable specification engine without touching driver code;
 * **observability** -- ``trace`` records the run's typed event stream to
   a JSONL file (``repro inspect`` reads it back), ``profile`` attaches a
-  :class:`repro.obs.PhaseProfiler`;
+  :class:`repro.obs.PhaseProfiler`; either puts the run's own bus in the
+  session, otherwise an enclosing session's bus hears the run;
 * **fault injection** -- ``faults`` compiles a
   :class:`repro.faults.FaultPlan` into a seeded injector for the run and
   reports who crashed; the non-termination watchdog is caught and
@@ -29,10 +32,11 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from repro.runtime.session import RunSession, session
 from repro.verify import VerificationError
 from repro.zoo.checks import full_validator, survivor_check
 from repro.zoo.registry import get
-from repro.zoo.spec import ENGINES, MODES, AlgorithmSpec
+from repro.zoo.spec import AlgorithmSpec
 
 
 @dataclass
@@ -172,18 +176,12 @@ def execute(
     """
     if isinstance(spec, str):
         spec = get(spec)
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    if mode == "sync" and delays is not None:
-        raise ValueError(
-            "delays is an async-mode parameter; sync runs have no "
-            "link-delay model"
-        )
+    # the session's checks of engine, mode and delays, before a trace
+    # file is opened
+    RunSession(engine=engine, mode=mode, delays=delays)
 
     from repro import obs
-    from repro.runtime import RoundLimitExceeded, engine_session
+    from repro.runtime import RoundLimitExceeded
 
     driver = (spec.baseline if baseline else spec.driver)
     if driver is None:
@@ -209,32 +207,34 @@ def execute(
         # counter-based draws; only duplicate/delay plans are rejected
         # (BulkUnsupported), as they need multi-round buffering.
 
-    sinks = []
-    if trace:
-        meta = {
-            "algo": spec.name + (":baseline" if baseline else ""),
-            "engine": engine,
-            "n": graph.n,
-            "seed": seed,
-        }
-        meta.update(trace_meta or {})
-        sinks.append(obs.JsonlSink(trace, meta=meta))
+    fields: dict = {
+        "engine": engine, "mode": mode, "delays": delays, "faults": plan
+    }
+    bus = None
     profiler = obs.PhaseProfiler() if profile else None
+    if trace or profiler is not None:
+        sinks = []
+        if trace:
+            meta = {
+                "algo": spec.name + (":baseline" if baseline else ""),
+                "engine": engine,
+                "n": graph.n,
+                "seed": seed,
+            }
+            meta.update(trace_meta or {})
+            sinks.append(obs.JsonlSink(trace, meta=meta))
+        bus = fields["bus"] = obs.EventBus(*sinks, profiler=profiler)
 
     ex = Execution(
         spec=spec, engine=engine, mode=mode, plan=plan, profiler=profiler
     )
 
-    def _drive():
-        injector = plan.injector() if plan is not None else None
-        try:
-            if injector is not None:
-                from repro import faults as flt
+    from time import perf_counter
 
-                with flt.session(injector):
-                    ex.result = run(graph, a, ids, seed)
-            else:
-                ex.result = run(graph, a, ids, seed)
+    t0 = perf_counter()
+    with session(**fields) as rs:
+        try:
+            ex.result = run(graph, a, ids, seed)
         except RoundLimitExceeded as e:
             ex.watchdog = e
         except Exception as e:  # noqa: BLE001 - classification is the point
@@ -242,25 +242,10 @@ def execute(
                 raise
             ex.error = e
         finally:
-            if injector is not None:
-                ex.crashed = tuple(sorted(injector.crashed))
-
-    # Drivers build their networks internally, so both the engine
-    # override and the obs sinks ride process-wide sessions for the
-    # duration of this one call.
-    from contextlib import ExitStack
-    from time import perf_counter
-
-    t0 = perf_counter()
-    with ExitStack() as stack:
-        stack.enter_context(engine_session(engine))
-        if mode != "sync":
-            from repro.runtime import mode_session
-
-            stack.enter_context(mode_session(mode, delays=delays))
-        if sinks or profiler is not None:
-            stack.enter_context(obs.session(*sinks, profiler=profiler))
-        _drive()
+            if rs.injector is not None:
+                ex.crashed = tuple(sorted(rs.injector.crashed))
+            if bus is not None:
+                bus.close()
     wall = perf_counter() - t0
     if ex.completed and not baseline and spec.claim is not None:
         ex.palette_claim = spec.claim.palette_bound(graph, a, ids)

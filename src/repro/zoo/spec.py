@@ -27,7 +27,7 @@ from typing import Any, Callable, Mapping, Sequence
 import numpy as np
 
 # re-exported: the engines and execution modes `execute()` accepts (see
-# repro.runtime.engine_session and repro.runtime.mode_session)
+# repro.runtime.session)
 from repro.runtime import ENGINES, MODES  # noqa: F401
 
 #: the problem taxonomy of the paper's result tables (Table 1 is all

@@ -116,12 +116,12 @@ class TestColeVishkin:
 
     def test_bulk_run_on_csr_ring_never_builds_the_object_layer(self):
         from repro.graphs.graph import Graph
-        from repro.runtime.network import engine_session
+        from repro.runtime.session import session
 
         n = 500
         offsets, indices = gen.ring(n).csr()
         g = Graph.from_csr(offsets.copy(), indices.copy())
-        with engine_session("bulk"):
+        with session(engine="bulk"):
             res = run_ring_three_coloring(g, ids=gen.permutation_ids(n, seed=4))
         assert g._adj is None
         assert_proper_coloring(gen.ring(n), res.colors, max_colors=3)

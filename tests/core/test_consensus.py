@@ -10,9 +10,10 @@ every vertex decides in O(1) rounds while the worst case stays Theta(n).
 import pytest
 
 from repro.core.consensus import ConsensusResult, decision_horizon, run_consensus
-from repro.faults import CrashSpec, FaultPlan, session
+from repro.faults import CrashSpec, FaultPlan
 from repro.graphs import generators as gen
-from repro.runtime import DelaySpec, mode_session
+from repro.runtime import DelaySpec
+from repro.runtime.session import session
 from repro.zoo.checks import check_consensus
 
 
@@ -68,8 +69,9 @@ class TestCrashTolerance:
     def test_survivors_agree_and_stay_valid_under_hazard(self, seed):
         g = gen.gnp(50, 0.07, seed=seed)
         plan = FaultPlan(seed=seed, crashes=CrashSpec(hazard=0.02))
-        with session(plan) as adversary:
+        with session(faults=plan) as rs:
             res = run_consensus(g, seed=seed)
+        adversary = rs.injector
         alive = set(g.vertices()) - set(adversary.crashed)
         check_consensus(g, res, alive)
 
@@ -82,8 +84,9 @@ class TestCrashTolerance:
         values = [1] * n
         values[0] = 0
         plan = FaultPlan(seed=0, crashes=CrashSpec(at={2: 1}))
-        with session(plan) as adversary:
+        with session(faults=plan) as rs:
             res = run_consensus(g, values=values)
+        adversary = rs.injector
         alive = set(g.vertices()) - set(adversary.crashed)
         check_consensus(g, res, alive)
 
@@ -93,7 +96,7 @@ class TestAsyncMode:
     def test_async_decisions_match_sync(self, dist):
         g = gen.gnp(40, 0.08, seed=2)
         sync = run_consensus(g, seed=2)
-        with mode_session("async", delays=DelaySpec(dist=dist, seed=4)):
+        with session(mode="async", delays=DelaySpec(dist=dist, seed=4)):
             async_ = run_consensus(g, seed=2)
         assert async_.decisions == sync.decisions
         assert async_.metrics.rounds == sync.metrics.rounds
@@ -104,7 +107,7 @@ class TestAsyncMode:
         # the averaged output time is 1.0 regardless of the horizon.
         n = 60
         g = gen.ring(n)
-        with mode_session("async", delays=DelaySpec(dist="exp", scale=2.0)):
+        with session(mode="async", delays=DelaySpec(dist="exp", scale=2.0)):
             res = run_consensus(g, values=[0] * n)
         assert res.times.averaged_output_time == 1.0
 

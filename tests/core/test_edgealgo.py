@@ -3,12 +3,11 @@ maximal matching (Corollaries 8.6 / 8.8)."""
 
 import pytest
 
-from repro import faults, obs
 from repro.core.edgealgo import run_edge_coloring, run_maximal_matching
 from repro.faults import FaultPlan, MessageFaults
 from repro.graphs import generators as gen
-from repro.obs import MemorySink
-from repro.runtime import engine_session
+from repro.obs import EventBus, MemorySink
+from repro.runtime.session import session
 from repro.verify import assert_maximal_matching, assert_proper_edge_coloring
 
 
@@ -64,7 +63,7 @@ class TestEdgeColoring:
         runs = {}
         for engine in ("fast", "reference"):
             sink = MemorySink()
-            with engine_session(engine), faults.session(plan), obs.session(sink):
+            with session(engine=engine, faults=plan, bus=EventBus(sink)):
                 res = run_edge_coloring(g, a=3, ids=ids)
             assert_proper_edge_coloring(g, res.edge_colors, max_colors=res.palette_bound)
             assert set(res.edge_colors) == set(g.edges())

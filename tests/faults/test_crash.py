@@ -10,11 +10,12 @@ the last round it completed.  The paper's Equation (1) accounting
 import pytest
 
 import repro
-from repro.faults import CrashSpec, FaultPlan, MessageFaults, session
+from repro.faults import CrashSpec, FaultPlan, MessageFaults
 from repro.graphs import generators as gen
 from repro.obs import EventBus, MemorySink
 from repro.runtime.network import SyncNetwork
 from repro.runtime.reference import ReferenceSyncNetwork
+from repro.runtime.session import session
 
 ENGINES = (SyncNetwork, ReferenceSyncNetwork)
 
@@ -30,7 +31,8 @@ def prog_count_three(ctx):
 def test_crashed_vertex_has_no_output_and_truncated_rounds(engine):
     g = gen.ring(8)
     plan = FaultPlan(seed=0, crashes=CrashSpec(at={3: 2}))
-    res = engine(g).run(prog_count_three, faults=plan)
+    with session(faults=plan):
+        res = engine(g).run(prog_count_three)
     assert res.crashed == (3,)
     assert 3 not in res.outputs
     assert set(res.outputs) == set(range(8)) - {3}
@@ -54,7 +56,8 @@ def test_crash_is_not_a_halt_announcement(engine):
 
     g = gen.ring(6)
     plan = FaultPlan(seed=0, crashes=CrashSpec(at={2: 2}))
-    res = engine(g).run(prog, faults=plan)
+    with session(faults=plan):
+        res = engine(g).run(prog)
     assert res.crashed == (2,)
     for v, halted in seen.items():
         assert 2 not in halted
@@ -64,7 +67,8 @@ def test_crash_is_not_a_halt_announcement(engine):
 def test_active_trace_accounting_survives_crashes(engine):
     g = gen.union_of_forests(40, 2, seed=3)
     plan = FaultPlan(seed=4, crashes=CrashSpec(hazard=0.05))
-    res = engine(g).run(prog_count_three, faults=plan)
+    with session(faults=plan):
+        res = engine(g).run(prog_count_three)
     assert res.crashed  # hazard 5% over 3 rounds x 40 vertices: ~certain
     assert res.metrics.check_active_trace()  # Equation (1) still holds
 
@@ -75,10 +79,10 @@ def test_pre_crashed_vertices_removed_before_round_one(engine):
     same session never executes in the next run."""
     g = gen.ring(6)
     plan = FaultPlan(seed=0, crashes=CrashSpec(at={1: 2}))
-    with session(plan) as inj:
-        first = engine(g).run(prog_count_three, faults=inj)
+    with session(faults=plan):
+        first = engine(g).run(prog_count_three)
         assert first.crashed == (1,)
-        second = engine(g).run(prog_count_three, faults=inj)
+        second = engine(g).run(prog_count_three)
     assert second.crashed == (1,)
     assert 1 not in second.outputs
     assert second.metrics.rounds[1] == 0  # never ran at all
@@ -91,7 +95,8 @@ def test_crash_events_emitted_once_per_vertex(engine):
     g = gen.ring(8)
     plan = FaultPlan(seed=0, crashes=CrashSpec(at={2: 1, 5: 3}))
     sink = MemorySink()
-    res = engine(g).run(prog_count_three, bus=EventBus(sink), faults=plan)
+    with session(bus=EventBus(sink), faults=plan):
+        res = engine(g).run(prog_count_three)
     crashes = [(e.round, e.v) for e in sink.by_kind("fault_crash")]
     assert crashes == [(1, 2), (3, 5)]
     assert res.crashed == (2, 5)
@@ -101,7 +106,8 @@ def test_crash_events_emitted_once_per_vertex(engine):
 def test_empty_plan_is_the_null_adversary(engine):
     g = gen.ring(8)
     clean = engine(g).run(prog_count_three)
-    faulted = engine(g).run(prog_count_three, faults=FaultPlan(seed=99))
+    with session(faults=FaultPlan(seed=99)):
+        faulted = engine(g).run(prog_count_three)
     assert faulted.outputs == clean.outputs
     assert faulted.metrics.rounds == clean.metrics.rounds
     assert faulted.crashed == ()
@@ -112,7 +118,8 @@ def test_multi_phase_driver_sees_persistent_crashes():
     is missing exactly the crashed vertices' outputs."""
     g = gen.union_of_forests(60, 2, seed=1)
     plan = FaultPlan(seed=123, crashes=CrashSpec(at={10: 1}))
-    with session(plan) as inj:
+    with session(faults=plan) as rs:
+        inj = rs.injector
         res = repro.run_partition(g, a=2)
         assert 10 in inj.crashed
     assert 10 not in res.h_index
@@ -122,6 +129,7 @@ def test_multi_phase_driver_sees_persistent_crashes():
 def test_message_faults_require_no_crash_component():
     g = gen.ring(10)
     plan = FaultPlan(seed=7, messages=MessageFaults(drop=0.2))
-    res = SyncNetwork(g).run(prog_count_three, faults=plan)
+    with session(faults=plan):
+        res = SyncNetwork(g).run(prog_count_three)
     assert res.crashed == ()
     assert set(res.outputs) == set(range(10))

@@ -11,11 +11,9 @@ from repro.faults import (
     FaultInjector,
     FaultPlan,
     MessageFaults,
-    current,
-    install,
-    session,
 )
 from repro.faults.plan import drop_fate, drop_many, message_fates
+from repro.runtime.session import current, session
 
 
 class TestSpecs:
@@ -204,32 +202,27 @@ class TestInjector:
 
 class TestSession:
     def test_session_installs_and_restores(self):
-        assert current() is None
+        assert current().injector is None
         plan = FaultPlan(seed=1, crashes=CrashSpec(hazard=0.1))
-        with session(plan) as inj:
-            assert current() is inj
+        with session(faults=plan) as rs:
+            inj = rs.injector
+            assert current().injector is inj
             assert isinstance(inj, FaultInjector)
-        assert current() is None
+        assert current().injector is None
 
     def test_session_accepts_prebuilt_injector(self):
         inj = FaultPlan(seed=1, crashes=CrashSpec(at={0: 1})).injector()
-        with session(inj) as got:
+        with session(faults=inj) as rs:
+            got = rs.injector
             assert got is inj
 
     def test_sessions_nest_and_unwind(self):
         a = FaultPlan(seed=1, crashes=CrashSpec(hazard=0.1))
         b = FaultPlan(seed=2, crashes=CrashSpec(hazard=0.1))
-        with session(a) as ia:
-            with session(b) as ib:
-                assert current() is ib
-            assert current() is ia
-        assert current() is None
-
-    def test_install_returns_previous(self):
-        inj = FaultPlan(seed=1, crashes=CrashSpec(hazard=0.1)).injector()
-        assert install(inj) is None
-        try:
-            assert current() is inj
-        finally:
-            assert install(None) is inj
-        assert current() is None
+        with session(faults=a) as sa:
+            ia = sa.injector
+            with session(faults=b) as sb:
+                ib = sb.injector
+                assert current().injector is ib
+            assert current().injector is ia
+        assert current().injector is None

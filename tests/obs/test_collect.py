@@ -7,6 +7,7 @@ from repro.graphs import generators as gen
 from repro.obs.collect import MetricsCollector
 from repro.obs.events import Broadcast, EventBus, Halt, RoundEnd, RoundStart
 from repro.runtime.network import SyncNetwork
+from repro.runtime.session import session
 
 
 def test_collector_matches_engine_metrics_on_partition():
@@ -33,7 +34,8 @@ def test_round_histogram_and_terminations():
         return None
 
     col = MetricsCollector()
-    SyncNetwork(g).run(program, bus=EventBus(col))
+    with session(bus=EventBus(col)):
+        SyncNetwork(g).run(program)
     assert col.round_histogram() == {1: 1, 2: 1, 3: 1, 4: 1}
     assert col.terminations_per_round() == [1, 1, 1, 1]
     assert col.worst_case() == 4
@@ -51,7 +53,8 @@ def test_commit_rounds_follow_feuilloley_definition():
         return None
 
     col = MetricsCollector()
-    res = SyncNetwork(g).run(program, bus=EventBus(col))
+    with session(bus=EventBus(col)):
+        res = SyncNetwork(g).run(program)
     assert set(col.commit_round.values()) == {2}
     assert col.commits_per_round() == [0, 4]
     assert res.output_rounds == (2, 2, 2, 2)
@@ -72,7 +75,8 @@ def test_sent_vs_delivered_vs_dropped_accounting():
         return None
 
     col = MetricsCollector()
-    res = SyncNetwork(g).run(program, bus=EventBus(col))
+    with session(bus=EventBus(col)):
+        res = SyncNetwork(g).run(program)
     # Vertices 1 and 2 broadcast in round 1 (2 + 1 payloads); vertex 0
     # halts the same round, so the payload addressed to it is dropped.
     assert col.total_sent() == 3
@@ -125,7 +129,8 @@ def test_summary_renders():
         return None
 
     col = MetricsCollector()
-    SyncNetwork(g).run(program, bus=EventBus(col))
+    with session(bus=EventBus(col)):
+        SyncNetwork(g).run(program)
     s = col.summary()
     assert "n=5" in s and "avg=" in s and "sent=" in s
 
@@ -231,12 +236,10 @@ def test_bulk_and_fast_traces_collect_identically():
     """End-to-end: collecting a bulk run and a fast run of the same
     driver yields the same statistics despite the different event
     granularities."""
-    from repro.runtime import engine_session
-
     g = gen.union_of_forests(300, 3, seed=1)
     with obs.collecting() as col_fast:
         repro.run_partition(g, a=3)
-    with engine_session("bulk"):
+    with session(engine="bulk"):
         with obs.collecting() as col_bulk:
             repro.run_partition(g, a=3)
     assert col_bulk.decay_curve() == col_fast.decay_curve()

@@ -25,6 +25,7 @@ from repro.obs.events import (
 )
 from repro.obs.sinks import JsonlSink, MemorySink, NullSink
 from repro.runtime.network import SyncNetwork
+from repro.runtime.session import current, session
 
 
 def _sample_events():
@@ -101,12 +102,14 @@ def test_null_sink_bus_never_wires_contexts():
         yield
         return None
 
-    SyncNetwork(g).run(program, bus=EventBus(NullSink()))
+    with session(bus=EventBus(NullSink())):
+        SyncNetwork(g).run(program)
     assert seen and all(b is None for b in seen)
 
     seen.clear()
     bus = EventBus(MemorySink())
-    SyncNetwork(g).run(program, bus=bus)
+    with session(bus=bus):
+        SyncNetwork(g).run(program)
     assert seen and all(b is bus for b in seen)
 
 
@@ -126,17 +129,17 @@ def test_jsonl_sink_writes_meta_header_and_events(tmp_path):
     assert rebuilt == _sample_events()
 
 
-def test_session_installs_and_restores_default_bus():
-    assert obs.current() is None
-    with obs.session(MemorySink()) as bus:
-        assert obs.current() is bus
-        with obs.session(MemorySink()) as inner:
-            assert obs.current() is inner
-        assert obs.current() is bus
-    assert obs.current() is None
+def test_session_installs_and_restores_the_bus():
+    assert current().bus is None
+    with EventBus(MemorySink()) as bus, session(bus=bus):
+        assert current().bus is bus
+        with EventBus(MemorySink()) as inner, session(bus=inner):
+            assert current().bus is inner
+        assert current().bus is bus
+    assert current().bus is None
 
 
-def test_run_picks_up_installed_default_bus():
+def test_run_picks_up_the_session_bus():
     g = gen.path(3)
 
     def program(ctx):
@@ -145,7 +148,7 @@ def test_run_picks_up_installed_default_bus():
         return ctx.v
 
     mem = MemorySink()
-    with obs.session(mem):
+    with session(bus=EventBus(mem)):
         SyncNetwork(g).run(program)
     kinds = {e.kind for e in mem.events}
     assert {"round_start", "broadcast", "halt", "round_end"} <= kinds
@@ -164,8 +167,9 @@ def test_explicit_bus_overrides_installed_default():
         return None
 
     default_mem, explicit_mem = MemorySink(), MemorySink()
-    with obs.session(default_mem):
-        SyncNetwork(g).run(program, bus=EventBus(explicit_mem))
+    with session(bus=EventBus(default_mem)):
+        with session(bus=EventBus(explicit_mem)):
+            SyncNetwork(g).run(program)
     assert default_mem.events == []
     assert explicit_mem.events
 
@@ -180,7 +184,8 @@ def test_profiler_collects_engine_phases_even_on_inactive_bus():
         return None
 
     prof = obs.PhaseProfiler()
-    SyncNetwork(g).run(program, bus=EventBus(NullSink(), profiler=prof))
+    with session(bus=EventBus(NullSink(), profiler=prof)):
+        SyncNetwork(g).run(program)
     assert set(prof.seconds) == {"deliver", "step", "route"}
     # one hit per phase per round (4 rounds: 3 broadcasts + final return)
     assert prof.counts["step"] == 4

@@ -12,6 +12,7 @@ from repro.obs.events import EventBus, RoundStart
 from repro.obs.sinks import MemorySink
 from repro.runtime.network import SyncNetwork
 from repro.runtime.reference import ReferenceSyncNetwork
+from repro.runtime.session import session
 
 
 def _capture_partition(tmp_path, name, cls=None):
@@ -154,7 +155,8 @@ def test_memory_sink_stream_equals_jsonl_roundtrip(tmp_path):
     mem = MemorySink()
     path = str(tmp_path / "t.jsonl")
     bus = EventBus(mem, obs.JsonlSink(path))
-    SyncNetwork(g).run(program, bus=bus)
+    with session(bus=bus):
+        SyncNetwork(g).run(program)
     bus.close()
     _meta, records = report.load_records(path)
     rebuilt = [e for e in map(obs.from_record, records) if e is not None]

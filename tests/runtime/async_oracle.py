@@ -45,7 +45,8 @@ from repro.runtime.network import (
     RunResult,
     default_max_rounds,
 )
-from repro.runtime.scheduler import SyncBarrierScheduler, current_delays
+from repro.runtime.scheduler import SyncBarrierScheduler
+from repro.runtime.session import current
 
 # heap entry kinds (the entry layout is (t, seq, kind, ...))
 _EXEC = 0    # (t, seq, _EXEC, v, rnd)
@@ -53,18 +54,17 @@ _TOKEN = 1   # (t, seq, _TOKEN, src, dst, rnd, mail pairs, halt, output)
 _MARKER = 2  # (t, seq, _MARKER, src, dst, rnd)
 
 
-def run_async(net, program, max_rounds=None, faults=None, delays=None):
+def run_async(net, program, max_rounds=None, delays=None):
     """Execute ``program`` on ``net`` under the event-queue scheduler.
 
     Returns the :class:`~repro.runtime.network.RunResult` a synchronous
-    run gives, with ``times`` filled in.  ``delays`` defaults to the
-    session's :func:`~repro.runtime.scheduler.current_delays`, falling
-    back to the fixed unit-delay model.
+    run gives, with ``times`` filled in.  The fault adversary is the
+    current run session's injector; ``delays`` defaults to the session's
+    delays, falling back to the fixed unit-delay model.
     """
+    run = current()
     if delays is None:
-        delays = current_delays()
-        if delays is None:
-            delays = DelaySpec()
+        delays = run.delays or DelaySpec()
     g = net.graph
     n = g.n
     if max_rounds is None:
@@ -72,7 +72,7 @@ def run_async(net, program, max_rounds=None, faults=None, delays=None):
 
     contexts = net.make_contexts()
     gens = net._spawn(program, contexts)
-    injector = net._resolve_faults(faults)
+    injector = run.injector
     # Link delays keyed by CSR arc: the neighbors of v, in
     # ``g.neighbors(v)`` order, are arcs arc0[v], arc0[v] + 1, ...
     offsets, indices = g.csr()

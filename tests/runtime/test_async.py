@@ -29,11 +29,8 @@ from repro.runtime import (
     MODES,
     RoundLimitExceeded,
     SyncNetwork,
-    current_mode,
-    engine_session,
-    mode_session,
 )
-from repro.runtime.scheduler import current_delays
+from repro.runtime.session import current, session
 
 from tests.runtime.async_oracle import run_async
 from tests.runtime.test_engine_differential import prog_wait_wave
@@ -111,10 +108,10 @@ def _run(program, mode="sync", workload="forest_union_a3", seed=0,
     ids = gen.random_ids(g.n, seed=1000 + seed)
     net = SyncNetwork(g, ids=ids, seed=seed)
     if mode == "oracle":
-        return run_async(net, program, max_rounds=256, faults=faults,
-                         delays=delays)
-    with mode_session(mode, delays=delays):
-        return net.run(program, max_rounds=256, faults=faults)
+        with session(faults=faults):
+            return run_async(net, program, max_rounds=256, delays=delays)
+    with session(mode=mode, delays=delays, faults=faults):
+        return net.run(program, max_rounds=256)
 
 
 def _assert_content_identical(sync, async_):
@@ -165,28 +162,30 @@ class TestContentInvariance:
         g, _a = make_workload("gnp_sparse")(N, seed=seed)
         net = SyncNetwork(g, ids=gen.random_ids(g.n, seed=1000 + seed),
                           seed=seed)
-        sync = net.run(prog_wave, max_rounds=256, faults=plan)
+        with session(faults=plan):
+            sync = net.run(prog_wave, max_rounds=256)
         # A two-run fault session: the second run starts with the first
         # run's crashed vertices pre-crashed; they never start, and
         # nobody waits on them.
         inj_o, inj_e = plan.injector(), plan.injector()
         for k in range(2):
-            oracle = run_async(net, prog_wave, max_rounds=256, faults=inj_o,
-                               delays=delays)
+            with session(faults=inj_o):
+                oracle = run_async(net, prog_wave, max_rounds=256,
+                                   delays=delays)
             if k == 0:
                 _assert_content_identical(sync, oracle)
                 assert oracle.crashed  # hazard 0.03 on n=80 crashes someone
-            with mode_session("async", delays=delays):
-                async_ = net.run(prog_wave, max_rounds=256, faults=inj_e)
+            with session(mode="async", delays=delays, faults=inj_e):
+                async_ = net.run(prog_wave, max_rounds=256)
             assert async_ == oracle and _hexes(async_) == _hexes(oracle)
 
-    def test_mode_session_routes_network_run(self):
-        # SyncNetwork.run itself adds the times inside
-        # mode_session("async") -- the seam drivers rely on.
+    def test_async_session_routes_network_run(self):
+        # SyncNetwork.run itself adds the times inside an async session
+        # -- the seam drivers rely on.
         g, _a = make_workload("forest_union_a3")(40, seed=0)
         ids = gen.random_ids(g.n, seed=1)
         sync = SyncNetwork(g, ids=ids, seed=0).run(prog_wave, max_rounds=64)
-        with mode_session("async", delays=DelaySpec(dist="uniform")):
+        with session(mode="async", delays=DelaySpec(dist="uniform")):
             async_ = SyncNetwork(g, ids=ids, seed=0).run(
                 prog_wave, max_rounds=64
             )
@@ -249,7 +248,7 @@ class TestTimeAccounting:
 
         g = gen.ring(12)
         net = SyncNetwork(g, ids=list(range(12)), seed=0)
-        with pytest.raises(RoundLimitExceeded), mode_session("async"):
+        with pytest.raises(RoundLimitExceeded), session(mode="async"):
             net.run(forever, max_rounds=20)
 
 
@@ -323,22 +322,23 @@ class TestDelaySpec:
 
 class TestModeSession:
     def test_default_is_sync(self):
-        assert current_mode() == "sync"
-        assert current_delays() is None
+        assert current().mode == "sync"
+        assert current().delays is None
 
     def test_nesting_innermost_wins(self):
         d = DelaySpec(dist="exp")
-        with mode_session("async", delays=d):
-            assert current_mode() == "async"
-            assert current_delays() is d
-            with mode_session("sync"):
-                assert current_mode() == "sync"
-            assert current_mode() == "async"
-        assert current_mode() == "sync"
+        with session(mode="async", delays=d):
+            assert current().mode == "async"
+            assert current().delays is d
+            with session(mode="sync"):
+                assert current().mode == "sync"
+            assert current().mode == "async"
+        assert current().mode == "sync"
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):
-            mode_session("warp")
+            with session(mode="warp"):
+                pass
 
     def test_modes_constant(self):
         assert MODES == ("sync", "async")
@@ -431,12 +431,12 @@ def test_timing_pass_matches_the_event_queue_oracle(data):
     inj_e = plan.injector() if plan is not None else None
     for _ in range(runs):
         net = SyncNetwork(g, ids=ids, seed=seed)
-        want = _outcome(lambda: run_async(
-            net, program, max_rounds=64, faults=inj_o, delays=delays
-        ))
-        with engine_session(engine), mode_session("async", delays=delays):
-            got = _outcome(lambda: net.run(program, max_rounds=64,
-                                           faults=inj_e))
+        with session(faults=inj_o):
+            want = _outcome(lambda: run_async(
+                net, program, max_rounds=64, delays=delays
+            ))
+        with session(engine=engine, mode="async", delays=delays, faults=inj_e):
+            got = _outcome(lambda: net.run(program, max_rounds=64))
         assert got == want
         if want == "watchdog":
             return

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.graphs import generators as gen
-from repro.runtime import BulkUnsupported, bulk_broadcast_kernel, engine_session
+from repro.runtime import BulkUnsupported, bulk_broadcast_kernel
 from repro.runtime.bulk import (
     finalize_run,
     gather_rows,
@@ -19,6 +19,7 @@ from repro.runtime.bulk import (
     resolve_ids,
 )
 from repro.runtime.network import RoundLimitExceeded, SyncNetwork
+from repro.runtime.session import session
 
 
 class TestGatherRows:
@@ -84,13 +85,13 @@ class TestFinalizeRun:
 
         mem = MemorySink()
         term = np.array([2, 1], dtype=np.int64)
-        finalize_run(
-            term,
-            sent=[3, 0],
-            msgs=[4, 1],
-            receivers=[1, 0],
-            bus=EventBus(mem),
-        )
+        with session(bus=EventBus(mem)):
+            finalize_run(
+                term,
+                sent=[3, 0],
+                msgs=[4, 1],
+                receivers=[1, 0],
+            )
         kinds = [e.kind for e in mem.events]
         # round_sends only for rounds that actually routed something
         assert kinds == ["round_start", "round_sends", "round_end", "round_start", "round_end"]
@@ -125,11 +126,10 @@ class TestRefusals:
         require_no_faults("anything")
 
     def test_require_no_faults_raises_under_session(self):
-        from repro import faults as flt
         from repro.faults import CrashSpec, FaultPlan
 
         plan = FaultPlan(seed=3, crashes=CrashSpec(hazard=0.5))
-        with flt.session(plan.injector()):
+        with session(faults=plan.injector()):
             with pytest.raises(BulkUnsupported, match="fault injection"):
                 require_no_faults("bulk_partition")
 
@@ -140,7 +140,7 @@ class TestRefusals:
             yield
             return None
 
-        with engine_session("bulk"):
+        with session(engine="bulk"):
             with pytest.raises(BulkUnsupported, match="columnar driver"):
                 SyncNetwork(g).run(program)
 
@@ -154,7 +154,7 @@ class TestLargeN:
         import repro
 
         g = gen.union_of_forests(100_000, 3, seed=0)
-        with engine_session("bulk"):
+        with session(engine="bulk"):
             res = repro.run_partition(g, a=3)
         m = res.metrics
         assert len(res.h_index) == 100_000
@@ -192,10 +192,10 @@ class TestChunkedKernels:
         import repro.core.bulk as cb
 
         g = gen.union_of_forests(600, 3, seed=2)
-        with engine_session("bulk"):
+        with session(engine="bulk"):
             ref = repro.run_partition(g, a=3)
         monkeypatch.setattr(cb, "BULK_CHUNK", 7)
-        with engine_session("bulk"):
+        with session(engine="bulk"):
             got = repro.run_partition(g, a=3)
         assert got.h_index == ref.h_index
         assert got.metrics == ref.metrics
@@ -206,8 +206,7 @@ class TestChunkedKernels:
         and the ``fault_drop`` stream survive a 7-vertex chunk."""
         import repro
         import repro.core.bulk as cb
-        import repro.obs as obs
-        from repro.faults import CrashSpec, FaultPlan, MessageFaults, session
+        from repro.faults import CrashSpec, FaultPlan, MessageFaults
         from repro.obs.events import EventBus, FaultDrop
         from repro.obs.sinks import MemorySink
 
@@ -224,9 +223,8 @@ class TestChunkedKernels:
 
         def outcome():
             sink = MemorySink()
-            with engine_session("bulk"), session(plan) as inj, obs.session(
-                EventBus(sink)
-            ):
+            with session(engine="bulk", faults=plan, bus=EventBus(sink)) as rs:
+                inj = rs.injector
                 try:
                     res = run()
                 except RoundLimitExceeded as err:

@@ -6,25 +6,24 @@ unions with a multi-step defective schedule (ID spaces up to 10^6), a
 random ID assignment and a fault setting: no session (a clean run), the
 empty plan, or crash strikes, a crash hazard and message drops in
 combination.  Both engines must agree on the colors, the metrics surface
-(rounds, active trace, messages per round), the crashed set and the
-fault event stream -- or, on legitimate non-termination, on the
-watchdog's active set.  The fixed family x seed matrices of
+(rounds, active trace, messages per round), the crashed set, the fault
+event stream and the per-round ``sent`` counts a collector reads -- or,
+on legitimate non-termination, on the watchdog's active set.  The fixed family x seed matrices of
 ``test_equivalence.py`` and ``test_fault_matrix.py`` stay; this searches
 the space between them.
 """
 
-from contextlib import ExitStack
-
 from hypothesis import given, settings, strategies as st
 
 import repro
-import repro.obs as obs
 from repro.core.defective import run_defective_coloring
-from repro.faults import CrashSpec, FaultPlan, MessageFaults, session
+from repro.faults import CrashSpec, FaultPlan, MessageFaults
 from repro.graphs import generators as gen
 from repro.obs.events import EventBus, FaultCrash, FaultDrop, RoundEnd, RoundStart
+from repro.obs.collect import MetricsCollector
 from repro.obs.sinks import MemorySink
-from repro.runtime import RoundLimitExceeded, engine_session
+from repro.runtime import RoundLimitExceeded
+from repro.runtime.session import session
 
 KINDS = ("none", "empty", "crash", "drop", "crash-drop")
 
@@ -50,11 +49,9 @@ def fault_plans(draw, n: int):
 
 def _outcome(run, plan, engine):
     """What a run under ``plan`` on ``engine`` shows from outside."""
-    sink = MemorySink()
-    with ExitStack() as stack:
-        stack.enter_context(engine_session(engine))
-        inj = stack.enter_context(session(plan)) if plan is not None else None
-        stack.enter_context(obs.session(EventBus(sink)))
+    sink, col = MemorySink(), MetricsCollector()
+    inj = plan.injector() if plan is not None else None
+    with session(engine=engine, faults=inj, bus=EventBus(sink, col)):
         try:
             res = run()
         except RoundLimitExceeded as e:
@@ -71,6 +68,7 @@ def _outcome(run, plan, engine):
         (m.rounds, m.active_trace, m.messages_per_round),
         sorted(inj.crashed) if inj is not None else [],
         events,
+        col.sent,
     )
 
 

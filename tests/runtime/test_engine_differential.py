@@ -22,6 +22,7 @@ from repro.obs.events import EventBus
 from repro.obs.sinks import MemorySink
 from repro.runtime import WAIT
 from repro.runtime.network import RoundLimitExceeded, SyncNetwork
+from repro.runtime.session import session
 from repro.runtime.reference import ReferenceSyncNetwork
 
 from tests.runtime.test_equivalence import PROGRAMS
@@ -99,12 +100,11 @@ def _assert_engines_agree(data, program):
     for cls in (SyncNetwork, ReferenceSyncNetwork):
         sink = MemorySink()
         try:
-            res = cls(g, ids=ids, seed=seed).run(
-                program,
-                max_rounds=2 * g.n + 16,
-                bus=EventBus(sink),
-                faults=plan,
-            )
+            with session(bus=EventBus(sink), faults=plan):
+                res = cls(g, ids=ids, seed=seed).run(
+                    program,
+                    max_rounds=2 * g.n + 16,
+                )
         except RoundLimitExceeded as e:
             res = ("watchdog", e.active)
         results.append(res)

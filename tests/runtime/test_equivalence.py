@@ -24,6 +24,7 @@ from repro.bench.workloads import WORKLOADS
 from repro.obs.events import EventBus
 from repro.runtime.network import SyncNetwork
 from repro.runtime.reference import ReferenceSyncNetwork
+from repro.runtime.session import session
 from repro.obs.sinks import MemorySink
 
 # every family the benchmark tables quantify over (>= 5 required)
@@ -152,7 +153,8 @@ def _run_both(family, seed, program, with_events=False):
     for cls in (SyncNetwork, ReferenceSyncNetwork):
         if with_events:
             mem = MemorySink()
-            res = cls(g, ids=ids, seed=seed).run(program, bus=EventBus(mem))
+            with session(bus=EventBus(mem)):
+                res = cls(g, ids=ids, seed=seed).run(program)
             streams.append(mem.events)
         else:
             res = cls(g, ids=ids, seed=seed).run(program)
@@ -236,7 +238,8 @@ def test_event_streams_identical(family, seed):
     streams = []
     for cls in (SyncNetwork, ReferenceSyncNetwork):
         mem = MemorySink()
-        cls(g, ids=ids, seed=seed).run(prog_send_gossip, bus=EventBus(mem))
+        with session(bus=EventBus(mem)):
+            cls(g, ids=ids, seed=seed).run(prog_send_gossip)
         streams.append(mem.events)
     fast_events, ref_events = streams
     assert fast_events == ref_events
@@ -255,7 +258,8 @@ def test_event_streams_identical_across_programs(program_name):
     streams = []
     for cls in (SyncNetwork, ReferenceSyncNetwork):
         mem = MemorySink()
-        cls(g, ids=ids, seed=2).run(PROGRAMS[program_name], bus=EventBus(mem))
+        with session(bus=EventBus(mem)):
+            cls(g, ids=ids, seed=2).run(PROGRAMS[program_name])
         streams.append(mem.events)
     assert streams[0] == streams[1]
 
@@ -263,9 +267,6 @@ def test_event_streams_identical_across_programs(program_name):
 # ---------------------------------------------------------------------------
 # Three-way matrix: every bulk-capable driver, fast vs reference vs bulk
 # ---------------------------------------------------------------------------
-
-from repro.runtime import engine_session  # noqa: E402
-
 
 def _metrics_surface(m):
     return (
@@ -290,9 +291,9 @@ def _instance(family, seed, n=N):
 def _three_way(run):
     """Run ``run()`` under each engine session; returns {engine: result}."""
     out = {"fast": run()}
-    with engine_session("reference"):
+    with session(engine="reference"):
         out["reference"] = run()
-    with engine_session("bulk"):
+    with session(engine="bulk"):
         out["bulk"] = run()
     return out
 
@@ -356,7 +357,6 @@ def test_bulk_fault_sessions_delegate_and_agree(driver):
     counter-based adversary exactly; only duplicate/delay plans -- which
     need multi-round buffering -- are refused loudly."""
     import repro
-    from repro import faults as flt
     from repro.faults import CrashSpec, FaultPlan, MessageFaults
     from repro.runtime import BulkUnsupported
 
@@ -370,15 +370,15 @@ def test_bulk_fault_sessions_delegate_and_agree(driver):
         "run_partition": lambda r: r.h_index,
         "run_luby_mis": lambda r: r.in_mis,
     }[driver]
-    with flt.session(plan.injector()):
+    with session(faults=plan.injector()):
         ref = run()
-    with engine_session("bulk"), flt.session(plan.injector()):
+    with session(engine="bulk", faults=plan.injector()):
         got = run()
     assert extract(got) == extract(ref)
     assert got.metrics.active_trace == ref.metrics.active_trace
 
     dup = FaultPlan(seed=1, messages=MessageFaults(duplicate=0.5))
-    with engine_session("bulk"), flt.session(dup.injector()):
+    with session(engine="bulk", faults=dup.injector()):
         with pytest.raises(BulkUnsupported, match="duplicate/delay"):
             run()
 

@@ -24,6 +24,7 @@ from repro.faults import FaultPlan, MessageFaults
 from repro.graphs import generators as gen
 from repro.obs import EventBus, MemorySink
 from repro.runtime.network import SyncNetwork
+from repro.runtime.session import session
 
 #: every copy delayed by exactly one extra round: the deterministic plan
 DELAY_ALL_BY_1 = FaultPlan(seed=0, messages=MessageFaults(delay=1.0, max_delay=1))
@@ -69,9 +70,8 @@ def _chatter_prog(ctx):
 
 def _run(graph, program, plan, seed=0):
     sink = MemorySink()
-    res = SyncNetwork(graph, seed=seed).run(
-        program, bus=EventBus(sink), faults=plan
-    )
+    with session(bus=EventBus(sink), faults=plan):
+        res = SyncNetwork(graph, seed=seed).run(program)
     return res, sink.events
 
 

@@ -13,7 +13,7 @@ streams, fault events included.  This is the fault layer's analogue of
 
 import pytest
 
-from repro import obs, zoo
+from repro import zoo
 from repro.bench.workloads import WORKLOADS
 from repro.faults import CrashSpec, FaultPlan, MessageFaults
 from repro.graphs import generators as gen
@@ -21,6 +21,7 @@ from repro.obs import EventBus, MemorySink
 from repro.runtime.network import SyncNetwork
 from repro.runtime.reference import ReferenceSyncNetwork
 from repro.runtime.scheduler import SyncBarrierScheduler
+from repro.runtime.session import session
 
 FAMILIES = ("forest_union_a3", "planar_grid", "caterpillar", "gnp_sparse", "ring")
 SEEDS = (0, 1, 2)
@@ -78,9 +79,8 @@ def _run_both(family, seed, program, plan):
     results, streams = [], []
     for cls in (SyncNetwork, ReferenceSyncNetwork):
         sink = MemorySink()
-        res = cls(g, ids=ids, seed=seed).run(
-            program, bus=EventBus(sink), faults=plan
-        )
+        with session(bus=EventBus(sink), faults=plan):
+            res = cls(g, ids=ids, seed=seed).run(program)
         results.append(res)
         streams.append(sink.events)
     return results, streams
@@ -175,7 +175,7 @@ def _execute_both(name, family, plan, monkeypatch):
 
         monkeypatch.setattr(SyncBarrierScheduler, "finish", recording_finish)
         sink = MemorySink()
-        with obs.session(sink):
+        with session(bus=EventBus(sink)):
             ex = zoo.execute(
                 name, g, a, ids, 0, engine=engine, faults=plan,
                 capture_errors=True,

@@ -21,9 +21,8 @@ import numpy as np
 import pytest
 
 import repro
-import repro.obs as obs
 from repro.bench.workloads import WORKLOADS
-from repro.faults import CrashSpec, FaultPlan, MessageFaults, session
+from repro.faults import CrashSpec, FaultPlan, MessageFaults
 from repro.graphs import generators as gen
 from repro.graphs.graph import Graph
 from repro.obs.events import (
@@ -33,8 +32,10 @@ from repro.obs.events import (
     RoundEnd,
     RoundStart,
 )
+from repro.obs.collect import MetricsCollector
 from repro.obs.sinks import MemorySink
-from repro.runtime import BulkUnsupported, RoundLimitExceeded, engine_session
+from repro.runtime import BulkUnsupported, RoundLimitExceeded
+from repro.runtime.session import session
 from repro.zoo.checks import survivor_check
 
 SEEDS = (0, 1)
@@ -60,14 +61,10 @@ def _fingerprint(events):
 def _run(thunk, plan, bulk=False):
     """Run ``thunk`` under ``plan`` (optionally on the bulk engine);
     return a comparable outcome tuple."""
-    from contextlib import ExitStack
-
     sink = MemorySink()
-    with ExitStack() as stack:
-        if bulk:
-            stack.enter_context(engine_session("bulk"))
-        inj = stack.enter_context(session(plan))
-        stack.enter_context(obs.session(EventBus(sink)))
+    engine = {"engine": "bulk"} if bulk else {}
+    inj = plan.injector()
+    with session(**engine, faults=inj, bus=EventBus(sink)):
         try:
             res = thunk()
         except RoundLimitExceeded as e:
@@ -242,8 +239,9 @@ def _metrics_surface(m):
 )
 def test_partition_crash_hazard_drop_plan_matches_fast(workload):
     """Explicit strikes + a crash hazard + drops at once: the bulk run
-    reproduces the fast engine's outputs, full metrics surface and
-    crashed set."""
+    reproduces the fast engine's outputs, full metrics surface, crashed
+    set and per-round ``sent`` counts (every routed copy, dropped or
+    not)."""
     g, a = WORKLOADS[workload](120, seed=2)
     ids = gen.random_ids(g.n, seed=1002)
     plan = FaultPlan(
@@ -251,14 +249,18 @@ def test_partition_crash_hazard_drop_plan_matches_fast(workload):
         crashes=CrashSpec(at={3: 1, 17: 2}, hazard=0.02),
         messages=MessageFaults(drop=0.08),
     )
-    with session(plan) as inj:
+    col, col2 = MetricsCollector(), MetricsCollector()
+    with session(faults=plan, bus=EventBus(col)) as rs:
         ref = repro.run_partition(g, a=a, ids=ids)
+    inj = rs.injector
     assert inj.crashed  # the plan actually strikes on this instance
-    with engine_session("bulk"), session(plan) as inj2:
+    with session(engine="bulk", faults=plan, bus=EventBus(col2)) as rs:
         got = repro.run_partition(g, a=a, ids=ids)
+    inj2 = rs.injector
     assert got.h_index == ref.h_index
     assert _metrics_surface(got.metrics) == _metrics_surface(ref.metrics)
     assert sorted(inj2.crashed) == sorted(inj.crashed)
+    assert col2.sent == col.sent
 
 
 def test_session_state_persists_across_bulk_runs():
@@ -269,7 +271,8 @@ def test_session_state_persists_across_bulk_runs():
     plan = FaultPlan(seed=5, crashes=CrashSpec(hazard=0.03))
 
     def two_runs(engine):
-        with engine_session(engine), session(plan) as inj:
+        inj = plan.injector()
+        with session(engine=engine, faults=inj):
             r1 = repro.run_partition(g, a=a, ids=ids)
             r2 = repro.run_partition(g, a=a - 1, ids=ids)
         return (
@@ -298,7 +301,7 @@ def test_bulk_rejects_duplicate_and_delay_plans(plan):
     kernel refuses them up front."""
     g, a = WORKLOADS["forest_union_a3"](40, seed=0)
     ids = gen.random_ids(g.n, seed=1000)
-    with engine_session("bulk"), session(plan):
+    with session(engine="bulk", faults=plan):
         with pytest.raises(BulkUnsupported, match="duplicate/delay"):
             repro.run_partition(g, a=a, ids=ids)
         with pytest.raises(BulkUnsupported, match="duplicate/delay"):
@@ -313,16 +316,11 @@ def test_bulk_rejects_duplicate_and_delay_plans(plan):
 def test_bulk_watchdog_matches_fast_partition(plan):
     """The bulk Partition kernel's watchdog carries the fast engine's
     round budget and active set, on a clean run and under crashes."""
-    from contextlib import ExitStack
-
     # K_9 with a=1 gives A=3 < deg=8: nobody ever joins, watchdog fires
     g = gen.complete(9)
     errs = []
     for engine in ("fast", "bulk"):
-        with ExitStack() as stack:
-            stack.enter_context(engine_session(engine))
-            if plan is not None:
-                stack.enter_context(session(plan))
+        with session(engine=engine, faults=plan):
             with pytest.raises(RoundLimitExceeded) as err:
                 repro.run_partition(g, a=1)
         errs.append(err.value)

@@ -6,6 +6,7 @@ import pytest
 from repro.graphs import generators as gen
 from repro.graphs.graph import Graph
 from repro.runtime.network import MaxRoundsExceeded, SyncNetwork
+from repro.runtime.session import session
 
 
 def test_immediate_termination_is_one_round():
@@ -425,7 +426,8 @@ def test_delayed_copy_joins_a_listed_receiver_once(monkeypatch):
         return None
 
     injector = DelayEarly(FaultPlan(seed=0, messages=MessageFaults(delay=0.5)))
-    res = SyncNetwork(gen.complete(3)).run(program, faults=injector)
+    with session(faults=injector):
+        res = SyncNetwork(gen.complete(3)).run(program)
     assert seen["dirty"] == [0, 2]
     assert seen["mail"] == [(1, "b"), (2, "s"), (2, "early")]
     # round 1: the held copy; round 2: the broadcast's two copies and

@@ -14,11 +14,13 @@ from repro.obs.events import EventBus
 from repro.obs.report import narrative
 from repro.runtime.network import SyncNetwork
 from repro.runtime.reference import ReferenceSyncNetwork
+from repro.runtime.session import session
 
 
 def _collect(network, program):
     col = MetricsCollector()
-    res = network.run(program, bus=EventBus(col))
+    with session(bus=EventBus(col)):
+        res = network.run(program)
     return col, res
 
 

@@ -15,6 +15,7 @@ from repro.graphs import generators as gen
 from repro.graphs.graph import Graph
 from repro.obs import EventBus, MemorySink
 from repro.runtime import WAIT, ReferenceSyncNetwork, SyncNetwork
+from repro.runtime.session import session
 
 from tests.runtime.async_oracle import run_async
 
@@ -72,7 +73,8 @@ def test_fast_engine_resumes_waiters_only_for_mail_or_notices(plan):
     logs, results = {}, {}
     for cls in (SyncNetwork, ReferenceSyncNetwork):
         log = logs[cls] = []
-        results[cls] = cls(g).run(make_relay(log), faults=faults)
+        with session(faults=faults):
+            results[cls] = cls(g).run(make_relay(log))
 
     fast, ref = results[SyncNetwork], results[ReferenceSyncNetwork]
     assert fast.outputs == ref.outputs
@@ -192,9 +194,8 @@ def _assert_engines_agree(g, runners, plan, runs=1):
         out = outs[cls] = []
         for _ in range(runs):
             sink = MemorySink()
-            res = cls(g).run(
-                make_cast(runners, log), bus=EventBus(sink), faults=injector
-            )
+            with session(bus=EventBus(sink), faults=injector):
+                res = cls(g).run(make_cast(runners, log))
             out.append((_surface(res), sink.events))
     assert outs[SyncNetwork] == outs[ReferenceSyncNetwork]
     assert logs[SyncNetwork] == [

@@ -19,6 +19,7 @@ from repro.runtime import (
     SyncNetwork,
     default_max_rounds,
 )
+from repro.runtime.session import session
 
 ENGINES = (SyncNetwork, ReferenceSyncNetwork)
 
@@ -166,8 +167,8 @@ def test_crash_induced_nontermination_names_survivors(engine):
 
     g = gen.star_forest(1, 5)  # one hub (v0), five leaves
     plan = FaultPlan(seed=1, crashes=CrashSpec(at={0: 2}))
-    with pytest.raises(RoundLimitExceeded) as exc:
-        engine(g).run(prog_wait_for_hub, max_rounds=10, faults=plan)
+    with pytest.raises(RoundLimitExceeded) as exc, session(faults=plan):
+        engine(g).run(prog_wait_for_hub, max_rounds=10)
     err = exc.value
     assert sorted(err.active) == [1, 2, 3, 4, 5]
     # the summaries show each leaf still waiting on its (dead) neighbor
@@ -199,8 +200,8 @@ def test_crash_induced_nontermination_with_wait_matches_reference(engine):
     plan = FaultPlan(seed=1, crashes=CrashSpec(at={0: 2}))
     errors = []
     for cls in (engine, ReferenceSyncNetwork):
-        with pytest.raises(RoundLimitExceeded) as exc:
-            cls(g).run(prog_wait_for_hub, max_rounds=10, faults=plan)
+        with pytest.raises(RoundLimitExceeded) as exc, session(faults=plan):
+            cls(g).run(prog_wait_for_hub, max_rounds=10)
         errors.append(exc.value)
     err, ref = errors
     assert err.summaries == ref.summaries

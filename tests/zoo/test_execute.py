@@ -314,6 +314,31 @@ class TestFaults:
             ex.validate(g)
 
 
+class TestSessionLeaks:
+    """execute() sets engine, mode, delays and faults itself: an enclosing
+    run session's settings must not reach the run it reports on."""
+
+    def test_outer_fault_session_does_not_reach_a_clean_run(self):
+        from repro.runtime.session import session
+
+        g, a, ids = _instance(n=300)
+        with session(faults=FaultPlan(seed=3, crashes=CrashSpec(hazard=0.05))):
+            ex = zoo.execute("mis", g, a, ids, 0, faults=None)
+        assert ex.plan is None
+        assert ex.crashed == ()
+        ex.validate(g)
+
+    def test_outer_async_session_does_not_reach_a_sync_run(self):
+        from repro.runtime.session import session
+
+        g, a, ids = _instance(n=300)
+        with session(mode="async"):
+            ex = zoo.execute("mis", g, a, ids, 0, mode="sync")
+        assert ex.result.times is None
+        assert ex.manifest.mode == ex.mode == "sync"
+        ex.validate(g)
+
+
 class TestErrors:
     def _broken_spec(self):
         def chokes(g, ids=None, a=None):
