@@ -39,11 +39,12 @@ def _worstcase_preamble(ctx: Context, view: LocalView, A: int, ell: int):
         view.absorb(ctx)
     joined = dict(view.get(JOIN))
     my_id = ctx.id
+    nid = ctx.neighbor_ids
     parents = [
         u
         for u in ctx.neighbors
         if joined.get(u, ell + 1) > h
-        or (joined.get(u) == h and ctx.neighbor_ids[u] > my_id)
+        or (joined.get(u) == h and nid[u] > my_id)
     ]
     return h, parents
 

@@ -162,12 +162,13 @@ def _broadcast(
     senders: np.ndarray,
     term: np.ndarray,
     halts: int,
-    acct: list[tuple[int, int, int]],
+    acct: list[tuple[int, int, int, int]],
     copy: np.ndarray | None = None,
 ) -> np.ndarray:
     """Account one round in which each vertex of ``senders`` broadcasts.
 
-    Appends the round's (sent, messages, distinct receivers) to ``acct``
+    Appends the round's (sent, messages, distinct receivers, same-round
+    drops) to ``acct``
     (``halts`` vertices terminate this round) and returns the arrival
     count of the delivered copies per receiver -- the next round's
     inbox, so callers never gather the rows a second time.  ``senders``
@@ -209,7 +210,12 @@ def _broadcast(
     # distinct receivers straight off the arrival counts: numpy 2.4's
     # hash-based np.unique costs ~50x a scatter at n = 10^6
     acct.append(
-        (counted + same + dropped, counted + halts, int(np.count_nonzero(inbox)))
+        (
+            counted + same + dropped,
+            counted + halts,
+            int(np.count_nonzero(inbox)),
+            same,
+        )
     )
     return inbox
 
@@ -234,7 +240,7 @@ def _finish(
     rounds_run: int,
     watchdog: list[int] | None,
     max_rounds: int,
-    acct: Sequence[tuple[int, int, int]],
+    acct: Sequence[tuple[int, int, int, int]],
     term: np.ndarray,
 ) -> RoundMetrics:
     """Fold a kernel's outcome into the fault session (if any) and return
@@ -245,12 +251,15 @@ def _finish(
         injector.absorb_rounds(rounds_run, list(crash_rounds))
     if watchdog is not None:
         raise RoundLimitExceeded(max_rounds, watchdog, None)
-    sent, msgs, recv = (list(col) for col in zip(*acct)) if acct else ([], [], [])
+    sent, msgs, recv, same = (
+        (list(col) for col in zip(*acct)) if acct else ([], [], [], [])
+    )
     return finalize_run(
         term,
         sent,
         msgs,
         recv,
+        same_round=same,
         crash_rounds=crash_rounds,
         pre_crashed=fp.pre_crashed,
         drops=fp.drop_log,
@@ -293,7 +302,7 @@ def bulk_partition(
     term = np.zeros(n, dtype=np.int64)
     heard = np.zeros(n, dtype=np.int64)
     active = np.flatnonzero(fp.running(n))
-    acct: list[tuple[int, int, int]] = []
+    acct: list[tuple[int, int, int, int]] = []
     watchdog = None
     rnd = 0
     with profiled("kernel"):
@@ -373,7 +382,7 @@ def bulk_luby_mis(
     # round of each vertex's last priority broadcast
     lastp = np.zeros(n, dtype=np.int64)
     view = np.zeros(indices.size, dtype=np.int32)
-    acct: list[tuple[int, int, int]] = []
+    acct: list[tuple[int, int, int, int]] = []
     # arrivals of the last even round's MIS announcements
     inbox = np.zeros(n, dtype=np.int64)
     watchdog = None
@@ -530,7 +539,7 @@ def bulk_ring_three_coloring(
     bstamp = np.zeros(n, dtype=np.int64)
     term = np.zeros(n, dtype=np.int64)
     col = np.zeros(n, dtype=np.int64)
-    acct: list[tuple[int, int, int]] = []
+    acct: list[tuple[int, int, int, int]] = []
     rnd = 0
     with profiled("kernel"):
         while rnd < steps + 4:
@@ -662,7 +671,7 @@ def bulk_defective_coloring(
     nz_starts = offsets[:-1][nz]
     e_seen = np.zeros(indices.size, dtype=np.int32)
     e_gap = np.zeros(indices.size, dtype=np.int32)
-    acct: list[tuple[int, int, int]] = []
+    acct: list[tuple[int, int, int, int]] = []
     watchdog = None
     rnd = 0
     with profiled("kernel"):

@@ -79,7 +79,8 @@ def run_a2logn_coloring(
         view = LocalView()
         h = yield from join_h_set(ctx, view, A)
         info = yield from forest_info_step(ctx, view, h)
-        color = family.pick(ctx.id, [ctx.neighbor_ids[u] for u in info.parents])
+        nid = ctx.neighbor_ids
+        color = family.pick(ctx.id, [nid[u] for u in info.parents])
         return (h, color)
 
     net = SyncNetwork(graph, ids=ids, seed=seed, config={"a": a, "eps": eps})
@@ -127,6 +128,7 @@ def _phase_parents(
     higher ID.  Neighbors with unknown H-index are in sets beyond
     ``boundary_known`` rounds, i.e. in later phases."""
     my_id = ctx.id
+    nid = ctx.neighbor_ids
     parents = []
     for u in ctx.neighbors:
         hu = joined.get(u)
@@ -138,7 +140,7 @@ def _phase_parents(
             continue
         if not (lo <= hu and (hi is None or hu <= hi)):
             continue
-        if hu > h or (hu == h and ctx.neighbor_ids[u] > my_id):
+        if hu > h or (hu == h and nid[u] > my_id):
             parents.append(u)
     return parents
 

@@ -115,18 +115,28 @@ class PolyFamily:
         and unavoidable (in the strictly cover-free setting the caller
         guarantees parents have distinct colors; in the defective setting
         equal-color neighbors are accounted as existing defect).
+
+        The point is the first one with the fewest agreements.  The first
+        free point (in no other set) is that point whenever one exists,
+        and almost every picker has one at a small x, so the scan stops
+        there; only a picker with none (possible only with slack > 0)
+        counts agreements at all q points.
         """
-        q = self.q
+        q, degree = self.q, self.degree
+        mine = _poly_row(q, degree, color)
+        rows = [_poly_row(q, degree, cu) for cu in neighbor_colors if cu != color]
+        for x in range(q):
+            mx = mine[x]
+            for theirs in rows:
+                if theirs[x] == mx:
+                    break
+            else:
+                return x * q + mx
         counts = [0] * q
-        mine = _poly_row(q, self.degree, color)
-        for cu in neighbor_colors:
-            if cu == color:
-                continue
-            theirs = _poly_row(q, self.degree, cu)
+        for theirs in rows:
             for x in range(q):
                 if theirs[x] == mine[x]:
                     counts[x] += 1
-        # the first point with the fewest agreements
         fewest = min(counts)
         if fewest > self.slack:
             raise AssertionError(

@@ -133,15 +133,16 @@ def _edge_wave_program_factory(
             yield WAIT
             view.absorb(ctx)
         my_id = ctx.id
+        nid = ctx.neighbor_ids
         heads: list[int] = []   # my out-neighbors (I am the tail)
         tails: list[int] = []   # my in-neighbors (I am the head)
         for u in ctx.neighbors:
             hu = joined[u]
-            if hu > h or (hu == h and ctx.neighbor_ids[u] > my_id):
+            if hu > h or (hu == h and nid[u] > my_id):
                 heads.append(u)
             else:
                 tails.append(u)
-        heads.sort(key=lambda u: ctx.neighbor_ids[u])
+        heads.sort(key=nid.__getitem__)
         out_label = {u: i + 1 for i, u in enumerate(heads)}
         for u in heads:
             ctx.send(u, (LABEL, out_label[u]))
@@ -173,7 +174,6 @@ def _edge_wave_program_factory(
         # vertex decides as head are grouped by key up front, tails in ID
         # order; a decided batch is removed.
         order = sorted((k, u) for u, k in keys.items())
-        nid = ctx.neighbor_ids
         batches: dict[tuple, list[tuple[int, tuple]]] = {}
         for u in sorted(tails, key=nid.__getitem__):
             batches.setdefault(keys[u], []).append((u, keys[u]))

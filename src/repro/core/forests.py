@@ -85,12 +85,13 @@ def forest_info_step(
     view.absorb(ctx)
     joined = view.get(JOIN)
     my_id = ctx.id
+    nid = ctx.neighbor_ids
     parents = []
     for u in ctx.neighbors:
         hu = joined.get(u)
-        if hu is None or hu > h or (hu == h and ctx.neighbor_ids[u] > my_id):
+        if hu is None or hu > h or (hu == h and nid[u] > my_id):
             parents.append(u)
-    parents.sort(key=lambda u: ctx.neighbor_ids[u])
+    parents.sort(key=nid.__getitem__)
     labels = {u: i + 1 for i, u in enumerate(parents)}
     return VertexForestInfo(h=h, parents=tuple(parents), labels=labels)
 
@@ -149,12 +150,13 @@ def run_worstcase_forest_decomposition(
             view.absorb(ctx)
         joined = view.get(JOIN)
         my_id = ctx.id
+        nid = ctx.neighbor_ids
         parents = []
         for u in ctx.neighbors:
             hu = joined.get(u)
-            if hu is None or hu > h or (hu == h and ctx.neighbor_ids[u] > my_id):
+            if hu is None or hu > h or (hu == h and nid[u] > my_id):
                 parents.append(u)
-        parents.sort(key=lambda u: ctx.neighbor_ids[u])
+        parents.sort(key=nid.__getitem__)
         labels = {u: i + 1 for i, u in enumerate(parents)}
         return VertexForestInfo(h=h, parents=tuple(parents), labels=labels)
 

@@ -96,6 +96,7 @@ def _segment_neighbors(
     neighbor lies beyond the learning boundary, hence in this segment only
     when the segment is open-ended."""
     my_id = ctx.id
+    nid = ctx.neighbor_ids
     parents: list[int] = []
     same: list[int] = []
     for u in ctx.neighbors:
@@ -106,7 +107,7 @@ def _segment_neighbors(
             continue
         if not (lo <= hu <= hi):
             continue
-        if hu > h or (hu == h and ctx.neighbor_ids[u] > my_id):
+        if hu > h or (hu == h and nid[u] > my_id):
             parents.append(u)
         if hu == h:
             same.append(u)

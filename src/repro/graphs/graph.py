@@ -178,6 +178,18 @@ class Graph:
         self._materialize_objects()
         return self._adj[v]
 
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Every vertex's sorted neighbors: ``adjacency()[v] ==
+        neighbors(v)``, in one call."""
+        self._materialize_objects()
+        return self._adj
+
+    def neighbor_sets(self) -> tuple[frozenset[int], ...]:
+        """Every vertex's neighbor set: ``neighbor_sets()[v] ==
+        neighbor_set(v)``, in one call."""
+        self._materialize_objects()
+        return self._adj_sets
+
     def neighbor_set(self, v: int) -> frozenset[int]:
         """The neighbors of ``v`` as a frozenset (O(1) membership)."""
         self._materialize_objects()

@@ -50,6 +50,7 @@ from repro.obs.events import (
     Event,
     EventBus,
     Halt,
+    RoundDrops,
     RoundEnd,
     RoundSends,
     RoundStart,
@@ -74,6 +75,7 @@ __all__ = [
     "MetricsCollector",
     "NullSink",
     "PhaseProfiler",
+    "RoundDrops",
     "RoundEnd",
     "RoundSends",
     "RoundStart",

@@ -17,16 +17,16 @@ accumulates exactly the distributions the paper's statements are about:
 
 The collector accepts both tracing granularities: the per-call
 ``send``/``broadcast``/``halt`` events the generator engines emit, and
-the aggregate ``round_sends`` / ``round_end.halts`` records the bulk
-engine emits (one event per round instead of O(messages)).  A
-``round_sends`` record is *authoritative* for its round -- individual
-send/broadcast events for the same round are ignored -- so replaying a
-mixed stream never double-counts message totals.  Termination counts
-merge the two granularities **per round**: a round's per-vertex ``halt``
-records win when present, and rounds carrying only the aggregate
-``round_end.halts`` count fall back to it -- a stream that switches
-granularity between rounds still yields exact histogram totals, with
-every vertex counted exactly once.
+the aggregate ``round_sends`` / ``round_drops`` / ``round_end.halts``
+records the bulk engine emits (one event per round instead of
+O(messages)).  A ``round_sends`` record is *authoritative* for its
+round -- individual send/broadcast events for the same round are
+ignored -- so replaying a mixed stream never double-counts message
+totals.  Termination counts merge the two granularities **per round**:
+a round's per-vertex ``halt`` records win when present, and rounds
+carrying only the aggregate ``round_end.halts`` count fall back to it
+-- a stream that switches granularity between rounds still yields exact
+histogram totals, with every vertex counted exactly once.
 
 The collector assumes a single execution (rounds arriving in increasing
 order); :func:`repro.obs.report.segment_records` splits multi-run JSONL
@@ -116,7 +116,7 @@ class MetricsCollector(Sink):
                 self.committed.append([])
             self.committed[rnd - 1].append(event.v)
             self.commit_round[event.v] = rnd
-        elif kind == "drop":
+        elif kind == "drop" or kind == "round_drops":
             _grow(self.dropped, rnd)
             self.dropped[rnd - 1] += event.msgs
         elif kind == "round_end":

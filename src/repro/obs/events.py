@@ -135,6 +135,17 @@ class Drop(Event):
 
 
 @dataclass(frozen=True, slots=True)
+class RoundDrops(Event):
+    """Aggregate of one round's :class:`Drop` events: ``msgs`` copies
+    discarded because their receiver terminated this same round.  The
+    bulk engine emits it, once per round with such drops, where the
+    generator engines emit one ``drop`` per receiver."""
+
+    kind: ClassVar[str] = "round_drops"
+    msgs: int
+
+
+@dataclass(frozen=True, slots=True)
 class FaultCrash(Event):
     """The adversary crash-stopped vertex ``v`` at the start of this
     round: it performs no further computation and announces nothing
@@ -186,6 +197,7 @@ EVENT_TYPES: dict[str, type[Event]] = {
         Commit,
         Halt,
         Drop,
+        RoundDrops,
         FaultCrash,
         FaultDrop,
         FaultDup,

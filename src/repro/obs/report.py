@@ -193,7 +193,7 @@ def decay_table(col: MetricsCollector, limit: int = 40) -> str:
     return "\n".join(lines)
 
 
-def _per_round_rows(col: MetricsCollector) -> list[tuple[int, int, int, int]]:
+def _per_round_rows(col: MetricsCollector) -> list[tuple[int, int, int, int, int]]:
     terms = col.terminations_per_round()
     rows = []
     for i in range(col.rounds):
@@ -201,6 +201,7 @@ def _per_round_rows(col: MetricsCollector) -> list[tuple[int, int, int, int]]:
             (
                 col.active[i] if i < len(col.active) else 0,
                 col.sent[i] if i < len(col.sent) else 0,
+                col.dropped[i] if i < len(col.dropped) else 0,
                 len(col.committed[i]) if i < len(col.committed) else 0,
                 terms[i] if i < len(terms) else 0,
             )
@@ -218,8 +219,8 @@ def diff(
     """Compare two executions round by round.
 
     Returns ``(identical, rendered_report)``.  Two executions are
-    *identical* when their per-round (active, sent, committed,
-    terminated) quadruples -- and hence their aggregate statistics --
+    *identical* when their per-round (active, sent, dropped, committed,
+    terminated) tuples -- and hence their aggregate statistics --
     agree; this is the check ``repro inspect --diff`` uses to confirm the
     fast and reference engines replayed the same run.
     """
@@ -238,7 +239,7 @@ def diff(
     if not divergences:
         lines.append(
             f"identical: {len(rows_a)} rounds, per-round "
-            "(active, sent, committed, terminated) all agree"
+            "(active, sent, dropped, committed, terminated) all agree"
         )
         return True, "\n".join(lines)
     lines.append(f"DIVERGENT: {len(divergences)} rounds differ")
@@ -251,7 +252,10 @@ def diff(
     return False, "\n".join(lines)
 
 
-def _fmt_row(row: tuple[int, int, int, int] | None) -> str:
+def _fmt_row(row: tuple[int, int, int, int, int] | None) -> str:
     if row is None:
         return "(absent)"
-    return f"(active={row[0]}, sent={row[1]}, committed={row[2]}, terminated={row[3]})"
+    return (
+        f"(active={row[0]}, sent={row[1]}, dropped={row[2]}, "
+        f"committed={row[3]}, terminated={row[4]})"
+    )

@@ -36,11 +36,12 @@ validators read the arrays without boxing a Python object per vertex.
 Tracing granularity caveat
 --------------------------
 The bulk engine never materialises individual messages, so it cannot emit
-per-``send`` events.  Instead :func:`finalize_run` emits one
-``round_start`` / ``round_sends`` / ``round_end`` triple per round --
-O(rounds) total -- and does so *after* the vectorized execution finishes
-(events are derived from the final arrays, not interleaved with the
-computation).  :class:`repro.obs.collect.MetricsCollector` accepts this
+per-``send`` or per-receiver ``drop`` events.  Instead
+:func:`finalize_run` emits one ``round_start`` / ``round_sends`` /
+``round_end`` triple per round, plus a ``round_drops`` in rounds that
+discarded same-round copies -- O(rounds) total -- and does so *after*
+the vectorized execution finishes (events are derived from the final
+arrays, not interleaved with the computation).  :class:`repro.obs.collect.MetricsCollector` accepts this
 aggregate granularity; per-vertex ``halt``/``commit`` events are simply
 absent from bulk traces.
 
@@ -75,6 +76,7 @@ from repro.graphs.graph import Graph
 from repro.obs.events import (
     FaultCrash,
     FaultDrop,
+    RoundDrops,
     RoundEnd,
     RoundSends,
     RoundStart,
@@ -284,6 +286,7 @@ def finalize_run(
     msgs: Sequence[int],
     receivers: Sequence[int],
     *,
+    same_round: Sequence[int] = (),
     crash_rounds: dict[int, int] | None = None,
     pre_crashed: Sequence[int] = (),
     drops: Sequence[tuple[int, int, int]] = (),
@@ -294,9 +297,11 @@ def finalize_run(
     vertex); ``sent`` / ``msgs`` / ``receivers`` are per-round totals
     matching the generator engines' accounting (``msgs`` includes the one
     halt notice per terminating vertex), and their length is the recorded
-    round count.  The active trace is derived from ``term``: n_i is the
-    number of vertices that terminate at round >= i or crash only at a
-    later round's start.
+    round count.  ``same_round`` are the per-round copies discarded
+    because their receiver terminated that same round (empty: none).
+    The active trace is derived from ``term``: n_i is the number of
+    vertices that terminate at round >= i or crash only at a later
+    round's start.
 
     A clean run leaves the fault arguments empty.  Under a fault plan,
     ``crash_rounds`` maps each newly-crashed vertex to the round whose
@@ -313,7 +318,8 @@ def finalize_run(
 
     When the session's event bus is live, one ``round_start`` /
     ``round_sends`` / ``round_end`` triple per round is emitted -- the
-    aggregate tracing granularity.
+    aggregate tracing granularity -- with a ``round_drops`` before the
+    ``round_end`` of a round that discarded same-round copies.
     """
     with profiled("finalize"):
         n = int(term.size)
@@ -357,6 +363,8 @@ def finalize_run(
                     bus.emit(FaultDrop(rnd, src, dst))
                 if sent[i]:
                     bus.emit(RoundSends(rnd, int(sent[i])))
+                if i < len(same_round) and same_round[i]:
+                    bus.emit(RoundDrops(rnd, int(same_round[i])))
                 bus.emit(
                     RoundEnd(rnd, int(msgs[i]), int(receivers[i]), int(halts[rnd]))
                 )

@@ -54,7 +54,7 @@ assume messages remain observable in later rounds.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 from repro.obs.events import Broadcast as _BroadcastEvent
 from repro.obs.events import Commit as _CommitEvent
@@ -78,6 +78,22 @@ class RouterState:
         self.slots_next: list[list[tuple[int, Any]]] = []
         self.dirty: list[int] = []
         self.msgs = 0
+
+
+class Shared(NamedTuple):
+    """What every context of one run shares, handed to each
+    :class:`Context` as one object: the common knowledge (``n``, the
+    config, the network seed, the ID assignment ``neighbor_ids`` is read
+    from) and the run's wiring (the engine's router, the live event bus,
+    an injector with message faults; None leaves each unwired)."""
+
+    n: int
+    config: Mapping[str, Any]
+    seed: int
+    ids: Sequence[int]
+    router: "RouterState | None" = None
+    bus: Any = None
+    faults: Any = None
 
 
 _EMPTY_FROZENSET: frozenset[int] = frozenset()
@@ -109,7 +125,8 @@ class Context:
         "v",
         "id",
         "neighbors",
-        "neighbor_ids",
+        "_neighbor_set",
+        "_neighbor_ids",
         "n",
         "config",
         "halted",
@@ -126,6 +143,7 @@ class Context:
         "_router",
         "_bus",
         "_faults",
+        "_ids",
     )
 
     def __init__(
@@ -133,25 +151,28 @@ class Context:
         v: int,
         vid: int,
         neighbors: tuple[int, ...],
-        neighbor_ids: Mapping[int, int],
-        n: int,
-        config: Mapping[str, Any],
-        seed: int,
+        neighbor_set: frozenset[int],
+        shared: Shared,
     ) -> None:
         self.v = v
         self.id = vid
         self.neighbors = neighbors
-        #: neighbor vertex -> its ID; also serves as the O(1) neighbor-set
-        #: membership test for ``send``.  The engine hands over ownership
-        #: of this dict (it is not copied here).
-        self.neighbor_ids = (
-            neighbor_ids if type(neighbor_ids) is dict else dict(neighbor_ids)
-        )
-        self.n = n
-        self.config = config
-        #: the network seed; ``ctx.rng`` keys a VertexRng with it lazily
-        #: on first use (most deterministic programs never touch it)
-        self._rng = seed
+        #: ``neighbors`` as a set: ``send``'s O(1) neighbor test
+        self._neighbor_set = neighbor_set
+        #: built from ``_ids`` on first read of :attr:`neighbor_ids`
+        self._neighbor_ids: dict[int, int] | None = None
+        # ``_rng`` holds the network seed; ``ctx.rng`` keys a VertexRng
+        # with it lazily on first use (most deterministic programs never
+        # touch it).  The router, bus and injector are None when unwired.
+        (
+            self.n,
+            self.config,
+            self._rng,
+            self._ids,
+            self._router,
+            self._bus,
+            self._faults,
+        ) = shared
         #: final outputs of terminated neighbors (accumulated); also the
         #: one record of which neighbors ``send``/``broadcast`` skip
         self.halted: dict[int, Any] = {}
@@ -167,15 +188,19 @@ class Context:
         self._outgoing: list[tuple[int, Any]] = []
         self._commit_round: int | None = None
         self._commit_value: Any = None
-        self._router: RouterState | None = None
-        #: the engine wires an active EventBus here; None (the default)
-        #: keeps send/broadcast/commit entirely event-free
-        self._bus = None
-        #: the engine wires a FaultInjector with active message faults
-        #: here; None (the default) keeps routing entirely fault-free
-        self._faults = None
 
     # ------------------------------------------------------------------
+    @property
+    def neighbor_ids(self) -> dict[int, int]:
+        """Neighbor vertex -> its ID (the KT1 knowledge), built on first
+        read: a run pays for the dict only at the vertices that read it.
+        Read it once into a local in a loop."""
+        d = self._neighbor_ids
+        if d is None:
+            ids = self._ids
+            d = self._neighbor_ids = {u: ids[u] for u in self.neighbors}
+        return d
+
     @property
     def rng(self) -> VertexRng:
         """This vertex's private random source, keyed by ``(seed, id)``.
@@ -283,7 +308,7 @@ class Context:
         to already-terminated neighbors are silently dropped, matching the
         model: a terminated processor performs no further communication.
         """
-        if u not in self.neighbor_ids:
+        if u not in self._neighbor_set:
             raise ValueError(
                 f"vertex {self.v} tried to message non-neighbor {u}: "
                 "communication must follow the graph's links"

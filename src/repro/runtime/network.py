@@ -82,14 +82,15 @@ unchanged (gated to < 5% overhead by ``repro.bench.baseline``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from time import perf_counter
 from typing import Any, Callable, Generator, Mapping, Sequence
 
 from repro.graphs.graph import Graph
 from repro.obs.events import Drop
-from repro.runtime.context import _EMPTY_FROZENSET, Context, RouterState
+from repro.runtime.context import _EMPTY_FROZENSET, Context, RouterState, Shared
 from repro.runtime.metrics import RoundMetrics, TimeMetrics
-from repro.runtime.scheduler import SyncBarrierScheduler
+from repro.runtime.scheduler import SyncBarrierScheduler, collector_paused
 from repro.runtime.session import current
 
 ProgramFactory = Callable[[Context], Generator[None, None, Any]]
@@ -266,25 +267,24 @@ class SyncNetwork:
         self.config = base
 
     # ------------------------------------------------------------------
-    def make_contexts(self) -> list[Context]:
-        g, ids, seed, config = self.graph, self.ids, self.seed, self.config
-        n = g.n
-        contexts = []
-        for v in range(n):
-            nbrs = g.neighbors(v)
-            vid = ids[v]
-            contexts.append(
-                Context(
-                    v=v,
-                    vid=vid,
-                    neighbors=nbrs,
-                    neighbor_ids={u: ids[u] for u in nbrs},
-                    n=n,
-                    config=config,
-                    seed=seed,
-                )
+    def make_contexts(
+        self, router: RouterState | None = None, bus=None, faults=None
+    ) -> list[Context]:
+        """One :class:`Context` per vertex, wired to ``router``, ``bus``
+        and ``faults`` (None leaves that wire off)."""
+        g = self.graph
+        n, ids = g.n, self.ids
+        shared = Shared(n, self.config, self.seed, ids, router, bus, faults)
+        return list(
+            map(
+                Context,
+                range(n),
+                ids,
+                g.adjacency(),
+                g.neighbor_sets(),
+                repeat(shared, n),
             )
-        return contexts
+        )
 
     def _spawn(
         self, program: ProgramFactory, contexts: list[Context]
@@ -297,6 +297,7 @@ class SyncNetwork:
             gens.append(gen)
         return gens
 
+    @collector_paused
     def run(
         self, program: ProgramFactory, max_rounds: int | None = None
     ) -> RunResult:
@@ -308,6 +309,8 @@ class SyncNetwork:
         delegation), its bus and fault injector (resolved once, by the
         :class:`SyncBarrierScheduler`), and in async mode the timing pass
         that fills ``RunResult.times`` (:meth:`SyncBarrierScheduler.finish`).
+        The cyclic garbage collector is paused for the whole run
+        (:func:`~repro.runtime.scheduler.collector_paused`).
         """
         if type(self) is SyncNetwork:
             eng = current().engine
@@ -333,34 +336,28 @@ class SyncNetwork:
         if max_rounds is None:
             max_rounds = default_max_rounds(n)
 
-        contexts = self.make_contexts()
-        gens = self._spawn(program, contexts)
-        rows = g.csr_rows()
-        # The barrier scheduler owns the round progression: crash
-        # application, watchdog, active/message traces, halt bookkeeping,
-        # and the session's bus and injector.  This engine supplies only
-        # the mail mechanics (pooled slots) and the choice of which
-        # active vertices to resume.
-        sched = SyncBarrierScheduler(contexts, gens, max_rounds, g)
-        emit, prof, injector = sched.emit, sched.prof, sched.injector
-
-        # Wire every context into the shared routing state: sends and
+        # Every context is wired to the shared routing state: sends and
         # broadcasts deliver straight into the pooled mail slots below.
         router = RouterState()
-        for ctx in contexts:
-            ctx._router = router
-
         slots_cur: list[list[tuple[int, Any]]] = [[] for _ in range(n)]
         slots_next: list[list[tuple[int, Any]]] = [[] for _ in range(n)]
         dirty_cur: list[int] = []
         dirty_next: list[int] = []
         router.slots_next = slots_next
         router.dirty = dirty_next
+        # The barrier scheduler builds the contexts and owns the round
+        # progression: crash application, watchdog, active/message
+        # traces, halt bookkeeping, and the session's bus and injector.
+        # This engine supplies only the mail mechanics (pooled slots) and
+        # the choice of which active vertices to resume.
+        sched = SyncBarrierScheduler(self, program, max_rounds, router)
+        contexts, gens = sched.contexts, sched.gens
+        emit, prof, injector = sched.emit, sched.prof, sched.injector
+        rows = g.csr_rows()
         # 1 while a vertex's last yield was ``yield WAIT`` and nothing has
         # woken it since
         asleep = bytearray(n)
 
-        sched.begin_run()
         halt = sched.halt
         check_yield = sched.check_yield
         # The live vertices whose last yield was bare, ascending; every

@@ -22,7 +22,7 @@ Do not optimise this module; clarity is its contract.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Any, Generator
+from typing import Any
 
 from repro.obs.events import Drop
 from repro.runtime.context import _EMPTY_FROZENSET
@@ -34,7 +34,7 @@ from repro.runtime.network import (
     SyncNetwork,
     default_max_rounds,
 )
-from repro.runtime.scheduler import SyncBarrierScheduler
+from repro.runtime.scheduler import SyncBarrierScheduler, collector_paused
 
 __all__ = ["MaxRoundsExceeded", "ReferenceSyncNetwork", "RoundLimitExceeded"]
 
@@ -48,6 +48,7 @@ class ReferenceSyncNetwork(SyncNetwork):
     exactly the seed implementation of the engine.
     """
 
+    @collector_paused
     def run(
         self, program: ProgramFactory, max_rounds: int | None = None
     ) -> RunResult:
@@ -57,19 +58,15 @@ class ReferenceSyncNetwork(SyncNetwork):
         if max_rounds is None:
             max_rounds = default_max_rounds(n)
 
-        contexts = self.make_contexts()
-        gens: list[Generator[None, None, Any] | None] = self._spawn(
-            program, contexts
-        )
-        # The *same* barrier scheduler the fast engine uses drives the
-        # round progression and resolves the session's bus and injector,
-        # so the emitted event stream and the fault injection points are
-        # identical (the differential suites check); this loop supplies
-        # only the specification mail mechanics (per-round dicts,
-        # explicit ``_outgoing`` routing).
-        sched = SyncBarrierScheduler(contexts, gens, max_rounds, g)
+        # The *same* barrier scheduler the fast engine uses builds the
+        # (unwired) contexts, drives the round progression and resolves
+        # the session's bus and injector, so the emitted event stream and
+        # the fault injection points are identical (the differential
+        # suites check); this loop supplies only the specification mail
+        # mechanics (per-round dicts, explicit ``_outgoing`` routing).
+        sched = SyncBarrierScheduler(self, program, max_rounds)
+        contexts = sched.contexts
         emit, prof = sched.emit, sched.prof
-        sched.begin_run()
         pending: dict[int, dict[int, Any]] = {}
 
         while True:

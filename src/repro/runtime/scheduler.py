@@ -20,17 +20,49 @@ to, the profiler on that bus, the fault injector, and the mode.  An
 asynchronous run is the synchronous run plus a timing pass
 (:func:`repro.runtime.async_sched.time_run`): the alpha-synchronizer
 replays the same content, and only the per-vertex times are new.
+
+Both engines' ``run`` is wrapped in :func:`collector_paused`: a run's
+set-up, rounds and ``finish`` allocate containers by the hundred
+thousand (contexts, halted dicts, mail tuples, generator frames) but
+form no reference cycles, so the cyclic collector's passes over them
+free nothing (docs/architecture.md has the counts).
 """
 
 from __future__ import annotations
 
+import gc
+from functools import wraps
 from time import perf_counter
-from typing import Any, Generator
+from typing import Any, Callable, TypeVar
 
 from repro.obs.events import Halt, RoundEnd, RoundStart
 from repro.runtime.context import WAIT
 from repro.runtime.metrics import RoundMetrics
 from repro.runtime.session import current
+
+_F = TypeVar("_F", bound=Callable[..., Any])
+
+
+def collector_paused(run: _F) -> _F:
+    """Run ``run`` with Python's cyclic garbage collector disabled.
+
+    The caller's ``gc.isenabled()`` is restored on return and on every
+    exception, and a collector the caller had already disabled stays
+    disabled, so nested pauses compose.  Reference counting still frees
+    everything a run drops; only the generational passes are skipped.
+    """
+
+    @wraps(run)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return run(*args, **kwargs)
+        gc.disable()
+        try:
+            return run(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused  # type: ignore[return-value]
 
 
 class SyncBarrierScheduler:
@@ -38,8 +70,7 @@ class SyncBarrierScheduler:
 
     One instance drives one run.  The engine loop becomes::
 
-        sched = SyncBarrierScheduler(contexts, gens, max_rounds, graph)
-        sched.begin_run()
+        sched = SyncBarrierScheduler(net, program, max_rounds, router)
         while True:
             nxt = sched.next_round()        # crashes, watchdog, round_start
             if nxt is None:
@@ -58,11 +89,14 @@ class SyncBarrierScheduler:
     the round counter, the active list, per-vertex round counts, outputs,
     halt notices, the active/message traces, and the fault-injector
     driving points.  It resolves the current session once, at
-    construction: ``emit`` is the bus's emitter when some sink is live
-    (contexts are then wired to the bus, making ``send``/``broadcast``/
-    ``commit`` narrate), ``prof`` the bus's profiler, ``injector`` the
-    session's adversary.  Event order is pinned by the differential suites
-    (``tests/runtime/test_equivalence.py`` and
+    construction: ``emit`` is the bus's emitter when some sink is live,
+    ``prof`` the bus's profiler, ``injector`` the session's adversary.
+    It then builds the run's ``contexts`` and ``gens``, wiring each
+    context as it is made: to the engine's ``router`` (None leaves the
+    contexts unwired, as the reference engine wants), to the live bus
+    (making ``send``/``broadcast``/``commit`` narrate) and to an
+    injector with message faults.  Event order is pinned by the
+    differential suites (``tests/runtime/test_equivalence.py`` and
     ``test_fault_equivalence.py``): fault crashes narrate before the
     watchdog fires, ``round_start`` before any delivery, ``halt`` at step
     time, ``round_end`` after same-round drops.
@@ -87,31 +121,31 @@ class SyncBarrierScheduler:
         "mode",
     )
 
-    def __init__(
-        self,
-        contexts,
-        gens: list[Generator[None, None, Any] | None],
-        max_rounds: int,
-        graph,
-    ) -> None:
-        self.contexts = contexts
-        self.gens = gens
+    def __init__(self, net, program, max_rounds: int, router=None) -> None:
         self.max_rounds = max_rounds
         run = current()
         bus = run.bus
         self.emit = None
         self.prof = None
+        live = None
         if bus is not None:
             # a bus holding only a NullSink leaves the event path disabled
             # and costs one branch per engine section
             if bus.active:
                 self.emit = bus.emit
-                for ctx in contexts:
-                    ctx._bus = bus
+                live = bus
             self.prof = bus.profiler
-        self.injector = run.injector
+        injector = self.injector = run.injector
         self.mode = run.mode
-        n = len(contexts)
+        faults = (
+            injector
+            if injector is not None and injector.messages_active
+            else None
+        )
+        self.contexts = net.make_contexts(router, live, faults)
+        self.gens = net._spawn(program, self.contexts)
+        graph = net.graph
+        n = graph.n
         self.outputs: dict[int, Any] = {}
         self.rounds = [0] * n
         self.active: list[int] = list(range(n))
@@ -125,28 +159,19 @@ class SyncBarrierScheduler:
         self.crash_rounds: dict[int, int] = {}
         #: the run's graph, for the timing pass
         self.graph = graph
+        if injector is not None:
+            # vertices crashed in earlier runs of the session stay
+            # crashed (crash-stop persists across them)
+            pre_crashed = injector.begin_run(self.emit)
+            if pre_crashed:
+                gens = self.gens
+                for v in pre_crashed:
+                    if v < n and gens[v] is not None:
+                        gens[v].close()
+                        gens[v] = None
+                self.active = [v for v in self.active if gens[v] is not None]
 
     # ------------------------------------------------------------------
-    def begin_run(self) -> None:
-        """Start the run: remove vertices already crashed in earlier
-        runs of the session (crash-stop persists across them) and wire
-        the route-side fault hook into the contexts."""
-        injector = self.injector
-        if injector is None:
-            return
-        gens = self.gens
-        pre_crashed = injector.begin_run(self.emit)
-        if pre_crashed:
-            n = len(gens)
-            for v in pre_crashed:
-                if v < n and gens[v] is not None:
-                    gens[v].close()
-                    gens[v] = None
-            self.active = [v for v in self.active if gens[v] is not None]
-        if injector.messages_active:
-            for ctx in self.contexts:
-                ctx._faults = injector
-
     def next_round(
         self,
     ) -> tuple[int, list[tuple[int, int, Any]], list[tuple[int, Any]]] | None:

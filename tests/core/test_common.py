@@ -11,7 +11,7 @@ from repro.core.common import (
     partition_length_bound,
 )
 from repro.graphs.graph import Graph
-from repro.runtime.context import WAIT, Context
+from repro.runtime.context import WAIT, Context, Shared
 from repro.runtime.network import SyncNetwork
 
 
@@ -96,7 +96,7 @@ def test_partition_length_bound_monotone_in_n_and_eps():
 
 def _ctx(n=6):
     nbrs = tuple(range(1, n))
-    return Context(0, 0, nbrs, {u: u for u in nbrs}, n, {}, 0)
+    return Context(0, 0, nbrs, frozenset(nbrs), Shared(n, {}, 0, range(n)))
 
 
 def _deliver(ctx, mail):

@@ -14,6 +14,7 @@ from repro.core.coverfree import (
     palette_schedule,
     steps_to_fixpoint,
     _int_root_ceil,
+    _poly_row,
 )
 
 
@@ -109,6 +110,71 @@ class TestPick:
         with pytest.raises(AssertionError):
             # force failure: every point of color 0's set covered
             fam.pick(0, list(range(1, 50)))
+
+
+def _pick_by_full_count(fam, color, neighbor_colors):
+    """The full-count rule ``PolyFamily.pick`` replaced, kept verbatim as
+    its oracle: count agreements at every point, take the first point
+    with the fewest."""
+    q = fam.q
+    counts = [0] * q
+    mine = _poly_row(q, fam.degree, color)
+    for cu in neighbor_colors:
+        if cu == color:
+            continue
+        theirs = _poly_row(q, fam.degree, cu)
+        for x in range(q):
+            if theirs[x] == mine[x]:
+                counts[x] += 1
+    # the first point with the fewest agreements
+    fewest = min(counts)
+    if fewest > fam.slack:
+        raise AssertionError(
+            "cover-free guarantee violated: too many neighbors "
+            f"({fewest} > slack {fam.slack}); A bound exceeded?"
+        )
+    best_x = counts.index(fewest)
+    return best_x * q + mine[best_x]
+
+
+@st.composite
+def _families(draw):
+    """A family drawn over (q, D, slack), with the largest A it admits."""
+    q = draw(st.sampled_from([2, 3, 5, 7, 11, 19]))
+    degree = draw(st.integers(1, 3))
+    slack = draw(st.integers(0, 3))
+    A = (q * (slack + 1) - 1) // degree
+    return PolyFamily(capacity=q ** (degree + 1), A=A, slack=slack, q=q, degree=degree)
+
+
+@settings(max_examples=400, deadline=None)
+@given(fam=_families(), data=st.data())
+def test_property_first_free_pick_is_the_full_count_pick(fam, data):
+    """The first free point is the full count's first minimal point, and
+    without a free point (slack > 0) the fallback is the full count: the
+    two rules return the same point or raise the same error -- own-color
+    neighbors, repeated colors and more neighbors than A included."""
+    top = fam.capacity - 1
+    # a narrow color range makes equal and repeated colors common
+    hi = data.draw(st.sampled_from([min(3, top), top]))
+    color = data.draw(st.integers(0, hi), label="color")
+    nbrs = data.draw(
+        st.lists(st.integers(0, hi), max_size=3 * fam.A + 4), label="nbrs"
+    )
+    assert _pick_outcome(lambda: fam.pick(color, nbrs)) == _pick_outcome(
+        lambda: _pick_by_full_count(fam, color, nbrs)
+    )
+
+
+def test_pick_without_a_free_point_falls_back_to_the_fewest():
+    """Over F_2, color 0 is the zero polynomial; colors 2 and 3 each agree
+    with it at one point, so together they leave no free point."""
+    fam = PolyFamily(capacity=4, A=3, slack=1, q=2, degree=1)
+    assert fam.pick(0, [2, 3]) == 0  # counts [1, 1]: the first point
+    assert fam.pick(0, [2, 3, 2]) == 2  # counts [2, 1]: x = 1
+    strict = PolyFamily(capacity=4, A=1, slack=0, q=2, degree=1)
+    with pytest.raises(AssertionError, match=r"\(1 > slack 0\)"):
+        strict.pick(0, [2, 3])
 
 
 class TestSchedules:

@@ -1,8 +1,11 @@
 """MetricsCollector: per-vertex/per-round aggregation and the Lemma 6.1
 shape check, pinned against the engine's own RoundMetrics."""
 
+import pytest
+
 import repro
 from repro import obs
+from repro.faults import CrashSpec, FaultPlan, MessageFaults
 from repro.graphs import generators as gen
 from repro.obs.collect import MetricsCollector
 from repro.obs.events import Broadcast, EventBus, Halt, RoundEnd, RoundStart
@@ -252,9 +255,70 @@ def test_bulk_and_fast_traces_collect_identically():
     assert (
         col_bulk.terminations_per_round() == col_fast.terminations_per_round()
     )
-    # the one documented granularity gap: aggregate traces carry no
-    # per-destination drop records (sent/delivered already embed them)
+    # same-round drops: one ``drop`` per receiver on the fast engine, one
+    # ``round_drops`` aggregate per round on the bulk engine
     assert col_fast.total_dropped() == sum(col_fast.sent) - sum(
         d - h for d, h in zip(col_fast.delivered, col_fast.halts)
     )
-    assert col_bulk.total_dropped() == 0
+    assert col_fast.total_dropped() > 0
+    assert col_bulk.dropped == col_fast.dropped
+
+
+def _traffic_identity_holds(col):
+    """Per round: delivered = sent - dropped - fault drops + fault dups
+    + halts (a delayed copy counts in the round it was sent)."""
+
+    def at(lst, i):
+        return lst[i] if i < len(lst) else 0
+
+    return all(
+        at(col.delivered, i)
+        == at(col.sent, i)
+        - at(col.dropped, i)
+        - at(col.fault_drops, i)
+        + at(col.fault_dups, i)
+        + at(col.halts, i)
+        for i in range(col.rounds)
+    )
+
+
+@pytest.mark.parametrize(
+    "messages",
+    [
+        MessageFaults(drop=0.05),
+        MessageFaults(duplicate=0.05),
+        MessageFaults(delay=0.05, max_delay=3),
+    ],
+    ids=["drop", "duplicate", "delay"],
+)
+def test_traffic_identity_under_message_faults(messages):
+    """The documented traffic identity on a fast-engine trace of a
+    crash-plus-message-fault run, round by round (docs/observability.md):
+    without the fault terms it is off by exactly the fault counts."""
+    g = gen.union_of_forests(400, 3, seed=1)
+    ids = gen.random_ids(g.n, seed=1001)
+    plan = FaultPlan(seed=7, crashes=CrashSpec(hazard=0.01), messages=messages)
+    col = MetricsCollector()
+    with session(faults=plan, bus=EventBus(col)):
+        repro.run_partition(g, a=3, ids=ids)
+    assert col.crash_round and sum(
+        col.fault_drops + col.fault_dups + col.fault_delays
+    )
+    assert col.total_dropped() > 0
+    assert _traffic_identity_holds(col)
+    off = sum(col.sent) - col.total_dropped() + sum(col.halts) - sum(col.delivered)
+    assert off == sum(col.fault_drops) - sum(col.fault_dups)
+
+
+def test_traffic_identity_on_the_bulk_engine():
+    """The bulk trace's aggregates satisfy the same identity."""
+    g = gen.union_of_forests(400, 3, seed=1)
+    ids = gen.random_ids(g.n, seed=1001)
+    plan = FaultPlan(
+        seed=7, crashes=CrashSpec(hazard=0.01), messages=MessageFaults(drop=0.05)
+    )
+    col = MetricsCollector()
+    with session(engine="bulk", faults=plan, bus=EventBus(col)):
+        repro.run_partition(g, a=3, ids=ids)
+    assert sum(col.fault_drops) and col.total_dropped()
+    assert _traffic_identity_holds(col)

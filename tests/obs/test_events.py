@@ -17,6 +17,7 @@ from repro.obs.events import (
     FaultDrop,
     FaultDup,
     Halt,
+    RoundDrops,
     RoundEnd,
     RoundSends,
     RoundStart,
@@ -37,6 +38,7 @@ def _sample_events():
         Commit(1, 4),
         Halt(1, 4),
         Drop(1, 4, 2),
+        RoundDrops(1, 2),
         FaultCrash(1, 4),
         FaultDrop(2, 0, 1),
         FaultDup(2, 0, 1),
@@ -65,6 +67,7 @@ def test_registry_covers_the_issue_event_vocabulary():
         "round_start",
         "round_end",
         "round_sends",
+        "round_drops",
         "send",
         "broadcast",
         "commit",

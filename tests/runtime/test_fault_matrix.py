@@ -240,8 +240,8 @@ def _metrics_surface(m):
 def test_partition_crash_hazard_drop_plan_matches_fast(workload):
     """Explicit strikes + a crash hazard + drops at once: the bulk run
     reproduces the fast engine's outputs, full metrics surface, crashed
-    set and per-round ``sent`` counts (every routed copy, dropped or
-    not)."""
+    set, per-round ``sent`` counts (every routed copy, dropped or not)
+    and per-round same-round drops."""
     g, a = WORKLOADS[workload](120, seed=2)
     ids = gen.random_ids(g.n, seed=1002)
     plan = FaultPlan(
@@ -261,6 +261,7 @@ def test_partition_crash_hazard_drop_plan_matches_fast(workload):
     assert _metrics_surface(got.metrics) == _metrics_surface(ref.metrics)
     assert sorted(inj2.crashed) == sorted(inj.crashed)
     assert col2.sent == col.sent
+    assert col2.dropped == col.dropped
 
 
 def test_session_state_persists_across_bulk_runs():
